@@ -28,6 +28,7 @@ from .outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
     OuterInverseResult,
+    PreparedProblem,
     bott_duffin,
     classical_cases,
     column_space,
@@ -38,8 +39,10 @@ from .outer_inverse import (
     image_of,
     kernel,
     moore_penrose,
+    moore_penrose_problem,
     mp_via_12_inverse,
     oracle_compute,
+    prepare,
     row_space,
 )
 from .perturbation import (

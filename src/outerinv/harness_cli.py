@@ -46,12 +46,11 @@ from .numlin import NumericalError, ToleranceProfile
 from .outer_inverse import (
     ExistenceError,
     compute,
-    existence,
     problem_from_obj,
     result_to_obj,
 )
 from .perturbation import (
-    BOUND_SLACK,
+    _bounds_ok,
     gap_propagation,
     perturb_A,
     perturb_S,
@@ -313,14 +312,12 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> dict | Non
     except GenerationError:
         return None
     scenario = instance.scenario
-    problem = scenario.base
+    prepared = instance.prepared
 
     if theorem == "lemma31":
-        gp = gap_propagation(problem, scenario.T_prime, tol)
+        gp = gap_propagation(prepared, scenario.T_prime, tol)
         hyp_ok = gp.hypothesis.satisfied
-        violated = hyp_ok and not (
-            math.isfinite(gp.bound) and gp.actual <= gp.bound * (1.0 + BOUND_SLACK)
-        )
+        violated = hyp_ok and not _bounds_ok(gp.actual, gp.bound, 1.0 + prepared.norm_G)
         row = {
             "trial_id": trial_id,
             "theorem": theorem,
@@ -340,17 +337,17 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> dict | Non
         return row
 
     if theorem == "lemma21":
-        report = stable_bounds(problem.A, scenario.E, tol)
+        report = stable_bounds(prepared, scenario.E, tol)
     elif theorem == "prop31":
-        report = perturb_T(problem, scenario.T_prime, tol)
+        report = perturb_T(prepared, scenario.T_prime, tol)
     elif theorem == "prop32":
-        report = perturb_S(problem, scenario.S_prime, tol)
+        report = perturb_S(prepared, scenario.S_prime, tol)
     elif theorem == "thm31":
-        report = perturb_TS(problem, scenario.T_prime, scenario.S_prime, tol)
+        report = perturb_TS(prepared, scenario.T_prime, scenario.S_prime, tol)
     elif theorem == "lemma32":
-        report = perturb_A(problem, scenario.E, tol)
+        report = perturb_A(prepared, scenario.E, tol)
     elif theorem == "thm32":
-        report = perturb_all(scenario, tol)
+        report = perturb_all(prepared, scenario, tol)
     else:
         raise ValueError(f"unknown theorem identifier {theorem!r}")
 
@@ -587,17 +584,7 @@ def _load_campaign(path: str) -> CampaignConfig:
 def cmd_compute(args) -> int:
     obj = _load_json_file(args.problem)
     tol = ToleranceProfile(verify_atol=args.tol) if args.tol else ToleranceProfile()
-    problem = problem_from_obj(obj, tol)
-    cert = existence(problem, tol)
-    if not cert.exists:
-        reasons = []
-        if not cert.kernel_meets_T_trivially:
-            reasons.append("kernel intersection nontrivial")
-        if not cert.direct_sum_holds:
-            reasons.append("direct sum fails")
-        print("infeasible problem: " + "; ".join(reasons), file=sys.stderr)
-        return EXIT_INFEASIBLE
-    result = compute(problem, tol)
+    result = compute(problem_from_obj(obj, tol), tol)
     text = json.dumps(result_to_obj(result), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspace as ss
-from .numlin import DEFAULT_TOL, ToleranceProfile, op_norm, pinv
+from .numlin import DEFAULT_TOL, ToleranceProfile, op_norm, svd
 from .outer_inverse import (
     OuterInverseProblem,
-    compute,
-    existence,
+    PreparedProblem,
     image_of,
-    kernel,
+    kernel_from_svd,
+    prepare_feasible,
 )
 from .perturbation import HypothesisStatus, PerturbationScenario, theorem_hypotheses
 from .subspace import Subspace
@@ -133,7 +133,10 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
+    """A scenario plus its base problem, prepared once (``prepared.problem is scenario.base``)."""
+
     scenario: PerturbationScenario
+    prepared: PreparedProblem
     achieved_gap_T: float
     achieved_gap_S: float
     achieved_norm_E: float
@@ -196,11 +199,16 @@ def perturb_subspace_exact_gap(
 
 def _draw_feasible_problem(
     config: GenConfig, rng: np.random.Generator, tol: ToleranceProfile, failures
-):
+) -> PreparedProblem | None:
+    """Draw (A, T, S) and decide existence, one condition at a time.
+
+    Returns the prepared problem, or None (with the failed condition
+    counted in ``failures``) when the draw is infeasible.
+    """
     a = random_matrix_with_rank(config.m, config.n, config.rank_A, rng)
-    ker = kernel(a, tol)
+    factors = svd(a)
     t = random_subspace(config.n, config.dim_T, rng)
-    if not ss.intersection_trivial(ker, t, tol):
+    if not ss.intersection_trivial(kernel_from_svd(factors, tol), t, tol):
         failures["kernel_meets_T"] += 1
         return None
     at = image_of(a, t, tol)
@@ -211,11 +219,7 @@ def _draw_feasible_problem(
     if not ss.direct_sum_is_whole(at, s, tol):
         failures["direct_sum"] += 1
         return None
-    problem = OuterInverseProblem(a, t, s)
-    if not existence(problem, tol).exists:
-        failures["existence_recheck"] += 1
-        return None
-    return problem
+    return prepare_feasible(OuterInverseProblem(a, t, s), factors, tol)
 
 
 def _perturbation_targets(theorem: str, norm_a, norm_g, norm_pinv_a):
@@ -277,17 +281,15 @@ def generate(
         "kernel_meets_T": 0,
         "AT_dim_collapsed": 0,
         "direct_sum": 0,
-        "existence_recheck": 0,
         "hypothesis_band": 0,
     }
     for _ in range(config.max_retries):
-        problem = _draw_feasible_problem(config, rng, tol, failures)
-        if problem is None:
+        prepared = _draw_feasible_problem(config, rng, tol, failures)
+        if prepared is None:
             continue
+        problem = prepared.problem
         a = problem.A
-        norm_a = op_norm(a)
-        norm_g = op_norm(compute(problem, tol).G)
-        norm_pinv_a = op_norm(pinv(a, tol))
+        norm_a, norm_g, norm_pinv_a = prepared.norm_A, prepared.norm_G, prepared.norm_pinv_A
         thr_t, thr_s, thr_e, e_mode = _perturbation_targets(
             theorem, norm_a, norm_g, norm_pinv_a
         )
@@ -325,6 +327,7 @@ def generate(
             continue
         return GeneratedInstance(
             scenario=scenario,
+            prepared=prepared,
             achieved_gap_T=scenario.measured_gap_T,
             achieved_gap_S=scenario.measured_gap_S,
             achieved_norm_E=scenario.norm_E,

@@ -110,6 +110,29 @@ class SvdFactors:
     singular_values: np.ndarray
     right_vectors: np.ndarray
 
+    @property
+    def norm(self) -> float:
+        """Spectral norm of the factored matrix (0 when it is empty)."""
+        s = self.singular_values
+        return float(s[0]) if s.size else 0.0
+
+    def rank(self, tol: ToleranceProfile = DEFAULT_TOL) -> int:
+        """Numerical rank under the shared truncation rule."""
+        shape = (self.left_vectors.shape[0], self.right_vectors.shape[0])
+        return _rank_from_values(self.singular_values, shape, tol)
+
+    def pinv(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of the factored matrix."""
+        r = self.rank(tol)
+        u_r = self.left_vectors[:, :r]
+        v_r = self.right_vectors[:, :r]
+        return (v_r / self.singular_values[:r]) @ u_r.conj().T
+
+    def pinv_norm(self, tol: ToleranceProfile = DEFAULT_TOL) -> float:
+        """``||pinv||``: the reciprocal of the smallest retained singular value."""
+        r = self.rank(tol)
+        return 1.0 / float(self.singular_values[r - 1]) if r else 0.0
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce input to a finite 2-d complex128 array."""
@@ -155,20 +178,13 @@ def pinv(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     identities ABA = A, BAB = B, (AB)* = AB, (BA)* = BA, with the rank
     decided by dropping singular values below ``rank_rtol * sigma_max``.
     """
-    m = as_matrix(a)
-    f = svd(m)
-    r = _rank_from_values(f.singular_values, m.shape, tol)
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    u_r = f.left_vectors[:, :r]
-    v_r = f.right_vectors[:, :r]
-    return (v_r / f.singular_values[:r]) @ u_r.conj().T
+    return svd(a).pinv(tol)
 
 
 def op_norm(a) -> float:
     """Spectral operator norm (largest singular value)."""
     m = as_matrix(a)
-    if m.size == 0:
+    if not m.any():  # empty or exactly zero: no SVD needed
         return 0.0
     s = _singular_values(m)
     return float(s[0])

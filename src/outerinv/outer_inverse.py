@@ -9,12 +9,15 @@ which exists precisely when ``N(A) ∩ T = {0}`` and ``A T ∔ S = C^m``
 (direct sum).  Two independent computational routes are provided:
 
 * :func:`compute` uses the projector identity
-  ``A_{T,S}^(2) = pinv(P_{S_perp} A P_T)``;
+  ``A_{T,S}^(2) = pinv(P_{S_perp} A P_T)``, through :func:`prepare`;
 * :func:`oracle_compute` builds ``U (W* A U)^{-1} W*`` from bases U of T
   and W of the orthogonal complement of S.
 
 They agree to rounding error whenever the inverse exists, which is what
-the verification harness leans on.  The classical special cases
+the verification harness leans on.  :func:`prepare` decides existence
+once and keeps what the harness derives from (A, T, S) -- the SVD of A,
+G and the norms and projectors -- in a :class:`PreparedProblem`, so each
+trial factors A and computes G exactly once.  The classical special cases
 (Moore-Penrose, group, Drazin, Bott-Duffin) are thin constructors that
 pick the right (T, S) pair and delegate.
 """
@@ -30,13 +33,13 @@ from . import subspace as ss
 from .numlin import (
     DEFAULT_TOL,
     IllConditionedError,
+    SvdFactors,
     ToleranceProfile,
     as_matrix,
     cond,
     matrix_from_obj,
     matrix_to_obj,
     op_norm,
-    pinv,
     rank,
     svd,
 )
@@ -44,17 +47,23 @@ from .subspace import Subspace
 
 __all__ = [
     "OuterInverseProblem",
+    "PreparedProblem",
     "ExistenceCertificate",
     "OuterInverseResult",
     "ExistenceError",
     "kernel",
+    "kernel_from_svd",
     "column_space",
     "row_space",
     "existence",
+    "existence_given_kernel",
+    "prepare",
+    "prepare_feasible",
     "compute",
     "oracle_compute",
     "mp_via_12_inverse",
     "moore_penrose",
+    "moore_penrose_problem",
     "group_inverse",
     "drazin",
     "bott_duffin",
@@ -98,6 +107,30 @@ class OuterInverseProblem:
 
 
 @dataclass(frozen=True)
+class PreparedProblem:
+    """A problem whose outer inverse exists, with what every check needs of it.
+
+    Built once per trial, by :func:`prepare` or by the instance generator
+    (which decides existence itself, condition by condition), and handed
+    to the perturbation evaluators.  ``factors`` is the SVD of A, and
+    ``rank_A``, ``norm_A`` and ``norm_pinv_A`` are read off it.  ``G`` is
+    the pinv route's ``pinv(P_S_perp A P_T)``, never the oracle's, and
+    ``norm_G = ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
+    projectors onto T and the orthogonal complement of S.
+    """
+
+    problem: OuterInverseProblem
+    factors: SvdFactors
+    rank_A: int
+    norm_A: float
+    norm_pinv_A: float
+    G: np.ndarray
+    norm_G: float
+    P_T: np.ndarray
+    P_S_perp: np.ndarray
+
+
+@dataclass(frozen=True)
 class ExistenceCertificate:
     """Outcome of the two existence conditions.
 
@@ -124,32 +157,27 @@ class OuterInverseResult:
     null_gap: float
 
 
-def _subspace_from_singular(vectors: np.ndarray, ambient: int) -> Subspace:
-    return Subspace(ambient_dim=ambient, basis=vectors)
-
-
 def kernel(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Null space of A as a Subspace of the domain."""
-    m = as_matrix(a)
-    f = svd(m)
-    r = rank(m, tol)
-    return _subspace_from_singular(f.right_vectors[:, r:], m.shape[1])
+    return kernel_from_svd(svd(a), tol)
+
+
+def kernel_from_svd(factors: SvdFactors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
+    """Null space of the factored matrix: its right singular vectors past the rank."""
+    v = factors.right_vectors
+    return Subspace(v.shape[0], v[:, factors.rank(tol) :])
 
 
 def column_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Range of A as a Subspace of the codomain."""
-    m = as_matrix(a)
-    f = svd(m)
-    r = rank(m, tol)
-    return _subspace_from_singular(f.left_vectors[:, :r], m.shape[0])
+    f = svd(a)
+    return Subspace(f.left_vectors.shape[0], f.left_vectors[:, : f.rank(tol)])
 
 
 def row_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement of the kernel (= range of A*)."""
-    m = as_matrix(a)
-    f = svd(m)
-    r = rank(m, tol)
-    return _subspace_from_singular(f.right_vectors[:, :r], m.shape[1])
+    f = svd(a)
+    return Subspace(f.right_vectors.shape[0], f.right_vectors[:, : f.rank(tol)])
 
 
 def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -164,7 +192,13 @@ def existence(
     problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
 ) -> ExistenceCertificate:
     """Check the two conditions under which A_{T,S}^(2) exists."""
-    ker = kernel(problem.A, tol)
+    return existence_given_kernel(problem, kernel(problem.A, tol), tol)
+
+
+def existence_given_kernel(
+    problem: OuterInverseProblem, ker: Subspace, tol: ToleranceProfile = DEFAULT_TOL
+) -> ExistenceCertificate:
+    """:func:`existence` for a caller that already holds ``ker``, the null space of A."""
     kernel_ok = ss.intersection_trivial(ker, problem.T, tol)
     at = image_of(problem.A, problem.T, tol)
     direct_sum = ss.direct_sum_is_whole(at, problem.S, tol)
@@ -175,8 +209,7 @@ def existence(
     )
 
 
-def _require_exists(problem: OuterInverseProblem, tol: ToleranceProfile):
-    cert = existence(problem, tol)
+def _require_exists(cert: ExistenceCertificate) -> None:
     if not cert.exists:
         reasons = []
         if not cert.kernel_meets_T_trivially:
@@ -184,30 +217,65 @@ def _require_exists(problem: OuterInverseProblem, tol: ToleranceProfile):
         if not cert.direct_sum_holds:
             reasons.append("direct sum fails (A·T and S do not split the codomain)")
         raise ExistenceError("outer inverse does not exist: " + "; ".join(reasons), cert)
-    return cert
 
 
-def _result_from_matrix(
-    g: np.ndarray, problem: OuterInverseProblem, tol: ToleranceProfile
-) -> OuterInverseResult:
+def prepare(
+    problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
+) -> PreparedProblem:
+    """Decide existence once and compute G once, by the pinv route.
+
+    Raises :class:`ExistenceError`, naming the failed condition, when the
+    outer inverse does not exist.
+    """
+    factors = svd(problem.A)
+    _require_exists(existence_given_kernel(problem, kernel_from_svd(factors, tol), tol))
+    return prepare_feasible(problem, factors, tol)
+
+
+def prepare_feasible(
+    problem: OuterInverseProblem,
+    factors: SvdFactors,
+    tol: ToleranceProfile = DEFAULT_TOL,
+) -> PreparedProblem:
+    """The :class:`PreparedProblem` of an (A, T, S) already shown to be feasible.
+
+    ``factors`` is the SVD of A.  Existence is not checked again: the
+    caller has decided it (as the instance generator does); everyone
+    else calls :func:`prepare`.
+    """
     a = problem.A
-    residual_gag = op_norm(g @ a @ g - g)
-    range_gap = ss.gap_hat(ss.from_spanning_set(g, tol), problem.T)
-    null_gap = ss.gap_hat(kernel(g, tol), problem.S)
-    return OuterInverseResult(
-        G=g, residual_gag=residual_gag, range_gap=range_gap, null_gap=null_gap
+    p_t = ss.projector(problem.T)
+    p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
+    middle = svd(p_s_perp @ a @ p_t)
+    return PreparedProblem(
+        problem=problem,
+        factors=factors,
+        rank_A=factors.rank(tol),
+        norm_A=factors.norm,
+        norm_pinv_A=factors.pinv_norm(tol),
+        G=middle.pinv(tol),
+        norm_G=middle.pinv_norm(tol),
+        P_T=p_t,
+        P_S_perp=p_s_perp,
     )
 
 
 def compute(
     problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
 ) -> OuterInverseResult:
-    """Outer inverse via ``pinv(P_{S_perp} A P_T)``, with residual report."""
-    _require_exists(problem, tol)
-    p_t = ss.projector(problem.T)
-    p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
-    g = pinv(p_s_perp @ problem.A @ p_t, tol)
-    return _result_from_matrix(g, problem, tol)
+    """Outer inverse via ``pinv(P_{S_perp} A P_T)``, with residual report.
+
+    The report measures ``||GAG - G||`` and the gaps between range(G) and
+    T and between kernel(G) and S.
+    """
+    g = prepare(problem, tol).G
+    f = svd(g)
+    return OuterInverseResult(
+        G=g,
+        residual_gag=op_norm(g @ problem.A @ g - g),
+        range_gap=ss.gap_hat(Subspace(g.shape[0], f.left_vectors[:, : f.rank(tol)]), problem.T),
+        null_gap=ss.gap_hat(kernel_from_svd(f, tol), problem.S),
+    )
 
 
 def oracle_compute(
@@ -218,9 +286,10 @@ def oracle_compute(
     U is a basis of T and W a basis of the orthogonal complement of S;
     the middle matrix is square and invertible exactly when the inverse
     exists.  Used as the brute-force reference for every perturbation
-    identity the harness checks.
+    identity the harness checks, so it takes nothing from a
+    :class:`PreparedProblem` and checks existence itself.
     """
-    _require_exists(problem, tol)
+    _require_exists(existence(problem, tol))
     u = problem.T.basis
     if u.shape[1] == 0:
         return np.zeros((problem.A.shape[1], problem.A.shape[0]), dtype=np.complex128)
@@ -245,18 +314,20 @@ def mp_via_12_inverse(a, z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     zm = as_matrix(z)
     if zm.shape != (am.shape[1], am.shape[0]):
         raise ValueError(f"Z has shape {zm.shape}, expected {(am.shape[1], am.shape[0])}")
+    f = svd(am)
     res_aza = op_norm(am @ zm @ am - am)
     res_zaz = op_norm(zm @ am @ zm - zm)
-    if res_aza > tol.verify_atol * (1.0 + op_norm(am)) or res_zaz > tol.verify_atol * (
+    if res_aza > tol.verify_atol * (1.0 + f.norm) or res_zaz > tol.verify_atol * (
         1.0 + op_norm(zm)
     ):
         raise ValueError(
             "Z is not a {1,2}-inverse: residuals "
             f"||AZA-A||={res_aza:.3e}, ||ZAZ-Z||={res_zaz:.3e}"
         )
-    p_row = ss.projector(row_space(am, tol))
-    p_col = ss.projector(column_space(am, tol))
-    return p_row @ zm @ p_col
+    # Row space and range of A: the leading right and left singular vectors.
+    r = f.rank(tol)
+    v_r, u_r = f.right_vectors[:, :r], f.left_vectors[:, :r]
+    return v_r @ (v_r.conj().T @ zm @ u_r) @ u_r.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +335,19 @@ def mp_via_12_inverse(a, z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def moore_penrose_problem(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseProblem:
+    """(A, N(A)_perp, R(A)_perp): the problem whose outer inverse is pinv(A)."""
+    am = as_matrix(a)
+    f = svd(am)
+    r = f.rank(tol)
+    t = Subspace(am.shape[1], f.right_vectors[:, :r])
+    s = Subspace(am.shape[0], f.left_vectors[:, r:])
+    return OuterInverseProblem(am, t, s)
+
+
 def moore_penrose(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:
     """Moore-Penrose inverse as the outer inverse with T = N(A)_perp, S = R(A)_perp."""
-    am = as_matrix(a)
-    t = row_space(am, tol)
-    s = ss.orthogonal_complement(column_space(am, tol))
-    return compute(OuterInverseProblem(am, t, s), tol)
+    return compute(moore_penrose_problem(a, tol), tol)
 
 
 def group_inverse(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:

@@ -17,6 +17,13 @@ or the operator A itself moves a little:
   ingredient, compare it against the independent oracle route, and check
   the corresponding norm and difference bounds.
 
+The seven evaluators take a :class:`~outerinv.outer_inverse.PreparedProblem`
+as their first argument and reuse its G, norms and projectors; a caller
+holding a bare problem calls :func:`~outerinv.outer_inverse.prepare`
+first (for the Moore-Penrose checks, on
+:func:`~outerinv.outer_inverse.moore_penrose_problem`).  The oracle
+routes take nothing from it.
+
 Every operation evaluates its hypothesis with strict inequality.  When a
 hypothesis fails the formula is still evaluated (where possible) for
 exploration, but the report is flagged and bounds are not asserted.
@@ -34,22 +41,22 @@ from .numlin import (
     DEFAULT_TOL,
     IllConditionedError,
     NumericalError,
+    SvdFactors,
     ToleranceProfile,
     as_matrix,
     op_norm,
     pinv,
     solve_square,
+    svd,
 )
 from .outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
-    column_space,
-    compute,
+    PreparedProblem,
     image_of,
-    kernel,
+    kernel_from_svd,
     mp_via_12_inverse,
     oracle_compute,
-    row_space,
 )
 from .subspace import Subspace
 
@@ -63,6 +70,7 @@ __all__ = [
     "GapPropagationReport",
     "theorem_hypotheses",
     "is_stable",
+    "is_stable_given_svd",
     "stable_bounds",
     "gap_propagation",
     "perturb_T",
@@ -198,12 +206,12 @@ def _bounds_ok(actual: float, bound: float, scale: float = 1.0) -> bool:
     return actual <= bound * (1.0 + BOUND_SLACK) + BOUND_SLACK * scale
 
 
-def _relerr(formula: np.ndarray | None, oracle: np.ndarray | None) -> float:
+def _relerr(formula: np.ndarray | None, oracle: np.ndarray | None, norm_oracle: float) -> float:
+    # Absolute error when the oracle is zero; NaN when either route is missing.
     if formula is None or oracle is None:
         return math.nan
     diff = op_norm(formula - oracle)
-    scale = op_norm(oracle)
-    return diff / scale if scale > 0.0 else diff
+    return diff / norm_oracle if norm_oracle > 0.0 else diff
 
 
 def theorem_hypotheses(
@@ -250,41 +258,51 @@ def theorem_hypotheses(
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_gi(a: np.ndarray, da: np.ndarray, tol: ToleranceProfile):
+def _resolvent_gi(ap: np.ndarray, da: np.ndarray, tol: ToleranceProfile):
     """``pinv(A) (I + dA pinv(A))^{-1}`` or None if the factor is singular."""
-    ap = pinv(a, tol)
-    m = a.shape[0]
-    factor = np.eye(m, dtype=np.complex128) + da @ ap
+    factor = np.eye(da.shape[0], dtype=np.complex128) + da @ ap
     try:
         # C = A^+ factor^{-1}, solved from the right.
-        c = solve_square(factor.T, ap.T, tol).T
+        return solve_square(factor.T, ap.T, tol).T
     except IllConditionedError:
-        return ap, None
-    return ap, c
+        return None
 
 
 def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     """Check the three equivalent stable-perturbation conditions."""
     am = as_matrix(a)
+    return is_stable_given_svd(am, svd(am), da, tol)
+
+
+def is_stable_given_svd(
+    a, factors: SvdFactors, da, tol: ToleranceProfile = DEFAULT_TOL
+) -> StableReport:
+    """:func:`is_stable` for a caller that already holds ``factors``, the SVD of A."""
+    am = as_matrix(a)
     dam = as_matrix(da)
     if dam.shape != am.shape:
         raise ValueError(f"dA has shape {dam.shape}, expected {am.shape}")
+    m, n = am.shape
     abar = am + dam
-    ap, c = _resolvent_gi(am, dam, tol)
-    product = op_norm(ap) * op_norm(dam)
+    c = _resolvent_gi(factors.pinv(tol), dam, tol)
+    product = factors.pinv_norm(tol) * op_norm(dam)
 
+    # Range, its complement, row space and kernel, from the two SVDs.
+    r = factors.rank(tol)
+    bar = svd(abar)
+    r_bar = bar.rank(tol)
     cond1 = ss.intersection_trivial(
-        column_space(abar, tol),
-        ss.orthogonal_complement(column_space(am, tol)),
-        tol,
+        Subspace(m, bar.left_vectors[:, :r_bar]), Subspace(m, factors.left_vectors[:, r:]), tol
     )
-    cond2 = ss.intersection_trivial(row_space(abar, tol), kernel(am, tol), tol)
+    cond2 = ss.intersection_trivial(
+        Subspace(n, bar.right_vectors[:, :r_bar]), kernel_from_svd(factors, tol), tol
+    )
 
     cond3 = False
     if c is not None:
         res_aca = op_norm(abar @ c @ abar - abar)
         res_cac = op_norm(c @ abar @ c - c)
-        cond3 = res_aca <= tol.verify_atol * (1.0 + op_norm(abar)) and res_cac <= (
+        cond3 = res_aca <= tol.verify_atol * (1.0 + bar.norm) and res_cac <= (
             tol.verify_atol * (1.0 + op_norm(c))
         )
 
@@ -298,23 +316,28 @@ def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     )
 
 
-def stable_bounds(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> BoundReport:
-    """Norm and difference bounds for pinv under a stable perturbation.
+def stable_bounds(
+    prepared: PreparedProblem, da, tol: ToleranceProfile = DEFAULT_TOL
+) -> BoundReport:
+    """Norm and difference bounds for pinv(A) under a stable perturbation dA.
 
-    The formula route projects the resolvent {1,2}-inverse onto the row
-    space / range of the perturbed matrix; the oracle route is a direct
-    SVD pseudoinverse.  Bounds:
+    Only A matters here, with its SVD, ``||pinv(A)||`` taken from
+    ``prepared``; for a bare matrix pass
+    ``prepare(moore_penrose_problem(A))``.  The formula route projects the
+    resolvent {1,2}-inverse onto the row space / range of the perturbed
+    matrix; the oracle route is a direct SVD pseudoinverse of A + dA.
+    Bounds:
 
         ||pinv(A+dA)||           <= ||pinv(A)|| / (1 - ||pinv(A)|| ||dA||)
         ||pinv(A+dA) - pinv(A)|| <= golden_ratio * ||pinv(A+dA)||
                                      * ||pinv(A)|| * ||dA||
     """
-    am = as_matrix(a)
+    am = prepared.problem.A
     dam = as_matrix(da)
-    report = is_stable(am, dam, tol)
+    report = is_stable_given_svd(am, prepared.factors, dam, tol)
     abar = am + dam
-    ap = pinv(am, tol)
-    norm_ap = op_norm(ap)
+    ap = prepared.factors.pinv(tol)
+    norm_ap = prepared.norm_pinv_A
     norm_da = op_norm(dam)
     product = report.norm_product
 
@@ -348,7 +371,7 @@ def stable_bounds(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> BoundReport:
         theorem="lemma21",
         formula_result=formula,
         oracle_result=oracle,
-        formula_vs_oracle_relerr=_relerr(formula, oracle),
+        formula_vs_oracle_relerr=_relerr(formula, oracle, norm_actual),
         norm_bound=norm_bound,
         norm_actual=norm_actual,
         diff_bound=diff_bound,
@@ -364,7 +387,7 @@ def stable_bounds(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> BoundReport:
 
 
 def gap_propagation(
-    problem: OuterInverseProblem,
+    prepared: PreparedProblem,
     t_prime: Subspace,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> GapPropagationReport:
@@ -374,10 +397,9 @@ def gap_propagation(
     ``k * gap / (1 - (1 + k) * gap)`` with ``k = ||A|| ||G||``, valid for
     ``gap < 1 / (1 + k)``.
     """
-    base = compute(problem, tol)
+    problem = prepared.problem
     a = problem.A
-    norm_a = op_norm(a)
-    norm_g = op_norm(base.G)
+    norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = ss.gap_hat(problem.T, t_prime)
     hyp = theorem_hypotheses("lemma31", norm_A=norm_a, norm_G=norm_g, gap_T=gap)[0]
 
@@ -386,12 +408,6 @@ def gap_propagation(
     denom = 1.0 - (1.0 + kappa) * gap
     bound = kappa * gap / denom if denom > 0.0 else math.nan
     return GapPropagationReport(bound=bound, actual=actual, hypothesis=hyp)
-
-
-def _projectors(problem: OuterInverseProblem):
-    p_t = ss.projector(problem.T)
-    p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
-    return p_t, p_s_perp
 
 
 def _try_oracle(a, t: Subspace, s: Subspace, tol: ToleranceProfile):
@@ -405,7 +421,7 @@ def _finish_report(
     theorem: str,
     formula: np.ndarray | None,
     oracle: np.ndarray | None,
-    g: np.ndarray,
+    prepared: PreparedProblem,
     norm_bound: float,
     diff_bound: float,
     hyps: tuple[HypothesisStatus, ...],
@@ -413,12 +429,12 @@ def _finish_report(
     reference = oracle if oracle is not None else formula
     if reference is not None:
         norm_actual = op_norm(reference)
-        diff_actual = op_norm(reference - g)
+        diff_actual = op_norm(reference - prepared.G)
     else:
         norm_actual = math.nan
         diff_actual = math.nan
     hyp_ok = all(h.satisfied for h in hyps)
-    scale = 1.0 + op_norm(g)
+    scale = 1.0 + prepared.norm_G
     satisfied = (
         hyp_ok
         and _bounds_ok(norm_actual, norm_bound, scale)
@@ -428,7 +444,8 @@ def _finish_report(
         theorem=theorem,
         formula_result=formula,
         oracle_result=oracle,
-        formula_vs_oracle_relerr=_relerr(formula, oracle),
+        # norm_actual is ||oracle|| whenever the oracle ran.
+        formula_vs_oracle_relerr=_relerr(formula, oracle, norm_actual),
         norm_bound=norm_bound,
         norm_actual=norm_actual,
         diff_bound=diff_bound,
@@ -439,7 +456,7 @@ def _finish_report(
 
 
 def perturb_T(
-    problem: OuterInverseProblem,
+    prepared: PreparedProblem,
     t_prime: Subspace,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> BoundReport:
@@ -451,15 +468,14 @@ def perturb_T(
         ||G'||      <= ||G|| / (1 - ||G|| ||A|| gap)
         ||G' - G||  <= golden_ratio * ||G'|| * ||G|| * ||A|| * gap
     """
-    base = compute(problem, tol)
-    g = base.G
-    a = problem.A
+    problem = prepared.problem
+    g, a = prepared.G, problem.A
     n = a.shape[1]
-    norm_a, norm_g = op_norm(a), op_norm(g)
+    norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = ss.gap_hat(problem.T, t_prime)
     hyps = theorem_hypotheses("prop31", norm_A=norm_a, norm_G=norm_g, gap_T=gap)
 
-    p_t, p_s_perp = _projectors(problem)
+    p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
     p_tp = ss.projector(t_prime)
     k1 = g @ p_s_perp @ a @ (p_tp - p_t)
     resolved = solve_square(np.eye(n, dtype=np.complex128) + k1, g, tol)
@@ -469,11 +485,11 @@ def perturb_T(
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report("prop31", formula, oracle, g, norm_bound, diff_bound, hyps)
+    return _finish_report("prop31", formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_S(
-    problem: OuterInverseProblem,
+    prepared: PreparedProblem,
     s_prime: Subspace,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> BoundReport:
@@ -483,15 +499,14 @@ def perturb_S(
         G'' = P_T (I + G (P_{S'_perp} - P_{S_perp}) A P_T)^{-1} G P_{S'_perp}
     with the same bound shapes as :func:`perturb_T` in gap_hat(S, S').
     """
-    base = compute(problem, tol)
-    g = base.G
-    a = problem.A
+    problem = prepared.problem
+    g, a = prepared.G, problem.A
     n = a.shape[1]
-    norm_a, norm_g = op_norm(a), op_norm(g)
+    norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = ss.gap_hat(problem.S, s_prime)
     hyps = theorem_hypotheses("prop32", norm_A=norm_a, norm_G=norm_g, gap_S=gap)
 
-    p_t, p_s_perp = _projectors(problem)
+    p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
     p_sp_perp = ss.projector(ss.orthogonal_complement(s_prime))
     k = g @ (p_sp_perp - p_s_perp) @ a @ p_t
     resolved = solve_square(np.eye(n, dtype=np.complex128) + k, g, tol)
@@ -501,21 +516,20 @@ def perturb_S(
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report("prop32", formula, oracle, g, norm_bound, diff_bound, hyps)
+    return _finish_report("prop32", formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def _ts_formula(
-    problem: OuterInverseProblem,
+    prepared: PreparedProblem,
     t_prime: Subspace,
     s_prime: Subspace,
-    g: np.ndarray,
     tol: ToleranceProfile,
 ) -> np.ndarray:
     """The verbatim two-resolvent representation of A_{T',S'}^(2)."""
-    a = problem.A
+    g, a = prepared.G, prepared.problem.A
     n = a.shape[1]
     eye = np.eye(n, dtype=np.complex128)
-    p_t, p_s_perp = _projectors(problem)
+    p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
     p_tp = ss.projector(t_prime)
     p_sp_perp = ss.projector(ss.orthogonal_complement(s_prime))
 
@@ -526,7 +540,7 @@ def _ts_formula(
 
 
 def perturb_TS(
-    problem: OuterInverseProblem,
+    prepared: PreparedProblem,
     t_prime: Subspace,
     s_prime: Subspace,
     tol: ToleranceProfile = DEFAULT_TOL,
@@ -539,17 +553,16 @@ def perturb_TS(
         ||G'||     <= ||G|| / (1 - ||G|| ||A|| d)
         ||G' - G|| <= golden_ratio * ||G||^2 ||A|| d / (1 - ||G|| ||A|| d)
     """
-    base = compute(problem, tol)
-    g = base.G
+    problem = prepared.problem
     a = problem.A
-    norm_a, norm_g = op_norm(a), op_norm(g)
+    norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap_t = ss.gap_hat(problem.T, t_prime)
     gap_s = ss.gap_hat(problem.S, s_prime)
     hyps = theorem_hypotheses(
         "thm31", norm_A=norm_a, norm_G=norm_g, gap_T=gap_t, gap_S=gap_s
     )
 
-    formula = _ts_formula(problem, t_prime, s_prime, g, tol)
+    formula = _ts_formula(prepared, t_prime, s_prime, tol)
     oracle = _try_oracle(a, t_prime, s_prime, tol)
 
     gap_sum = gap_t + gap_s
@@ -558,11 +571,11 @@ def perturb_TS(
     diff_bound = (
         GOLDEN_RATIO * norm_g**2 * norm_a * gap_sum / denom if denom > 0.0 else math.nan
     )
-    return _finish_report("thm31", formula, oracle, g, norm_bound, diff_bound, hyps)
+    return _finish_report("thm31", formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_A(
-    problem: OuterInverseProblem,
+    prepared: PreparedProblem,
     e,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> BoundReport:
@@ -575,14 +588,13 @@ def perturb_A(
         ||G_new||     <= ||G|| / (1 - ||G|| ||E||)
         ||G_new - G|| <= ||G||^2 ||E|| / (1 - ||G|| ||E||)
     """
-    base = compute(problem, tol)
-    g = base.G
-    a = problem.A
+    problem = prepared.problem
+    g, a = prepared.G, problem.A
     em = as_matrix(e)
     if em.shape != a.shape:
         raise ValueError(f"E has shape {em.shape}, expected {a.shape}")
     m, n = a.shape
-    norm_g = op_norm(g)
+    norm_g = prepared.norm_G
     norm_e = op_norm(em)
     hyps = theorem_hypotheses("lemma32", norm_G=norm_g, norm_E=norm_e)
 
@@ -600,14 +612,18 @@ def perturb_A(
     denom = 1.0 - product
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = norm_g**2 * norm_e / denom if denom > 0.0 else math.nan
-    return _finish_report("lemma32", formula, oracle, g, norm_bound, diff_bound, hyps)
+    return _finish_report("lemma32", formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_all(
+    prepared: PreparedProblem,
     scenario: PerturbationScenario,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> BoundReport:
     """T, S and A all perturbed at once.
+
+    ``scenario`` must be built on ``prepared.problem``; its measured gaps
+    and ``||E||`` are reused.
 
     The representation applies the operator-perturbation resolvent to the
     combined subspace-perturbation formula.  With
@@ -616,12 +632,11 @@ def perturb_all(
         ||G_new - G|| <= ||G||^2 (||E|| + golden_ratio ||A|| d)
                          / (1 - ||G|| q)
     """
-    problem = scenario.base
-    base = compute(problem, tol)
-    g = base.G
-    a = problem.A
+    if scenario.base is not prepared.problem:
+        raise ValueError("the scenario is not built on the prepared problem")
+    a = prepared.problem.A
     n = a.shape[1]
-    norm_a, norm_g = op_norm(a), op_norm(g)
+    norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap_t, gap_s = scenario.measured_gap_T, scenario.measured_gap_S
     norm_e = scenario.norm_E
     hyps = theorem_hypotheses(
@@ -633,7 +648,7 @@ def perturb_all(
         norm_E=norm_e,
     )
 
-    w = _ts_formula(problem, scenario.T_prime, scenario.S_prime, g, tol)
+    w = _ts_formula(prepared, scenario.T_prime, scenario.S_prime, tol)
     formula = solve_square(np.eye(n, dtype=np.complex128) + w @ scenario.E, w, tol)
     oracle = _try_oracle(a + scenario.E, scenario.T_prime, scenario.S_prime, tol)
 
@@ -645,4 +660,4 @@ def perturb_all(
         if denom > 0.0
         else math.nan
     )
-    return _finish_report("thm32", formula, oracle, g, norm_bound, diff_bound, hyps)
+    return _finish_report("thm32", formula, oracle, prepared, norm_bound, diff_bound, hyps)

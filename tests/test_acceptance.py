@@ -25,7 +25,9 @@ from outerinv.outer_inverse import (
     drazin,
     group_inverse,
     moore_penrose,
+    moore_penrose_problem,
     oracle_compute,
+    prepare,
 )
 from outerinv.perturbation import (
     GOLDEN_RATIO,
@@ -39,7 +41,7 @@ from outerinv.perturbation import (
     stable_bounds,
 )
 
-from conftest import complex_gaussian, random_feasible_problem
+from helpers import complex_gaussian, random_feasible_problem
 from test_perturbation import stable_pair
 from test_subspace import sampled_sup_dist
 
@@ -126,7 +128,7 @@ def test_criterion_4_stable_equivalence_and_bounds():
             expected_stable = kind != "jump"
             assert report.cond1 == expected_stable
             if expected_stable:
-                bounds = stable_bounds(a, da)
+                bounds = stable_bounds(prepare(moore_penrose_problem(a)), da)
                 assert bounds.all_satisfied
                 assert bounds.norm_actual <= bounds.norm_bound * (1 + 1e-10)
                 assert bounds.diff_actual <= bounds.diff_bound * (1 + 1e-10)
@@ -157,11 +159,13 @@ def test_criterion_5_theorem_suite_default_campaign():
         g = compute(prob).G
         zero = np.zeros_like(prob.A)
         for result in (
-            perturb_T(prob, prob.T).formula_result,
-            perturb_S(prob, prob.S).formula_result,
-            perturb_TS(prob, prob.T, prob.S).formula_result,
-            perturb_A(prob, zero).formula_result,
-            perturb_all(PerturbationScenario(prob, prob.T, prob.S, zero)).formula_result,
+            perturb_T(prepare(prob), prob.T).formula_result,
+            perturb_S(prepare(prob), prob.S).formula_result,
+            perturb_TS(prepare(prob), prob.T, prob.S).formula_result,
+            perturb_A(prepare(prob), zero).formula_result,
+            perturb_all(
+                prepare(prob), PerturbationScenario(prob, prob.T, prob.S, zero)
+            ).formula_result,
         ):
             assert op_norm(result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert time.monotonic() - start < 60.0

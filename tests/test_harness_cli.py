@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from outerinv import harness_cli
 from outerinv import subspace as ss
 from outerinv.harness_cli import (
     CSV_COLUMNS,
@@ -17,6 +19,7 @@ from outerinv.harness_cli import (
     main,
     run_campaign,
     run_sweep,
+    run_trial,
     sweep_ratios,
 )
 from outerinv.instance_gen import THEOREMS, GenConfig
@@ -27,8 +30,9 @@ from outerinv.outer_inverse import (
     problem_to_obj,
     row_space,
 )
+from outerinv.perturbation import BOUND_SLACK, GapPropagationReport, HypothesisStatus
 
-from conftest import line, random_feasible_problem
+from helpers import line, random_feasible_problem
 
 
 def write_json(path, obj):
@@ -327,6 +331,20 @@ class TestCampaignInternals:
         assert row["norm_bound"] is None and row["relerr"] is None
         assert row["diff_actual"] is not None
         assert math.isnan(summary.max_relerr)
+
+    @pytest.mark.parametrize("excess, violated", [(0.5, False), (2.0, True)])
+    def test_lemma31_zero_bound_has_the_absolute_floor(self, monkeypatch, excess, violated):
+        # A zero bound (T' = T) must tolerate rounding noise up to
+        # BOUND_SLACK * (1 + ||G||), as every other theorem's check does.
+        def propagation(prepared, t_prime, tol):
+            actual = excess * BOUND_SLACK * (1.0 + prepared.norm_G)
+            return GapPropagationReport(
+                bound=0.0, actual=actual, hypothesis=HypothesisStatus("gap_T", 1.0, 0.0)
+            )
+
+        monkeypatch.setattr(harness_cli, "gap_propagation", propagation)
+        config = replace(CampaignConfig.default(seed=3), theorems=("lemma31",), trials=1)
+        assert run_trial(config, "lemma31", 0)["_violation"] is violated
 
     def test_config_round_trip(self):
         obj = {

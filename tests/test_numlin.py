@@ -20,7 +20,7 @@ from outerinv.numlin import (
     svd,
 )
 
-from conftest import complex_gaussian
+from helpers import complex_gaussian
 
 
 def penrose_residuals(a, b):

@@ -25,7 +25,7 @@ from outerinv.outer_inverse import (
     result_to_obj,
 )
 
-from conftest import complex_gaussian, line, random_feasible_problem
+from helpers import complex_gaussian, line, random_feasible_problem
 
 
 def constraint_solve_inverse(problem):

@@ -14,7 +14,7 @@ from outerinv.instance_gen import (
     random_subspace,
 )
 from outerinv.numlin import op_norm, pinv
-from outerinv.outer_inverse import OuterInverseProblem, compute
+from outerinv.outer_inverse import OuterInverseProblem, compute, moore_penrose_problem, prepare
 from outerinv.perturbation import (
     GOLDEN_RATIO,
     HypothesisStatus,
@@ -30,7 +30,7 @@ from outerinv.perturbation import (
     theorem_hypotheses,
 )
 
-from conftest import complex_gaussian, line, random_feasible_problem
+from helpers import complex_gaussian, line, random_feasible_problem
 
 
 def diag_problem():
@@ -122,13 +122,14 @@ class TestStableEquivalence:
 class TestStableBounds:
     def test_zero_perturbation(self, rng):
         a = complex_gaussian(rng, (3, 4))
-        report = stable_bounds(a, np.zeros_like(a))
+        report = stable_bounds(prepare(moore_penrose_problem(a)), np.zeros_like(a))
         assert report.diff_actual == 0.0
         assert report.diff_bound == 0.0
         assert report.all_satisfied
 
     def test_scaled_identity_closed_form(self):
-        report = stable_bounds(np.eye(2, dtype=complex), 0.1 * np.eye(2, dtype=complex))
+        eye = np.eye(2, dtype=complex)
+        report = stable_bounds(prepare(moore_penrose_problem(eye)), 0.1 * eye)
         assert report.norm_actual == pytest.approx(1.0 / 1.1)
         assert report.norm_bound == pytest.approx(1.0 / 0.9)
         assert report.all_satisfied
@@ -140,7 +141,7 @@ class TestStableBounds:
     def test_bounds_hold_on_stable_trials(self, rng, kind):
         for _ in range(100):
             a, da = stable_pair(rng, kind)
-            report = stable_bounds(a, da)
+            report = stable_bounds(prepare(moore_penrose_problem(a)), da)
             assert report.all_satisfied
             assert report.norm_actual <= report.norm_bound * (1 + 1e-10)
             assert report.diff_actual <= report.diff_bound * (1 + 1e-10)
@@ -149,14 +150,14 @@ class TestStableBounds:
     def test_unstable_flagged_not_asserted(self, rng):
         a = np.diag([1.0, 0.0]).astype(complex)
         da = np.diag([0.0, 1e-3]).astype(complex)
-        report = stable_bounds(a, da)
+        report = stable_bounds(prepare(moore_penrose_problem(a)), da)
         assert not report.all_satisfied
 
 
 class TestGapPropagation:
     def test_identical_subspace(self, rng):
         prob = random_feasible_problem(rng, m=5, n=4, rank_a=3, dim_t=2)
-        gp = gap_propagation(prob, prob.T)
+        gp = gap_propagation(prepare(prob), prob.T)
         assert gp.actual == 0.0 and gp.bound == 0.0
         assert gp.hypothesis.satisfied
 
@@ -166,7 +167,7 @@ class TestGapPropagation:
         s = ss.orthogonal_complement(t)
         prob = OuterInverseProblem(np.eye(4, dtype=complex), t, s)
         t_prime = perturb_subspace_exact_gap(t, 0.1, rng)
-        gp = gap_propagation(prob, t_prime)
+        gp = gap_propagation(prepare(prob), t_prime)
         assert gp.actual == pytest.approx(ss.gap_hat(t, t_prime), abs=1e-12)
         assert gp.actual <= gp.bound * (1 + 1e-10)
 
@@ -177,7 +178,7 @@ class TestGapPropagation:
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_T=float(rng.uniform(0, 0.95)))
             inst = generate(cfg, "lemma31")
             prob, t_prime = inst.scenario.base, inst.scenario.T_prime
-            gp = gap_propagation(prob, t_prime)
+            gp = gap_propagation(prepare(prob), t_prime)
             assert gp.hypothesis.satisfied
             assert gp.actual <= gp.bound * (1 + 1e-10)
             kappa = op_norm(prob.A) * op_norm(compute(prob).G)
@@ -189,7 +190,7 @@ class TestPerturbT:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_T(prob, prob.T)
+        report = perturb_T(prepare(prob), prob.T)
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
@@ -199,7 +200,7 @@ class TestPerturbT:
         theta = 0.1
         prob = diag_problem()
         t_prime = line(math.cos(theta), math.sin(theta))
-        report = perturb_T(prob, t_prime)
+        report = perturb_T(prepare(prob), t_prime)
         expected = np.array([[0.5, 0.0], [math.tan(theta) / 2.0, 0.0]], dtype=complex)
         assert op_norm(report.formula_result - expected) < 1e-12
         assert report.formula_vs_oracle_relerr <= 1e-8
@@ -209,7 +210,7 @@ class TestPerturbT:
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_T=float(rng.uniform(0, 0.95)))
             inst = generate(cfg, "prop31")
-            report = perturb_T(inst.scenario.base, inst.scenario.T_prime)
+            report = perturb_T(prepare(inst.scenario.base), inst.scenario.T_prime)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -217,7 +218,7 @@ class TestPerturbT:
     def test_hypothesis_unmet_flagged(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=2)
         far = perturb_subspace_exact_gap(prob.T, math.asin(0.9), rng)
-        report = perturb_T(prob, far)
+        report = perturb_T(prepare(prob), far)
         assert not report.hypotheses_met
         assert not report.all_satisfied
         assert report.formula_result is not None  # still evaluated
@@ -227,7 +228,7 @@ class TestPerturbS:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_S(prob, prob.S)
+        report = perturb_S(prepare(prob), prob.S)
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
@@ -236,7 +237,7 @@ class TestPerturbS:
         theta = 0.05
         prob = diag_problem()
         s_prime = line(math.sin(theta), math.cos(theta))
-        report = perturb_S(prob, s_prime)
+        report = perturb_S(prepare(prob), s_prime)
         expected = np.array([[0.5, -math.tan(theta) / 2.0], [0.0, 0.0]], dtype=complex)
         assert op_norm(report.formula_result - expected) < 1e-12
         assert report.formula_vs_oracle_relerr <= 1e-8
@@ -246,7 +247,7 @@ class TestPerturbS:
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_S=float(rng.uniform(0, 0.95)))
             inst = generate(cfg, "prop32")
-            report = perturb_S(inst.scenario.base, inst.scenario.S_prime)
+            report = perturb_S(prepare(inst.scenario.base), inst.scenario.S_prime)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -256,14 +257,14 @@ class TestPerturbTS:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_TS(prob, prob.T, prob.S)
+        report = perturb_TS(prepare(prob), prob.T, prob.S)
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
     def test_simultaneous_rotation_5x4(self, rng):
         cfg = GenConfig(seed=1234, m=5, n=4, rank_A=3, dim_T=2)
         inst = generate(cfg, "thm31")
-        report = perturb_TS(inst.scenario.base, inst.scenario.T_prime, inst.scenario.S_prime)
+        report = perturb_TS(prepare(inst.scenario.base), inst.scenario.T_prime, inst.scenario.S_prime)
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
 
@@ -275,7 +276,7 @@ class TestPerturbTS:
                 target_gap_S=float(rng.uniform(0, 0.95)),
             )
             inst = generate(cfg, "thm31")
-            report = perturb_TS(inst.scenario.base, inst.scenario.T_prime, inst.scenario.S_prime)
+            report = perturb_TS(prepare(inst.scenario.base), inst.scenario.T_prime, inst.scenario.S_prime)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -285,7 +286,7 @@ class TestPerturbA:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_A(prob, np.zeros_like(prob.A))
+        report = perturb_A(prepare(prob), np.zeros_like(prob.A))
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
@@ -293,7 +294,7 @@ class TestPerturbA:
         # Only the (1,1) entry matters: 1/2 -> 1/2.1.
         prob = diag_problem()
         e = np.diag([0.1, 0.0]).astype(complex)
-        report = perturb_A(prob, e)
+        report = perturb_A(prepare(prob), e)
         assert op_norm(report.formula_result - np.diag([1.0 / 2.1, 0.0])) < 1e-12
         assert report.all_satisfied
 
@@ -306,7 +307,7 @@ class TestPerturbA:
             inst = generate(cfg, "lemma32")
             # perturb_A itself raises if the left and right resolvent forms
             # disagree, so a completed call covers that identity.
-            report = perturb_A(inst.scenario.base, inst.scenario.E)
+            report = perturb_A(prepare(inst.scenario.base), inst.scenario.E)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -318,7 +319,7 @@ class TestPerturbA:
         base_norm = 0.5 / (op_norm(g) * op_norm(direction))
         diffs = []
         for scale in (1.0, 1e-2, 1e-4):
-            report = perturb_A(prob, direction * (base_norm * scale))
+            report = perturb_A(prepare(prob), direction * (base_norm * scale))
             diffs.append(report.diff_actual)
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[-1] <= diffs[0] * 1e-2
@@ -329,14 +330,14 @@ class TestPerturbAll:
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
         sc = PerturbationScenario(prob, prob.T, prob.S, np.zeros_like(prob.A))
-        report = perturb_all(sc)
+        report = perturb_all(prepare(prob), sc)
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
     def test_combined_6x5(self):
         cfg = GenConfig(seed=777, m=6, n=5, rank_A=4, dim_T=3)
         inst = generate(cfg, "thm32")
-        report = perturb_all(inst.scenario)
+        report = perturb_all(prepare(inst.scenario.base), inst.scenario)
         assert len(report.hypotheses) == 2
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
@@ -350,7 +351,7 @@ class TestPerturbAll:
                 target_norm_E_ratio=float(rng.uniform(0, 0.95)),
             )
             inst = generate(cfg, "thm32")
-            report = perturb_all(inst.scenario)
+            report = perturb_all(prepare(inst.scenario.base), inst.scenario)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied

@@ -9,7 +9,7 @@ from outerinv import subspace as ss
 from outerinv.numlin import IllConditionedError, op_norm
 from outerinv.instance_gen import random_subspace
 
-from conftest import complex_gaussian, line
+from helpers import complex_gaussian, line
 
 
 def sampled_sup_dist(m_sub, n_sub, rng, samples=20000):
@@ -41,6 +41,44 @@ class TestConstruction:
     def test_rejects_nonorthonormal_direct(self):
         with pytest.raises(ValueError, match="orthonormal"):
             ss.Subspace(2, np.array([[1.0], [1.0]]))
+
+
+class TestOrthonormalityCheck:
+    """The Frobenius pass decides exactly as the spectral test would."""
+
+    @staticmethod
+    def scaled_basis(rng, ambient, dim, excess):
+        # Column j scaled by sqrt(1 + excess[j]): Gram residual diag(excess).
+        q, _ = np.linalg.qr(complex_gaussian(rng, (ambient, dim)))
+        return q * np.sqrt(1.0 + np.asarray(excess))
+
+    def test_accepts_below_tolerance_in_spectral_norm_only(self, rng):
+        atol = ss._ORTHO_ATOL
+        b = self.scaled_basis(rng, 6, 4, [0.9 * atol] * 4)
+        residual = b.conj().T @ b - np.eye(4)
+        assert np.linalg.norm(residual) > atol >= op_norm(residual)
+        assert ss.Subspace(6, b).dim == 4
+
+    def test_rejects_above_tolerance_in_spectral_norm(self, rng):
+        atol = ss._ORTHO_ATOL
+        b = self.scaled_basis(rng, 6, 4, [0.0, 0.0, 0.0, 3.0 * atol])
+        residual = b.conj().T @ b - np.eye(4)
+        assert op_norm(residual) > atol
+        with pytest.raises(ValueError, match="orthonormal"):
+            ss.Subspace(6, b)
+
+    def test_random_decisions_match_spectral_test(self, rng):
+        atol = ss._ORTHO_ATOL
+        for _ in range(200):
+            dim = int(rng.integers(1, 5))
+            b = self.scaled_basis(rng, 5, dim, rng.uniform(-2.0, 2.0, dim) * atol)
+            spectral_ok = op_norm(b.conj().T @ b - np.eye(dim)) <= atol
+            try:
+                ss.Subspace(5, b)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == spectral_ok
 
 
 class TestProjector:
