@@ -47,7 +47,6 @@ from .outer_inverse import (
 )
 from .perturbation import (
     BoundReport,
-    GapPropagationReport,
     HypothesisStatus,
     PerturbationScenario,
     StableReport,

@@ -9,11 +9,15 @@ Three subcommands on the ``oil`` entry point:
   the corresponding perturbation operation, and appends one table row.
 * ``oil sweep <campaign.json> --axis gap_T --points 20`` varies one
   perturbation ratio over a grid and emits per-point aggregate rows.
+  An axis applies to the theorems whose registry record
+  (:data:`outerinv.perturbation.REGISTRY`) limits that size.
 
-Exit codes are a stable contract: 0 pass, 1 operational error, 2
-infeasible input, 3 bound violation (a checked inequality failed
-numerically under satisfied hypotheses; this should never happen and is
-the highest-severity signal).
+Exit codes are a stable contract: 0 pass, 1 operational error (including
+a campaign or sweep with trials that raised a numerical error, or a
+campaign with more than ``MAX_SKIP_FRACTION`` of its trials skipped or
+left without a cross-check), 2 infeasible input, 3 bound violation (a
+checked inequality failed numerically under satisfied hypotheses; this
+should never happen and is the highest-severity signal).
 
 Output files are deterministic given the seed: metadata embeds the
 config hash, seed, RNG identifier, tolerance profile and library
@@ -30,12 +34,14 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
 from .instance_gen import (
     RNG_IDENTIFIER,
+    TARGET_FIELDS,
     THEOREMS,
     GenConfig,
     GenerationError,
@@ -50,7 +56,6 @@ from .outer_inverse import (
     result_to_obj,
 )
 from .perturbation import (
-    _bounds_ok,
     gap_propagation,
     perturb_A,
     perturb_S,
@@ -58,12 +63,14 @@ from .perturbation import (
     perturb_TS,
     perturb_all,
     stable_bounds,
+    theorem,
 )
 
 __all__ = [
     "CampaignConfig",
     "TheoremSummary",
     "CampaignSummary",
+    "TrialOutcome",
     "CSV_COLUMNS",
     "SWEEP_COLUMNS",
     "RELERR_GATE",
@@ -113,13 +120,6 @@ SWEEP_COLUMNS = (
     "max_norm_bound",
 )
 
-_SWEEP_AXES = {
-    "gap_T": ("target_gap_T", {"lemma31", "prop31", "thm31", "thm32"}),
-    "gap_S": ("target_gap_S", {"prop32", "thm31", "thm32"}),
-    "norm_E": ("target_norm_E_ratio", {"lemma21", "lemma32", "thm32"}),
-}
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     gen: GenConfig
@@ -134,9 +134,8 @@ class CampaignConfig:
             raise ValueError("trials must be at least 1")
         if not self.theorems:
             raise ValueError("theorem set must be nonempty")
-        unknown = set(self.theorems) - set(THEOREMS)
-        if unknown:
-            raise ValueError(f"unknown theorem identifiers: {sorted(unknown)}")
+        for theorem_id in self.theorems:
+            theorem(theorem_id)  # ValueError for an unknown identifier
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -152,14 +151,25 @@ class CampaignConfig:
 
 @dataclass
 class TheoremSummary:
+    """Per-theorem campaign tallies.
+
+    ``skips`` counts trials whose generation exhausted its retries
+    (``skip_reasons`` sums their per-condition failure counts),
+    ``errors`` trials that raised a ``NumericalError``, and ``unchecked``
+    rows with a formula and an oracle route of which only one ran.
+    """
+
     trials_requested: int = 0
     trials_run: int = 0
     skips: int = 0
+    errors: int = 0
+    unchecked: int = 0
     hypotheses_met: int = 0
     bounds_violations: int = 0
     max_relerr: float = math.nan
     worst_margin_norm: float = math.inf
     worst_margin_diff: float = math.inf
+    skip_reasons: Counter = field(default_factory=Counter)
 
 
 @dataclass
@@ -172,15 +182,20 @@ class CampaignSummary:
         return sum(t.bounds_violations for t in self.per_theorem.values())
 
     @property
+    def total_errors(self) -> int:
+        return sum(t.errors for t in self.per_theorem.values())
+
+    @property
     def max_relerr(self) -> float:
         vals = [t.max_relerr for t in self.per_theorem.values() if not math.isnan(t.max_relerr)]
         return max(vals) if vals else math.nan
 
     @property
-    def skip_fraction(self) -> float:
+    def unchecked_fraction(self) -> float:
+        """Share of requested trials skipped or left without a cross-check."""
         requested = sum(t.trials_requested for t in self.per_theorem.values())
-        skipped = sum(t.skips for t in self.per_theorem.values())
-        return skipped / requested if requested else 0.0
+        unchecked = sum(t.skips + t.unchecked for t in self.per_theorem.values())
+        return unchecked / requested if requested else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +204,7 @@ class CampaignSummary:
 
 
 def gen_config_from_obj(obj: dict) -> GenConfig:
-    known = {
-        "seed",
-        "m",
-        "n",
-        "rank_A",
-        "dim_T",
-        "target_gap_T",
-        "target_gap_S",
-        "target_norm_E_ratio",
-        "max_retries",
-    }
+    known = {f.name for f in fields(GenConfig)}
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown gen config keys: {sorted(unknown)}")
@@ -209,7 +214,7 @@ def gen_config_from_obj(obj: dict) -> GenConfig:
 
 
 def tolerances_from_obj(obj: dict) -> ToleranceProfile:
-    known = {"rank_rtol", "verify_atol", "cond_cap"}
+    known = {f.name for f in fields(ToleranceProfile)}
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -235,28 +240,7 @@ def campaign_config_from_obj(obj: dict) -> CampaignConfig:
 
 
 def campaign_config_to_obj(config: CampaignConfig) -> dict:
-    return {
-        "gen": {
-            "seed": config.gen.seed,
-            "m": config.gen.m,
-            "n": config.gen.n,
-            "rank_A": config.gen.rank_A,
-            "dim_T": config.gen.dim_T,
-            "target_gap_T": config.gen.target_gap_T,
-            "target_gap_S": config.gen.target_gap_S,
-            "target_norm_E_ratio": config.gen.target_norm_E_ratio,
-            "max_retries": config.gen.max_retries,
-        },
-        "theorems": list(config.theorems),
-        "trials": config.trials,
-        "tolerances": {
-            "rank_rtol": config.tolerances.rank_rtol,
-            "verify_atol": config.tolerances.verify_atol,
-            "cond_cap": config.tolerances.cond_cap,
-        },
-        "output_path": config.output_path,
-        "format": config.format,
-    }
+    return asdict(config)
 
 
 def config_hash(config: CampaignConfig) -> str:
@@ -279,8 +263,53 @@ def _nan_to_none(x: float | None) -> float | None:
     return x
 
 
-def _row_from_bound_report(trial_id: int, theorem: str, scenario, report) -> dict:
-    return {
+# One evaluator per registry identifier.  Each line calls the evaluator
+# through this module's own name for it, so patching that name here (a
+# test's fake, a tracer's wrapper) is what run_trial sees.
+_EVALUATORS = {
+    "lemma21": lambda prepared, sc, tol: stable_bounds(prepared, sc.E, tol),
+    "lemma31": lambda prepared, sc, tol: gap_propagation(prepared, sc.T_prime, tol),
+    "prop31": lambda prepared, sc, tol: perturb_T(prepared, sc.T_prime, tol),
+    "prop32": lambda prepared, sc, tol: perturb_S(prepared, sc.S_prime, tol),
+    "thm31": lambda prepared, sc, tol: perturb_TS(prepared, sc.T_prime, sc.S_prime, tol),
+    "lemma32": lambda prepared, sc, tol: perturb_A(prepared, sc.E, tol),
+    "thm32": lambda prepared, sc, tol: perturb_all(prepared, sc, tol),
+}
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """What one trial produced: a table row, or why there is none.
+
+    ``violation``: hypotheses held but a bound inequality failed.
+    ``unchecked``: of the formula and the oracle route, only one ran, so
+    nothing cross-checks the row (a report with neither is not counted).
+    ``skip_reasons``: generation exhausted its retries (failure counts).
+    ``error``: generation or evaluation raised a ``NumericalError``.
+    """
+
+    row: dict | None = None
+    violation: bool = False
+    unchecked: bool = False
+    skip_reasons: dict[str, int] | None = None
+    error: bool = False
+
+
+def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutcome:
+    """One campaign trial: generate, evaluate, reduce to a table row."""
+    tol = config.tolerances
+    seed = derive_trial_seed(config.gen.seed, theorem, trial_id)
+    gen_cfg = replace(config.gen, seed=seed)
+    try:
+        instance = generate(gen_cfg, theorem, tol)
+        report = _EVALUATORS[theorem](instance.prepared, instance.scenario, tol)
+    except GenerationError as exc:
+        return TrialOutcome(skip_reasons=exc.failure_counts)
+    except NumericalError:
+        return TrialOutcome(error=True)
+    scenario = instance.scenario
+
+    row = {
         "trial_id": trial_id,
         "theorem": theorem,
         "gap_T": scenario.measured_gap_T,
@@ -295,68 +324,14 @@ def _row_from_bound_report(trial_id: int, theorem: str, scenario, report) -> dic
         "margin_norm": _nan_to_none(report.margin_norm),
         "margin_diff": _nan_to_none(report.margin_diff),
     }
+    return TrialOutcome(
+        row=row,
+        violation=report.hypotheses_met and not report.all_satisfied,
+        unchecked=(report.formula_result is None) != (report.oracle_result is None),
+    )
 
 
-def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> dict | None:
-    """One campaign trial: generate, evaluate, reduce to a table row.
-
-    Returns None when instance generation exhausted its retries (the
-    trial is counted as a skip).  The row carries a private
-    ``_violation`` flag: hypotheses held but a bound inequality failed.
-    """
-    tol = config.tolerances
-    seed = derive_trial_seed(config.gen.seed, theorem, trial_id)
-    gen_cfg = replace(config.gen, seed=seed)
-    try:
-        instance = generate(gen_cfg, theorem, tol)
-    except GenerationError:
-        return None
-    scenario = instance.scenario
-    prepared = instance.prepared
-
-    if theorem == "lemma31":
-        gp = gap_propagation(prepared, scenario.T_prime, tol)
-        hyp_ok = gp.hypothesis.satisfied
-        violated = hyp_ok and not _bounds_ok(gp.actual, gp.bound, 1.0 + prepared.norm_G)
-        row = {
-            "trial_id": trial_id,
-            "theorem": theorem,
-            "gap_T": scenario.measured_gap_T,
-            "gap_S": scenario.measured_gap_S,
-            "norm_E": scenario.norm_E,
-            "hyp_ok": hyp_ok,
-            "relerr": None,
-            "norm_bound": None,
-            "norm_actual": None,
-            "diff_bound": gp.bound,
-            "diff_actual": gp.actual,
-            "margin_norm": None,
-            "margin_diff": gp.bound - gp.actual if math.isfinite(gp.bound) else None,
-        }
-        row["_violation"] = violated
-        return row
-
-    if theorem == "lemma21":
-        report = stable_bounds(prepared, scenario.E, tol)
-    elif theorem == "prop31":
-        report = perturb_T(prepared, scenario.T_prime, tol)
-    elif theorem == "prop32":
-        report = perturb_S(prepared, scenario.S_prime, tol)
-    elif theorem == "thm31":
-        report = perturb_TS(prepared, scenario.T_prime, scenario.S_prime, tol)
-    elif theorem == "lemma32":
-        report = perturb_A(prepared, scenario.E, tol)
-    elif theorem == "thm32":
-        report = perturb_all(prepared, scenario, tol)
-    else:
-        raise ValueError(f"unknown theorem identifier {theorem!r}")
-
-    row = _row_from_bound_report(trial_id, theorem, scenario, report)
-    row["_violation"] = report.hypotheses_met and not report.all_satisfied
-    return row
-
-
-def _trial_worker(args) -> dict | None:
+def _trial_worker(args) -> TrialOutcome:
     config, theorem, trial_id = args
     return run_trial(config, theorem, trial_id)
 
@@ -381,16 +356,20 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
 
     rows = []
     per_theorem = {t: TheoremSummary(trials_requested=config.trials) for t in config.theorems}
-    for (_, theorem, _), row in zip(tasks, results):
-        summary = per_theorem[theorem]
-        if row is None:
+    for (_, theorem_id, _), outcome in zip(tasks, results):
+        summary = per_theorem[theorem_id]
+        if outcome.skip_reasons is not None:
             summary.skips += 1
+            summary.skip_reasons.update(outcome.skip_reasons)
             continue
+        if outcome.error:
+            summary.errors += 1
+            continue
+        row = outcome.row
         summary.trials_run += 1
-        if row["hyp_ok"]:
-            summary.hypotheses_met += 1
-        if row.pop("_violation"):
-            summary.bounds_violations += 1
+        summary.hypotheses_met += row["hyp_ok"]
+        summary.bounds_violations += outcome.violation
+        summary.unchecked += outcome.unchecked
         if row["relerr"] is not None:
             if math.isnan(summary.max_relerr) or row["relerr"] > summary.max_relerr:
                 summary.max_relerr = row["relerr"]
@@ -406,7 +385,7 @@ def campaign_exit_code(summary: CampaignSummary) -> int:
     """Map a campaign outcome onto the exit-code contract."""
     if summary.total_violations > 0:
         return EXIT_BOUND_VIOLATION
-    if summary.skip_fraction > MAX_SKIP_FRACTION:
+    if summary.total_errors > 0 or summary.unchecked_fraction > MAX_SKIP_FRACTION:
         return EXIT_OPERATIONAL
     max_relerr = summary.max_relerr
     if not math.isnan(max_relerr) and max_relerr > RELERR_GATE:
@@ -432,49 +411,33 @@ def sweep_ratios(points: int) -> list[float]:
 
 
 def run_sweep(config: CampaignConfig, axis: str, points: int, jobs: int = 1):
-    """Bound-vs-actual curves along one perturbation axis."""
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(_SWEEP_AXES)}")
+    """Bound-vs-actual curves along one perturbation axis.
+
+    Returns ``(rows, summaries)``: one aggregate row and one campaign
+    summary per grid point.
+    """
+    if axis not in TARGET_FIELDS:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(TARGET_FIELDS)}")
     if len(config.theorems) != 1:
         raise ValueError("a sweep needs exactly one theorem in the config")
-    theorem = config.theorems[0]
-    field_name, applicable = _SWEEP_AXES[axis]
-    if theorem not in applicable:
-        raise ValueError(f"axis {axis} does not apply to {theorem}")
+    theorem_id = config.theorems[0]
+    if axis not in theorem(theorem_id).limits:
+        raise ValueError(f"axis {axis} does not apply to {theorem_id}")
 
     out_rows = []
+    summaries = []
     for point, ratio in enumerate(sweep_ratios(points)):
-        gen = replace(config.gen, **{field_name: ratio})
+        gen = replace(config.gen, **{TARGET_FIELDS[axis]: ratio})
         point_config = replace(config, gen=gen)
-        rows, _ = run_campaign(point_config, jobs=jobs)
-        diff_actuals = [r["diff_actual"] for r in rows if r["diff_actual"] is not None]
-        diff_bounds = [r["diff_bound"] for r in rows if r["diff_bound"] is not None]
-        norm_actuals = [r["norm_actual"] for r in rows if r["norm_actual"] is not None]
-        norm_bounds = [r["norm_bound"] for r in rows if r["norm_bound"] is not None]
-
-        def _mean(vals):
-            return sum(vals) / len(vals) if vals else None
-
-        def _max(vals):
-            return max(vals) if vals else None
-
-        out_rows.append(
-            {
-                "axis": axis,
-                "point": point,
-                "ratio": ratio,
-                "trials": len(rows),
-                "mean_diff_actual": _mean(diff_actuals),
-                "max_diff_actual": _max(diff_actuals),
-                "mean_diff_bound": _mean(diff_bounds),
-                "max_diff_bound": _max(diff_bounds),
-                "mean_norm_actual": _mean(norm_actuals),
-                "max_norm_actual": _max(norm_actuals),
-                "mean_norm_bound": _mean(norm_bounds),
-                "max_norm_bound": _max(norm_bounds),
-            }
-        )
-    return out_rows
+        rows, summary = run_campaign(point_config, jobs=jobs)
+        summaries.append(summary)
+        out = {"axis": axis, "point": point, "ratio": ratio, "trials": len(rows)}
+        for column in ("diff_actual", "diff_bound", "norm_actual", "norm_bound"):
+            vals = [r[column] for r in rows if r[column] is not None]
+            out[f"mean_{column}"] = sum(vals) / len(vals) if vals else None
+            out[f"max_{column}"] = max(vals) if vals else None
+        out_rows.append(out)
+    return out_rows, summaries
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +478,12 @@ def render_table(rows, config: CampaignConfig, columns) -> str:
 
 
 def render_json_report(rows, config: CampaignConfig, columns) -> str:
-    tol = config.tolerances
     doc = {
         "meta": {
             "config_hash": config_hash(config),
             "seed": config.gen.seed,
             "rng": RNG_IDENTIFIER,
-            "tolerances": {
-                "rank_rtol": tol.rank_rtol,
-                "verify_atol": tol.verify_atol,
-                "cond_cap": tol.cond_cap,
-            },
+            "tolerances": asdict(config.tolerances),
             "version": __version__,
             "columns": list(columns),
         },
@@ -548,18 +506,23 @@ def _write_report(rows, config: CampaignConfig, columns, default_name: str) -> s
 def _print_summary(summary: CampaignSummary, path: str):
     print(f"report written to {path}")
     header = (
-        f"{'theorem':<10} {'run':>5} {'skips':>5} {'hyp_met':>7} "
+        f"{'theorem':<10} {'run':>5} {'skips':>5} {'errors':>6} {'unchecked':>9} {'hyp_met':>7} "
         f"{'violations':>10} {'max_relerr':>12} {'margin_norm':>12} {'margin_diff':>12}"
     )
     print(header)
-    for theorem, t in summary.per_theorem.items():
+    for theorem_id, t in summary.per_theorem.items():
         relerr = "-" if math.isnan(t.max_relerr) else f"{t.max_relerr:.2e}"
         mn = "-" if math.isinf(t.worst_margin_norm) else f"{t.worst_margin_norm:.3e}"
         md = "-" if math.isinf(t.worst_margin_diff) else f"{t.worst_margin_diff:.3e}"
         print(
-            f"{theorem:<10} {t.trials_run:>5} {t.skips:>5} {t.hypotheses_met:>7} "
+            f"{theorem_id:<10} {t.trials_run:>5} {t.skips:>5} {t.errors:>6} "
+            f"{t.unchecked:>9} {t.hypotheses_met:>7} "
             f"{t.bounds_violations:>10} {relerr:>12} {mn:>12} {md:>12}"
         )
+    for theorem_id, t in summary.per_theorem.items():
+        if t.skips:
+            reasons = ", ".join(f"{k}={v}" for k, v in sorted(t.skip_reasons.items()) if v)
+            print(f"skip reasons for {theorem_id}: {reasons}")
     print(f"wall_time={summary.wall_time:.2f}s")
 
 
@@ -604,9 +567,13 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_campaign(args.campaign)
-    rows = run_sweep(config, args.axis, args.points, jobs=args.jobs)
+    rows, summaries = run_sweep(config, args.axis, args.points, jobs=args.jobs)
     path = _write_report(rows, config, SWEEP_COLUMNS, "sweep_report." + config.format)
     print(f"sweep written to {path} ({len(rows)} points)")
+    errors = sum(s.total_errors for s in summaries)
+    if errors:
+        print(f"error: {errors} sweep trials raised a numerical error", file=sys.stderr)
+        return EXIT_OPERATIONAL
     return EXIT_PASS
 
 
@@ -630,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one perturbation ratio")
     p_sweep.add_argument("campaign", help="campaign config JSON file")
-    p_sweep.add_argument("--axis", required=True, choices=sorted(_SWEEP_AXES))
+    p_sweep.add_argument("--axis", required=True, choices=sorted(TARGET_FIELDS))
     p_sweep.add_argument("--points", type=int, required=True)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -6,7 +6,9 @@ rotate a single basis vector by an angle chosen so the resulting gap is
 analytically ``sin(theta)``, and operator perturbations are scaled
 directly to the requested norm.  That makes hypothesis targeting exact
 and keeps every emitted instance strictly inside its theorem's
-hypothesis region.
+hypothesis region.  Which sizes a theorem perturbs, and the limit each
+target ratio is a fraction of, come from its record in
+:data:`outerinv.perturbation.REGISTRY`.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
 seed determines an instance byte-for-byte.  Parallel trials derive their
@@ -30,12 +32,14 @@ from .outer_inverse import (
     kernel_from_svd,
     prepare_feasible,
 )
-from .perturbation import HypothesisStatus, PerturbationScenario, theorem_hypotheses
+from .perturbation import REGISTRY, HypothesisStatus, PerturbationScenario
+from .perturbation import theorem as theorem_record  # ``theorem`` names generate's argument
 from .subspace import Subspace
 
 __all__ = [
     "RNG_IDENTIFIER",
     "THEOREMS",
+    "TARGET_FIELDS",
     "GenConfig",
     "GeneratedInstance",
     "GenerationError",
@@ -48,7 +52,14 @@ __all__ = [
 
 RNG_IDENTIFIER = "numpy.random.Generator(PCG64)"
 
-THEOREMS = ("lemma21", "lemma31", "prop31", "prop32", "thm31", "lemma32", "thm32")
+THEOREMS = tuple(REGISTRY)
+
+# The GenConfig ratio that targets each perturbed size.
+TARGET_FIELDS = {
+    "gap_T": "target_gap_T",
+    "gap_S": "target_gap_S",
+    "norm_E": "target_norm_E_ratio",
+}
 
 # Instances whose observed hypothesis value lands within this relative
 # band below the threshold are rejected as numerically ambiguous.
@@ -123,7 +134,7 @@ class GenConfig:
             raise ValueError(
                 f"dim_T={self.dim_T} must lie in [1, min(rank_A, n-1, m-1)]"
             )
-        for name in ("target_gap_T", "target_gap_S", "target_norm_E_ratio"):
+        for name in TARGET_FIELDS.values():
             v = getattr(self, name)
             if not (0.0 <= v < 1.0):
                 raise ValueError(f"{name} must lie in [0, 1), got {v}")
@@ -222,38 +233,12 @@ def _draw_feasible_problem(
     return prepare_feasible(OuterInverseProblem(a, t, s), factors, tol)
 
 
-def _perturbation_targets(theorem: str, norm_a, norm_g, norm_pinv_a):
-    """Per-theorem hypothesis thresholds for (gap_T, gap_S, ||E||)."""
-    kappa = norm_a * norm_g
-    thr_gap_strict = 1.0 / (1.0 + kappa) ** 2
-    if theorem == "lemma21":
-        return None, None, 1.0 / norm_pinv_a, "rank_preserving"
-    if theorem == "lemma31":
-        return 1.0 / (1.0 + kappa), None, None, "generic"
-    if theorem == "prop31":
-        return thr_gap_strict, None, None, "generic"
-    if theorem == "prop32":
-        return None, 1.0 / (2.0 + kappa), None, "generic"
-    if theorem == "thm31":
-        return thr_gap_strict, thr_gap_strict, None, "generic"
-    if theorem == "lemma32":
-        return None, None, 1.0 / norm_g, "generic"
-    if theorem == "thm32":
-        return thr_gap_strict, thr_gap_strict, 1.0 / (norm_g * (1.0 + kappa)), "generic"
-    raise ValueError(f"unknown theorem identifier {theorem!r}")
-
-
 def _build_perturbation_E(
-    config: GenConfig,
-    a: np.ndarray,
-    threshold: float,
-    mode: str,
-    rng: np.random.Generator,
+    a: np.ndarray, target: float, rank_preserving: bool, rng: np.random.Generator
 ) -> np.ndarray:
-    target = config.target_norm_E_ratio * threshold
     if target == 0.0:
         return np.zeros_like(a)
-    if mode == "rank_preserving":
+    if rank_preserving:
         # E = B A keeps rank(A + E) = rank(A): the product cannot raise the
         # rank, and ||E|| below 1/||pinv(A)|| cannot lower it.
         direction = _complex_gaussian(rng, (a.shape[0], a.shape[0])) @ a
@@ -274,8 +259,7 @@ def generate(
     :class:`GenerationError` with per-condition failure counts if
     ``max_retries`` draws never produce a feasible instance.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem identifier {theorem!r}")
+    spec = theorem_record(theorem)
     rng = np.random.default_rng(config.seed)
     failures: dict[str, int] = {
         "kernel_meets_T": 0,
@@ -288,32 +272,24 @@ def generate(
         if prepared is None:
             continue
         problem = prepared.problem
-        a = problem.A
-        norm_a, norm_g, norm_pinv_a = prepared.norm_A, prepared.norm_G, prepared.norm_pinv_A
-        thr_t, thr_s, thr_e, e_mode = _perturbation_targets(
-            theorem, norm_a, norm_g, norm_pinv_a
-        )
+        target = {
+            size: getattr(config, TARGET_FIELDS[size]) * limit(prepared)
+            for size, limit in spec.limits.items()
+        }
 
         t_prime = problem.T
-        if thr_t is not None and config.target_gap_T > 0.0:
-            theta = math.asin(config.target_gap_T * thr_t)
-            t_prime = perturb_subspace_exact_gap(problem.T, theta, rng)
+        if target.get("gap_T", 0.0) > 0.0:
+            t_prime = perturb_subspace_exact_gap(problem.T, math.asin(target["gap_T"]), rng)
         s_prime = problem.S
-        if thr_s is not None and config.target_gap_S > 0.0:
-            theta = math.asin(config.target_gap_S * thr_s)
-            s_prime = perturb_subspace_exact_gap(problem.S, theta, rng)
-        e = (
-            _build_perturbation_E(config, a, thr_e, e_mode, rng)
-            if thr_e is not None
-            else np.zeros_like(a)
+        if target.get("gap_S", 0.0) > 0.0:
+            s_prime = perturb_subspace_exact_gap(problem.S, math.asin(target["gap_S"]), rng)
+        e = _build_perturbation_E(
+            problem.A, target.get("norm_E", 0.0), spec.rank_preserving_E, rng
         )
 
         scenario = PerturbationScenario(problem, t_prime, s_prime, e)
-        statuses = theorem_hypotheses(
-            theorem,
-            norm_A=norm_a,
-            norm_G=norm_g,
-            norm_pinv=norm_pinv_a,
+        statuses = spec.hypotheses(
+            prepared,
             gap_T=scenario.measured_gap_T,
             gap_S=scenario.measured_gap_S,
             norm_E=scenario.norm_E,

@@ -17,6 +17,13 @@ or the operator A itself moves a little:
   ingredient, compare it against the independent oracle route, and check
   the corresponding norm and difference bounds.
 
+:data:`REGISTRY` is where each verified statement is defined: one
+:class:`Theorem` record per identifier, naming the sizes the statement
+perturbs (``gap_T``, ``gap_S``, ``norm_E``) and the strict upper bound of
+each.  The evaluators' hypotheses, the instance generator's targets and
+the harness's sweep axes are all read from it; :func:`theorem` looks a
+record up by identifier.
+
 The seven evaluators take a :class:`~outerinv.outer_inverse.PreparedProblem`
 as their first argument and reuse its G, norms and projectors; a caller
 holding a bare problem calls :func:`~outerinv.outer_inverse.prepare`
@@ -32,6 +39,7 @@ exploration, but the report is flagged and bounds are not asserted.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +75,9 @@ __all__ = [
     "PerturbationScenario",
     "BoundReport",
     "StableReport",
-    "GapPropagationReport",
-    "theorem_hypotheses",
+    "Theorem",
+    "REGISTRY",
+    "theorem",
     "is_stable",
     "is_stable_given_svd",
     "stable_bounds",
@@ -189,15 +198,6 @@ class StableReport:
         return self.cond1
 
 
-@dataclass(frozen=True)
-class GapPropagationReport:
-    """Gap between the images A·T and A·T' versus its predicted bound."""
-
-    bound: float
-    actual: float
-    hypothesis: HypothesisStatus
-
-
 def _bounds_ok(actual: float, bound: float, scale: float = 1.0) -> bool:
     # Multiplicative slack for honest comparisons plus an absolute floor so
     # a zero bound (zero perturbation) tolerates cross-route rounding noise.
@@ -214,43 +214,81 @@ def _relerr(formula: np.ndarray | None, oracle: np.ndarray | None, norm_oracle: 
     return diff / norm_oracle if norm_oracle > 0.0 else diff
 
 
-def theorem_hypotheses(
-    theorem: str,
-    *,
-    norm_A: float = math.nan,
-    norm_G: float = math.nan,
-    norm_pinv: float = math.nan,
-    gap_T: float = 0.0,
-    gap_S: float = 0.0,
-    norm_E: float = 0.0,
-) -> tuple[HypothesisStatus, ...]:
-    """The strict-inequality hypotheses of each verified statement.
+@dataclass(frozen=True)
+class Theorem:
+    """One verified statement and the hypothesis region it is checked in.
 
-    ``theorem`` is one of the campaign identifiers (lemma21, lemma31,
-    prop31, prop32, thm31, lemma32, thm32); norms not needed by the
-    chosen statement may be left NaN.
+    ``limits`` maps each size the statement constrains (``"gap_T"`` =
+    gap_hat(T, T'), ``"gap_S"`` = gap_hat(S, S'), ``"norm_E"`` = ||E||)
+    to that size's strict upper bound, a function of the prepared base
+    problem.  Sizes not in ``limits`` are left unperturbed by the instance
+    generator.  ``rank_preserving_E`` asks the generator for ``E = B A``,
+    which cannot change the rank of A.
     """
-    kappa = norm_A * norm_G
-    if theorem == "lemma21":
-        return (HypothesisStatus("pinv_product", 1.0, norm_pinv * norm_E),)
-    if theorem == "lemma31":
-        return (HypothesisStatus("gap_T", 1.0 / (1.0 + kappa), gap_T),)
-    if theorem == "prop31":
-        return (HypothesisStatus("gap_T", 1.0 / (1.0 + kappa) ** 2, gap_T),)
-    if theorem == "prop32":
-        return (HypothesisStatus("gap_S", 1.0 / (2.0 + kappa), gap_S),)
-    if theorem == "thm31":
-        return (
-            HypothesisStatus("max_gap", 1.0 / (1.0 + kappa) ** 2, max(gap_T, gap_S)),
+
+    id: str
+    limits: Mapping[str, Callable[[PreparedProblem], float]]
+    rank_preserving_E: bool = False
+
+    def hypotheses(
+        self, prepared: PreparedProblem, **sizes: float
+    ) -> tuple[HypothesisStatus, ...]:
+        """``size < limit`` for each constrained size, measured values given by keyword."""
+        return tuple(
+            HypothesisStatus(size, limit(prepared), sizes[size])
+            for size, limit in self.limits.items()
         )
-    if theorem == "lemma32":
-        return (HypothesisStatus("inverse_E_product", 1.0, norm_G * norm_E),)
-    if theorem == "thm32":
-        return (
-            HypothesisStatus("max_gap", 1.0 / (1.0 + kappa) ** 2, max(gap_T, gap_S)),
-            HypothesisStatus("inverse_E_product", 1.0 / (1.0 + kappa), norm_G * norm_E),
-        )
-    raise ValueError(f"unknown theorem identifier {theorem!r}")
+
+
+def _kappa(p: PreparedProblem) -> float:
+    return p.norm_A * p.norm_G
+
+
+def _gap_limit_squared(p: PreparedProblem) -> float:
+    return 1.0 / (1.0 + _kappa(p)) ** 2
+
+
+def _reciprocal(x: float) -> float:
+    # A zero norm (A = 0, or G = 0 for a trivial T) leaves ||E|| unconstrained.
+    return 1.0 / x if x > 0.0 else math.inf
+
+
+# Lemma 2.1: stable perturbation of pinv(A), ||pinv(A)|| ||E|| < 1.
+_LEMMA21 = Theorem(
+    "lemma21", {"norm_E": lambda p: _reciprocal(p.norm_pinv_A)}, rank_preserving_E=True
+)
+# Lemma 3.1: gap propagation from T to A T.
+_LEMMA31 = Theorem("lemma31", {"gap_T": lambda p: 1.0 / (1.0 + _kappa(p))})
+# Proposition 3.1: perturbed range.
+_PROP31 = Theorem("prop31", {"gap_T": _gap_limit_squared})
+# Proposition 3.2: perturbed kernel.
+_PROP32 = Theorem("prop32", {"gap_S": lambda p: 1.0 / (2.0 + _kappa(p))})
+# Theorem 3.1: range and kernel perturbed together.
+_THM31 = Theorem("thm31", {"gap_T": _gap_limit_squared, "gap_S": _gap_limit_squared})
+# Lemma 3.2: operator perturbed, ||G|| ||E|| < 1.
+_LEMMA32 = Theorem("lemma32", {"norm_E": lambda p: _reciprocal(p.norm_G)})
+# Theorem 3.2: range, kernel and operator perturbed together.
+_THM32 = Theorem(
+    "thm32",
+    {
+        "gap_T": _gap_limit_squared,
+        "gap_S": _gap_limit_squared,
+        "norm_E": lambda p: _reciprocal(p.norm_G * (1.0 + _kappa(p))),
+    },
+)
+
+# Campaign order.
+REGISTRY: Mapping[str, Theorem] = {
+    t.id: t for t in (_LEMMA21, _LEMMA31, _PROP31, _PROP32, _THM31, _LEMMA32, _THM32)
+}
+
+
+def theorem(theorem_id: str) -> Theorem:
+    """The registry record of ``theorem_id``; ValueError if there is none."""
+    try:
+        return REGISTRY[theorem_id]
+    except KeyError:
+        raise ValueError(f"unknown theorem identifier {theorem_id!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +379,7 @@ def stable_bounds(
     norm_da = op_norm(dam)
     product = report.norm_product
 
-    hyps = (
-        theorem_hypotheses("lemma21", norm_pinv=norm_ap, norm_E=norm_da)[0],
+    hyps = _LEMMA21.hypotheses(prepared, norm_E=norm_da) + (
         # Stability itself, encoded as 0 (stable) vs 1 (unstable).
         HypothesisStatus("stable_perturbation", 1.0, 0.0 if report.stable else 1.0),
     )
@@ -368,7 +405,7 @@ def stable_bounds(
         and _bounds_ok(diff_actual, diff_bound, scale)
     )
     return BoundReport(
-        theorem="lemma21",
+        theorem=_LEMMA21.id,
         formula_result=formula,
         oracle_result=oracle,
         formula_vs_oracle_relerr=_relerr(formula, oracle, norm_actual),
@@ -390,24 +427,37 @@ def gap_propagation(
     prepared: PreparedProblem,
     t_prime: Subspace,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> GapPropagationReport:
+) -> BoundReport:
     """How far the image A·T can move when T moves by a given gap.
 
-    actual = gap_hat(A·T, A·T'); the bound is
+    ``diff_actual`` = gap_hat(A·T, A·T'); ``diff_bound`` is
     ``k * gap / (1 - (1 + k) * gap)`` with ``k = ||A|| ||G||``, valid for
-    ``gap < 1 / (1 + k)``.
+    ``gap < 1 / (1 + k)``.  There is no formula, oracle or norm bound:
+    those fields are None / NaN.
     """
     problem = prepared.problem
     a = problem.A
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = ss.gap_hat(problem.T, t_prime)
-    hyp = theorem_hypotheses("lemma31", norm_A=norm_a, norm_G=norm_g, gap_T=gap)[0]
+    hyps = _LEMMA31.hypotheses(prepared, gap_T=gap)
 
     actual = ss.gap_hat(image_of(a, problem.T, tol), image_of(a, t_prime, tol))
     kappa = norm_a * norm_g
     denom = 1.0 - (1.0 + kappa) * gap
     bound = kappa * gap / denom if denom > 0.0 else math.nan
-    return GapPropagationReport(bound=bound, actual=actual, hypothesis=hyp)
+    hyp_ok = all(h.satisfied for h in hyps)
+    return BoundReport(
+        theorem=_LEMMA31.id,
+        formula_result=None,
+        oracle_result=None,
+        formula_vs_oracle_relerr=math.nan,
+        norm_bound=math.nan,
+        norm_actual=math.nan,
+        diff_bound=bound,
+        diff_actual=actual,
+        hypotheses=hyps,
+        all_satisfied=hyp_ok and _bounds_ok(actual, bound, 1.0 + norm_g),
+    )
 
 
 def _try_oracle(a, t: Subspace, s: Subspace, tol: ToleranceProfile):
@@ -418,7 +468,7 @@ def _try_oracle(a, t: Subspace, s: Subspace, tol: ToleranceProfile):
 
 
 def _finish_report(
-    theorem: str,
+    spec: Theorem,
     formula: np.ndarray | None,
     oracle: np.ndarray | None,
     prepared: PreparedProblem,
@@ -441,7 +491,7 @@ def _finish_report(
         and _bounds_ok(diff_actual, diff_bound, scale)
     )
     return BoundReport(
-        theorem=theorem,
+        theorem=spec.id,
         formula_result=formula,
         oracle_result=oracle,
         # norm_actual is ||oracle|| whenever the oracle ran.
@@ -473,7 +523,7 @@ def perturb_T(
     n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = ss.gap_hat(problem.T, t_prime)
-    hyps = theorem_hypotheses("prop31", norm_A=norm_a, norm_G=norm_g, gap_T=gap)
+    hyps = _PROP31.hypotheses(prepared, gap_T=gap)
 
     p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
     p_tp = ss.projector(t_prime)
@@ -485,7 +535,7 @@ def perturb_T(
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report("prop31", formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_PROP31, formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_S(
@@ -504,7 +554,7 @@ def perturb_S(
     n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = ss.gap_hat(problem.S, s_prime)
-    hyps = theorem_hypotheses("prop32", norm_A=norm_a, norm_G=norm_g, gap_S=gap)
+    hyps = _PROP32.hypotheses(prepared, gap_S=gap)
 
     p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
     p_sp_perp = ss.projector(ss.orthogonal_complement(s_prime))
@@ -516,7 +566,7 @@ def perturb_S(
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report("prop32", formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_PROP32, formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def _ts_formula(
@@ -558,9 +608,7 @@ def perturb_TS(
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap_t = ss.gap_hat(problem.T, t_prime)
     gap_s = ss.gap_hat(problem.S, s_prime)
-    hyps = theorem_hypotheses(
-        "thm31", norm_A=norm_a, norm_G=norm_g, gap_T=gap_t, gap_S=gap_s
-    )
+    hyps = _THM31.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s)
 
     formula = _ts_formula(prepared, t_prime, s_prime, tol)
     oracle = _try_oracle(a, t_prime, s_prime, tol)
@@ -571,7 +619,7 @@ def perturb_TS(
     diff_bound = (
         GOLDEN_RATIO * norm_g**2 * norm_a * gap_sum / denom if denom > 0.0 else math.nan
     )
-    return _finish_report("thm31", formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_THM31, formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_A(
@@ -596,7 +644,7 @@ def perturb_A(
     m, n = a.shape
     norm_g = prepared.norm_G
     norm_e = op_norm(em)
-    hyps = theorem_hypotheses("lemma32", norm_G=norm_g, norm_E=norm_e)
+    hyps = _LEMMA32.hypotheses(prepared, norm_E=norm_e)
 
     left = solve_square(np.eye(n, dtype=np.complex128) + g @ em, g, tol)
     right = solve_square((np.eye(m, dtype=np.complex128) + em @ g).T, g.T, tol).T
@@ -612,7 +660,7 @@ def perturb_A(
     denom = 1.0 - product
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = norm_g**2 * norm_e / denom if denom > 0.0 else math.nan
-    return _finish_report("lemma32", formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_LEMMA32, formula, oracle, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_all(
@@ -639,14 +687,7 @@ def perturb_all(
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap_t, gap_s = scenario.measured_gap_T, scenario.measured_gap_S
     norm_e = scenario.norm_E
-    hyps = theorem_hypotheses(
-        "thm32",
-        norm_A=norm_a,
-        norm_G=norm_g,
-        gap_T=gap_t,
-        gap_S=gap_s,
-        norm_E=norm_e,
-    )
+    hyps = _THM32.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s, norm_E=norm_e)
 
     w = _ts_formula(prepared, scenario.T_prime, scenario.S_prime, tol)
     formula = solve_square(np.eye(n, dtype=np.complex128) + w @ scenario.E, w, tol)
@@ -660,4 +701,4 @@ def perturb_all(
         if denom > 0.0
         else math.nan
     )
-    return _finish_report("thm32", formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_THM32, formula, oracle, prepared, norm_bound, diff_bound, hyps)

@@ -1,12 +1,15 @@
-"""The criterion-7 campaign report against its committed golden copy.
+"""Campaign and sweep reports against their committed golden copies.
 
 ``golden/criterion7.csv`` is the report of the seed-1717 campaign (5
 trials of each of the 7 theorems) as the library wrote it before the
-per-trial prepared problem was introduced.  Refactors may move the last
-bits of a number, nothing else: trial ids, theorems, ``hyp_ok``, the
-metadata, the header and the row order must match exactly, and numeric
-cells within ``RTOL`` relative plus ``ATOL`` absolute.  Do not regenerate
-the fixture to make a change pass.
+per-trial prepared problem was introduced.  ``golden/sweep_<axis>.csv``
+are seed-99 sweeps (4 points, 3 trials) of one applicable theorem per
+axis, written before the theorem registry replaced the hand-listed
+axis/theorem table.  Refactors may move the last bits of a number,
+nothing else: trial ids, theorems, ``hyp_ok``, the metadata, the header
+and the row order must match exactly, and numeric cells within ``RTOL``
+relative plus ``ATOL`` absolute.  Do not regenerate the fixtures to make
+a change pass.
 """
 
 import csv
@@ -14,13 +17,25 @@ import io
 import math
 from pathlib import Path
 
-from outerinv.harness_cli import CSV_COLUMNS, CampaignConfig, render_table, run_campaign
+import pytest
+
+from outerinv.harness_cli import (
+    CSV_COLUMNS,
+    SWEEP_COLUMNS,
+    CampaignConfig,
+    render_table,
+    run_campaign,
+    run_sweep,
+)
 from outerinv.instance_gen import THEOREMS, GenConfig
 
-GOLDEN = Path(__file__).parent / "golden" / "criterion7.csv"
+GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-9
 ATOL = 1e-12  # relerr cells sit near 1e-15, where only an absolute floor makes sense
-EXACT = ("trial_id", "theorem", "hyp_ok")
+EXACT = ("trial_id", "theorem", "hyp_ok", "axis", "point", "trials")
+
+# One applicable theorem per sweep axis.
+SWEEPS = (("gap_T", "thm32"), ("gap_S", "prop32"), ("norm_E", "lemma21"))
 
 
 def _split(text):
@@ -39,6 +54,23 @@ def _close(actual: str, expected: str) -> bool:
     return abs(a - e) <= ATOL + RTOL * abs(e)
 
 
+def _assert_matches(text: str, golden: Path):
+    meta, header, body = _split(text)
+    gold_meta, gold_header, gold_body = _split(golden.read_text(encoding="utf-8"))
+
+    assert meta == gold_meta
+    assert header == gold_header
+    exact = [header.index(c) for c in EXACT if c in header]
+    assert [[r[i] for i in exact] for r in body] == [[r[i] for i in exact] for r in gold_body]
+    mismatches = [
+        (r[0], r[1], column, cell, gold_cell)
+        for r, gold in zip(body, gold_body)
+        for column, cell, gold_cell in zip(header, r, gold)
+        if column not in EXACT and not _close(cell, gold_cell)
+    ]
+    assert not mismatches
+
+
 def test_criterion7_report_matches_golden():
     config = CampaignConfig(
         gen=GenConfig(seed=1717),
@@ -47,18 +79,16 @@ def test_criterion7_report_matches_golden():
         tolerances=CampaignConfig.default().tolerances,
     )
     rows, _ = run_campaign(config)
-    meta, header, body = _split(render_table(rows, config, CSV_COLUMNS))
-    gold_meta, gold_header, gold_body = _split(GOLDEN.read_text(encoding="utf-8"))
+    _assert_matches(render_table(rows, config, CSV_COLUMNS), GOLDEN / "criterion7.csv")
 
-    assert meta == gold_meta
-    assert header == gold_header
-    assert [[r[header.index(c)] for c in EXACT] for r in body] == [
-        [r[header.index(c)] for c in EXACT] for r in gold_body
-    ]
-    mismatches = [
-        (r[0], r[1], column, cell, gold_cell)
-        for r, gold in zip(body, gold_body)
-        for column, cell, gold_cell in zip(header, r, gold)
-        if column not in EXACT and not _close(cell, gold_cell)
-    ]
-    assert not mismatches
+
+@pytest.mark.parametrize("axis, theorem", SWEEPS)
+def test_sweep_report_matches_golden(axis, theorem):
+    config = CampaignConfig(
+        gen=GenConfig(seed=99),
+        theorems=(theorem,),
+        trials=3,
+        tolerances=CampaignConfig.default().tolerances,
+    )
+    rows, _ = run_sweep(config, axis, points=4)
+    _assert_matches(render_table(rows, config, SWEEP_COLUMNS), GOLDEN / f"sweep_{axis}.csv")

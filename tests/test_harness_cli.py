@@ -2,12 +2,14 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from outerinv import harness_cli
+from outerinv import harness_cli, perturbation
 from outerinv import subspace as ss
 from outerinv.harness_cli import (
     CSV_COLUMNS,
@@ -22,15 +24,27 @@ from outerinv.harness_cli import (
     run_trial,
     sweep_ratios,
 )
-from outerinv.instance_gen import THEOREMS, GenConfig
-from outerinv.numlin import ToleranceProfile, matrix_to_obj, pinv
+from outerinv.instance_gen import (
+    THEOREMS,
+    GenConfig,
+    GenerationError,
+    derive_trial_seed,
+    generate,
+)
+from outerinv.numlin import (
+    IllConditionedError,
+    NumericalError,
+    ToleranceProfile,
+    matrix_to_obj,
+    pinv,
+)
 from outerinv.outer_inverse import (
     OuterInverseProblem,
     column_space,
     problem_to_obj,
     row_space,
 )
-from outerinv.perturbation import BOUND_SLACK, GapPropagationReport, HypothesisStatus
+from outerinv.perturbation import BOUND_SLACK, REGISTRY
 
 from helpers import line, random_feasible_problem
 
@@ -205,6 +219,15 @@ class TestExitCodeGate:
     def test_violation_outranks_relerr(self):
         assert campaign_exit_code(self._summary(bounds_violations=2, max_relerr=1.0)) == 3
 
+    def test_numerical_error_is_exit_1(self):
+        assert campaign_exit_code(self._summary(errors=1, trials_run=9)) == 1
+
+    def test_violation_outranks_errors(self):
+        assert campaign_exit_code(self._summary(errors=1, bounds_violations=1)) == 3
+
+    def test_unchecked_row_counts_like_a_skip(self):
+        assert campaign_exit_code(self._summary(unchecked=1)) == 1
+
 
 class TestSweep:
     def test_ratio_grid(self):
@@ -234,7 +257,7 @@ class TestSweep:
             trials=10,
             tolerances=ToleranceProfile(),
         )
-        rows = run_sweep(config, "norm_E", points=6)
+        rows, _ = run_sweep(config, "norm_E", points=6)
         assert len(rows) == 6
         means_actual = [r["mean_diff_actual"] for r in rows]
         means_bound = [r["mean_diff_bound"] for r in rows]
@@ -257,6 +280,26 @@ class TestSweep:
         )
         jsonschema.validate(report, schema)
         assert len(report["rows"]) == 3
+
+    def test_numerical_error_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        original = harness_cli.perturb_T
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalError("singular system")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness_cli, "perturb_T", flaky)
+        out = tmp_path / "s.csv"
+        obj = small_campaign_obj(theorems=["prop31"], trials=2, output_path=str(out))
+        campaign_file = write_json(tmp_path / "c.json", obj)
+        assert main(["sweep", campaign_file, "--axis", "gap_T", "--points", "2"]) == 1
+        assert "1 sweep trials raised a numerical error" in capsys.readouterr().err
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        trials = lines[0].split(",").index("trials")
+        assert [row.split(",")[trials] for row in lines[1:]] == ["2", "1"]
 
     def test_requires_single_theorem(self):
         config = CampaignConfig(
@@ -334,17 +377,116 @@ class TestCampaignInternals:
 
     @pytest.mark.parametrize("excess, violated", [(0.5, False), (2.0, True)])
     def test_lemma31_zero_bound_has_the_absolute_floor(self, monkeypatch, excess, violated):
-        # A zero bound (T' = T) must tolerate rounding noise up to
+        # A zero bound (gap(T, T') = 0) must tolerate rounding noise up to
         # BOUND_SLACK * (1 + ||G||), as every other theorem's check does.
-        def propagation(prepared, t_prime, tol):
-            actual = excess * BOUND_SLACK * (1.0 + prepared.norm_G)
-            return GapPropagationReport(
-                bound=0.0, actual=actual, hypothesis=HypothesisStatus("gap_T", 1.0, 0.0)
-            )
-
-        monkeypatch.setattr(harness_cli, "gap_propagation", propagation)
         config = replace(CampaignConfig.default(seed=3), theorems=("lemma31",), trials=1)
-        assert run_trial(config, "lemma31", 0)["_violation"] is violated
+        gen = replace(config.gen, seed=derive_trial_seed(config.gen.seed, "lemma31", 0))
+        noise = excess * BOUND_SLACK * (1.0 + generate(gen, "lemma31").prepared.norm_G)
+
+        def gap_hat(u, v):
+            # T and T' live in C^n, the images A T and A T' in C^m (m != n).
+            return 0.0 if u.ambient_dim == config.gen.n else noise
+
+        fake_ss = SimpleNamespace(**{**vars(ss), "gap_hat": gap_hat})
+        monkeypatch.setattr(perturbation, "ss", fake_ss)
+        outcome = run_trial(config, "lemma31", 0)
+        assert outcome.row["diff_bound"] == 0.0 and outcome.row["diff_actual"] == noise
+        assert outcome.violation is violated
+
+    def test_each_theorem_calls_its_evaluator_once(self, monkeypatch):
+        evaluators = {
+            "lemma21": "stable_bounds",
+            "lemma31": "gap_propagation",
+            "prop31": "perturb_T",
+            "prop32": "perturb_S",
+            "thm31": "perturb_TS",
+            "lemma32": "perturb_A",
+            "thm32": "perturb_all",
+        }
+        assert tuple(REGISTRY) == THEOREMS and set(evaluators) == set(THEOREMS)
+        calls = Counter()
+        for name in evaluators.values():
+            original = getattr(harness_cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(harness_cli, name, counted)
+        config = replace(CampaignConfig.default(seed=11), trials=1)
+        for theorem_id, name in evaluators.items():
+            calls.clear()
+            outcome = run_trial(config, theorem_id, 0)
+            assert outcome.row["theorem"] == theorem_id
+            assert calls == {name: 1}, theorem_id
+
+    def test_numerical_error_drops_one_row_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        original = harness_cli.perturb_A
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("singular system")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness_cli, "perturb_A", flaky)
+        out = tmp_path / "r.csv"
+        obj = small_campaign_obj(theorems=["prop31", "lemma32"], trials=3, output_path=str(out))
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        data = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+        assert [(r[0], r[1]) for r in data] == [
+            ("0", "prop31"), ("1", "prop31"), ("2", "prop31"), ("0", "lemma32"), ("2", "lemma32")
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split()
+        (lemma32,) = [ln.split() for ln in lines if ln.startswith("lemma32")]
+        assert lemma32[header.index("errors")] == "1"
+        assert lemma32[header.index("run")] == "2"
+
+    def test_campaign_without_oracle_exits_1(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise IllConditionedError("refused", 1e20)
+
+        monkeypatch.setattr(perturbation, "oracle_compute", refuse)
+        gen = GenConfig(seed=4, m=5, n=4, rank_A=3, dim_T=2)
+        config = replace(CampaignConfig.default(), gen=gen, trials=2)
+        rows, summary = run_campaign(config)
+        assert len(rows) == 2 * len(THEOREMS)
+        # lemma21's oracle is pinv(A + E) and lemma31 has no second route.
+        missing = {t: s.unchecked for t, s in summary.per_theorem.items()}
+        assert missing == {t: 0 if t in ("lemma21", "lemma31") else 2 for t in THEOREMS}
+        assert summary.total_violations == 0
+        assert campaign_exit_code(summary) == 1
+
+    def test_campaign_without_formula_exits_1(self, monkeypatch):
+        # lemma21's formula can fail while its oracle pinv(A + E) runs.
+        def refuse(*args, **kwargs):
+            raise ValueError("no {1,2}-inverse")
+
+        monkeypatch.setattr(perturbation, "mp_via_12_inverse", refuse)
+        gen = GenConfig(seed=4, m=5, n=4, rank_A=3, dim_T=2)
+        config = replace(CampaignConfig.default(), gen=gen, theorems=("lemma21",), trials=2)
+        rows, summary = run_campaign(config)
+        assert [r["relerr"] for r in rows] == [None, None]
+        assert summary.per_theorem["lemma21"].unchecked == 2
+        assert campaign_exit_code(summary) == 1
+
+    def test_skip_reasons_are_summed_and_printed(self, tmp_path, monkeypatch, capsys):
+        original = harness_cli.generate
+
+        def generate_or_give_up(config, theorem, tol):
+            if theorem == "prop32":
+                raise GenerationError("gave up", {"kernel_meets_T": 0, "direct_sum": 3})
+            return original(config, theorem, tol)
+
+        monkeypatch.setattr(harness_cli, "generate", generate_or_give_up)
+        out = tmp_path / "r.csv"
+        obj = small_campaign_obj(theorems=["prop31", "prop32"], trials=2, output_path=str(out))
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        stdout = capsys.readouterr().out
+        assert "skip reasons for prop32: direct_sum=6\n" in stdout
+        assert "skip reasons for prop31" not in stdout
 
     def test_config_round_trip(self):
         obj = {

@@ -148,8 +148,9 @@ class TestGenerate:
     def test_norm_E_targeting_accuracy(self):
         inst = generate(GenConfig(seed=12, target_norm_E_ratio=0.7), "lemma32")
         (hyp,) = inst.hypothesis_statuses
-        # observed = ||G|| ||E|| must equal 0.7 of the threshold (here 1).
-        assert abs(hyp.observed - 0.7 * hyp.threshold) <= 1e-10
+        # observed = ||E|| must equal 0.7 of the threshold 1/||G||; the
+        # tolerance is relative, i.e. 1e-10 on the product ||G|| ||E||.
+        assert abs(hyp.observed - 0.7 * hyp.threshold) <= 1e-10 * hyp.threshold
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -27,7 +27,7 @@ from outerinv.perturbation import (
     perturb_TS,
     perturb_all,
     stable_bounds,
-    theorem_hypotheses,
+    theorem,
 )
 
 from helpers import complex_gaussian, line, random_feasible_problem
@@ -74,7 +74,14 @@ class TestHypothesisStatus:
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            theorem_hypotheses("thm99")
+            theorem("thm99")
+
+    def test_zero_operator_leaves_E_unconstrained(self):
+        # ||pinv(A)|| = ||G|| = 0: the limits 1/||pinv(A)|| and 1/||G|| are infinite.
+        prepared = prepare(moore_penrose_problem(np.zeros((2, 2), dtype=complex)))
+        e = 0.1 * np.eye(2)
+        assert stable_bounds(prepared, e).hypotheses[0] == HypothesisStatus("norm_E", math.inf, 0.1)
+        assert perturb_A(prepared, e).all_satisfied
 
 
 class TestScenario:
@@ -158,8 +165,8 @@ class TestGapPropagation:
     def test_identical_subspace(self, rng):
         prob = random_feasible_problem(rng, m=5, n=4, rank_a=3, dim_t=2)
         gp = gap_propagation(prepare(prob), prob.T)
-        assert gp.actual == 0.0 and gp.bound == 0.0
-        assert gp.hypothesis.satisfied
+        assert gp.diff_actual == 0.0 and gp.diff_bound == 0.0
+        assert gp.hypotheses_met
 
     def test_identity_operator(self, rng):
         # With A = I the image gap equals the subspace gap itself.
@@ -168,8 +175,8 @@ class TestGapPropagation:
         prob = OuterInverseProblem(np.eye(4, dtype=complex), t, s)
         t_prime = perturb_subspace_exact_gap(t, 0.1, rng)
         gp = gap_propagation(prepare(prob), t_prime)
-        assert gp.actual == pytest.approx(ss.gap_hat(t, t_prime), abs=1e-12)
-        assert gp.actual <= gp.bound * (1 + 1e-10)
+        assert gp.diff_actual == pytest.approx(ss.gap_hat(t, t_prime), abs=1e-12)
+        assert gp.diff_actual <= gp.diff_bound * (1 + 1e-10)
 
     def test_bound_and_intermediate_inequality(self, rng):
         from outerinv.outer_inverse import image_of
@@ -179,8 +186,8 @@ class TestGapPropagation:
             inst = generate(cfg, "lemma31")
             prob, t_prime = inst.scenario.base, inst.scenario.T_prime
             gp = gap_propagation(prepare(prob), t_prime)
-            assert gp.hypothesis.satisfied
-            assert gp.actual <= gp.bound * (1 + 1e-10)
+            assert gp.hypotheses_met
+            assert gp.diff_actual <= gp.diff_bound * (1 + 1e-10)
             kappa = op_norm(prob.A) * op_norm(compute(prob).G)
             directed = ss.delta(image_of(prob.A, prob.T), image_of(prob.A, t_prime))
             assert directed <= kappa * ss.delta(prob.T, t_prime) * (1 + 1e-10) + 1e-12
@@ -338,7 +345,7 @@ class TestPerturbAll:
         cfg = GenConfig(seed=777, m=6, n=5, rank_A=4, dim_T=3)
         inst = generate(cfg, "thm32")
         report = perturb_all(prepare(inst.scenario.base), inst.scenario)
-        assert len(report.hypotheses) == 2
+        assert {h.name for h in report.hypotheses} == {"gap_T", "gap_S", "norm_E"}
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
 

@@ -94,7 +94,7 @@ def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
     config = replace(CampaignConfig.default(seed=31), trials=1)
     for theorem in THEOREMS:
         counts.clear()
-        assert run_trial(config, theorem, 0) is not None
+        assert run_trial(config, theorem, 0).row is not None
         assert counts["prepare_feasible"] == 1, theorem
         assert counts["compute"] == 0, theorem
         assert counts["existence"] <= 1 + counts["oracle_compute"], theorem
