@@ -48,7 +48,7 @@ from .instance_gen import (
     derive_trial_seed,
     generate,
 )
-from .numlin import NumericalError, ToleranceProfile
+from .numlin import IllConditionedError, NumericalError, ToleranceProfile
 from .outer_inverse import (
     ExistenceError,
     compute,
@@ -157,6 +157,9 @@ class TheoremSummary:
     (``skip_reasons`` sums their per-condition failure counts),
     ``errors`` trials that raised a ``NumericalError``, and ``unchecked``
     rows with a formula and an oracle route of which only one ran.
+    ``oracle_refusals`` counts why the oracle refused (``existence`` or
+    ``ill_conditioned``); ``max_refusal_condition`` is the largest
+    condition number among the ill-conditioned refusals (0 if none).
     """
 
     trials_requested: int = 0
@@ -170,6 +173,8 @@ class TheoremSummary:
     worst_margin_norm: float = math.inf
     worst_margin_diff: float = math.inf
     skip_reasons: Counter = field(default_factory=Counter)
+    oracle_refusals: Counter = field(default_factory=Counter)
+    max_refusal_condition: float = 0.0
 
 
 @dataclass
@@ -286,6 +291,8 @@ class TrialOutcome:
     nothing cross-checks the row (a report with neither is not counted).
     ``skip_reasons``: generation exhausted its retries (failure counts).
     ``error``: generation or evaluation raised a ``NumericalError``.
+    ``oracle_refusal``: why the oracle refused (``existence`` or
+    ``ill_conditioned``, with the refused ``condition``), else None.
     """
 
     row: dict | None = None
@@ -293,6 +300,8 @@ class TrialOutcome:
     unchecked: bool = False
     skip_reasons: dict[str, int] | None = None
     error: bool = False
+    oracle_refusal: str | None = None
+    condition: float = math.nan
 
 
 def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutcome:
@@ -324,10 +333,18 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutco
         "margin_norm": _nan_to_none(report.margin_norm),
         "margin_diff": _nan_to_none(report.margin_diff),
     }
+    refusal, reason = report.oracle_refusal, None
+    if refusal is not None:
+        reason = "ill_conditioned" if isinstance(refusal, IllConditionedError) else "existence"
     return TrialOutcome(
         row=row,
-        violation=report.hypotheses_met and not report.all_satisfied,
+        # A refused oracle leaves no actuals: no bound was checked, so none was violated.
+        violation=report.hypotheses_met
+        and not report.all_satisfied
+        and not math.isnan(report.diff_actual),
         unchecked=(report.formula_result is None) != (report.oracle_result is None),
+        oracle_refusal=reason,
+        condition=getattr(refusal, "condition", math.nan),
     )
 
 
@@ -370,6 +387,10 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
         summary.hypotheses_met += row["hyp_ok"]
         summary.bounds_violations += outcome.violation
         summary.unchecked += outcome.unchecked
+        if outcome.oracle_refusal is not None:
+            summary.oracle_refusals[outcome.oracle_refusal] += 1
+        if outcome.oracle_refusal == "ill_conditioned":
+            summary.max_refusal_condition = max(summary.max_refusal_condition, outcome.condition)
         if row["relerr"] is not None:
             if math.isnan(summary.max_relerr) or row["relerr"] > summary.max_relerr:
                 summary.max_relerr = row["relerr"]
@@ -523,6 +544,15 @@ def _print_summary(summary: CampaignSummary, path: str):
         if t.skips:
             reasons = ", ".join(f"{k}={v}" for k, v in sorted(t.skip_reasons.items()) if v)
             print(f"skip reasons for {theorem_id}: {reasons}")
+    for theorem_id, t in summary.per_theorem.items():
+        if t.oracle_refusals:
+            line = (
+                f"oracle refusals for {theorem_id}: existence={t.oracle_refusals['existence']}, "
+                f"ill_conditioned={t.oracle_refusals['ill_conditioned']}"
+            )
+            if t.oracle_refusals["ill_conditioned"]:
+                line += f" (max condition {t.max_refusal_condition:.3e})"
+            print(line)
     print(f"wall_time={summary.wall_time:.2f}s")
 
 

@@ -10,6 +10,12 @@ The SVD is the single source of truth for rank decisions: ``pinv``,
 ``rank`` and the subspace machinery all truncate singular values at the
 same relative threshold, so no two call sites can disagree about the rank
 of the same matrix.
+
+Yes/no checks are certificate-first: a cheap bound (a Frobenius norm, a
+cosine) is tried before the SVD, and it may only *confirm* the answer
+the SVD test would give, with a margin far above rounding.  When the
+bound cannot decide, the SVD test runs as the only judge, so it alone
+ever answers "no".
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ __all__ = [
     "svd",
     "pinv",
     "op_norm",
+    "op_norm_at_most",
+    "residual_within",
     "rank",
     "solve_square",
     "cond",
@@ -95,6 +103,11 @@ class ToleranceProfile:
 
 
 DEFAULT_TOL = ToleranceProfile()
+
+# Relative margin by which a certificate must clear its threshold.  It is
+# far above the rounding of a Frobenius norm or of LAPACK's singular
+# values, so a certified answer is the one the SVD test gives.
+CERT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -190,6 +203,30 @@ def op_norm(a) -> float:
     return float(s[0])
 
 
+def op_norm_at_most(a, limit: float) -> bool:
+    """``op_norm(a) <= limit``, with no SVD when ``||a||_F`` settles it.
+
+    ``||a||_2 <= ||a||_F``, so a Frobenius norm below the limit proves
+    the spectral test passes; otherwise the spectral test decides.
+    """
+    m = as_matrix(a)
+    return np.linalg.norm(m) <= limit * (1.0 - CERT_MARGIN) or op_norm(m) <= limit
+
+
+def residual_within(r, b, atol: float) -> bool:
+    """The residual test ``op_norm(r) <= atol * (1 + op_norm(b))``.
+
+    Certified without an SVD when ``||r||_F <= atol (1 + ||b||_F /
+    sqrt(min shape of b))``: the left side bounds ``||r||_2`` from above,
+    and ``||b||_F / sqrt(min shape)`` bounds ``||b||_2`` from below.
+    """
+    rm, bm = as_matrix(r), as_matrix(b)
+    b_floor = np.linalg.norm(bm) / math.sqrt(min(bm.shape)) if bm.size else 0.0
+    if np.linalg.norm(rm) <= atol * (1.0 + b_floor) * (1.0 - CERT_MARGIN):
+        return True
+    return op_norm(rm) <= atol * (1.0 + op_norm(bm))
+
+
 def rank(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rtol * sigma_max``."""
     m = as_matrix(a)
@@ -215,7 +252,10 @@ def solve_square(m, rhs, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Solve M X = rhs for square M, refusing ill-conditioned systems.
 
     Raises :class:`IllConditionedError` (carrying the condition estimate)
-    when ``cond(M) > cond_cap`` or the residual check fails.
+    when ``cond(M) > cond_cap`` or the residual check fails.  ``cond(M)``
+    is skipped when ``f = ||M - I||_F < 1`` already caps it: then
+    ``cond(M) <= (1 + f) / (1 - f)``, which covers every resolvent
+    ``I + K`` with a small ``K``.
     """
     mm = as_matrix(m)
     b = as_matrix(rhs)
@@ -225,20 +265,30 @@ def solve_square(m, rhs, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {mm.shape[0]}")
     if mm.shape[0] == 0:
         return np.zeros_like(b)
-    c = cond(mm)
-    if not c <= tol.cond_cap:
-        raise IllConditionedError(
-            f"matrix rejected: condition number {c:.3e} exceeds cap {tol.cond_cap:.3e}",
-            condition=c,
-        )
+    if not _cond_capped_near_identity(mm, tol.cond_cap):
+        c = cond(mm)
+        if not c <= tol.cond_cap:
+            raise IllConditionedError(
+                f"matrix rejected: condition number {c:.3e} exceeds cap {tol.cond_cap:.3e}",
+                condition=c,
+            )
     x = np.linalg.solve(mm, b)
-    residual = op_norm(mm @ x - b)
-    if residual > tol.verify_atol * (1.0 + op_norm(b)):
+    r = mm @ x - b
+    if not residual_within(r, b, tol.verify_atol):
+        c = cond(mm)
         raise IllConditionedError(
-            f"solve residual {residual:.3e} exceeds tolerance (condition number {c:.3e})",
+            f"solve residual {op_norm(r):.3e} exceeds tolerance (condition number {c:.3e})",
             condition=c,
         )
     return x
+
+
+def _cond_capped_near_identity(m: np.ndarray, cap: float) -> bool:
+    # ||M - I||_2 <= f < 1 puts every singular value of M in [1 - f, 1 + f].
+    # f carries CERT_MARGIN as an absolute slack: the singular values of M
+    # are of order one, so it covers LAPACK's rounding of sigma_min too.
+    f = np.linalg.norm(m - np.eye(m.shape[0])) + CERT_MARGIN
+    return f < 1.0 and (1.0 + f) / (1.0 - f) <= cap * (1.0 - 1e-6)
 
 
 # ---------------------------------------------------------------------------

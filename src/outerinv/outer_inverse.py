@@ -40,7 +40,9 @@ from .numlin import (
     matrix_from_obj,
     matrix_to_obj,
     op_norm,
+    op_norm_at_most,
     rank,
+    residual_within,
     svd,
 )
 from .subspace import Subspace
@@ -170,8 +172,12 @@ def kernel_from_svd(factors: SvdFactors, tol: ToleranceProfile = DEFAULT_TOL) ->
 
 def column_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Range of A as a Subspace of the codomain."""
-    f = svd(a)
-    return Subspace(f.left_vectors.shape[0], f.left_vectors[:, : f.rank(tol)])
+    return _column_space_from_svd(svd(a), tol)
+
+
+def _column_space_from_svd(factors: SvdFactors, tol: ToleranceProfile) -> Subspace:
+    u = factors.left_vectors
+    return Subspace(u.shape[0], u[:, : factors.rank(tol)])
 
 
 def row_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -191,8 +197,17 @@ def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
 def existence(
     problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
 ) -> ExistenceCertificate:
-    """Check the two conditions under which A_{T,S}^(2) exists."""
-    return existence_given_kernel(problem, kernel(problem.A, tol), tol)
+    """Check the two conditions under which A_{T,S}^(2) exists.
+
+    ``N(A) ∩ T = {0}`` is settled first from the SVD of ``A B_T``, which
+    A·T is read from anyway (:func:`_kernel_misses`); the null space of A,
+    a full SVD of A, is computed only when that bound cannot decide.
+    """
+    image = svd(problem.A @ problem.T.basis)
+    kernel_ok = _kernel_misses(problem.A, problem.T, image, tol) or ss.intersection_trivial(
+        kernel(problem.A, tol), problem.T, tol
+    )
+    return _decide_existence(problem, kernel_ok, image, tol)
 
 
 def existence_given_kernel(
@@ -200,13 +215,41 @@ def existence_given_kernel(
 ) -> ExistenceCertificate:
     """:func:`existence` for a caller that already holds ``ker``, the null space of A."""
     kernel_ok = ss.intersection_trivial(ker, problem.T, tol)
-    at = image_of(problem.A, problem.T, tol)
-    direct_sum = ss.direct_sum_is_whole(at, problem.S, tol)
+    return _decide_existence(problem, kernel_ok, svd(problem.A @ problem.T.basis), tol)
+
+
+def _decide_existence(
+    problem: OuterInverseProblem, kernel_ok: bool, image: SvdFactors, tol: ToleranceProfile
+) -> ExistenceCertificate:
+    # ``image`` is the SVD of A B_T; A·T is its column space, as image_of builds it.
+    at = _column_space_from_svd(image, tol)
     return ExistenceCertificate(
         kernel_meets_T_trivially=kernel_ok,
         AT_dim=at.dim,
-        direct_sum_holds=direct_sum,
+        direct_sum_holds=ss.direct_sum_is_whole(at, problem.S, tol),
     )
+
+
+def _kernel_misses(a: np.ndarray, t: Subspace, image: SvdFactors, tol: ToleranceProfile) -> bool:
+    """Whether ``image``, the SVD of ``A B_T``, proves ``N(A) ∩ T = {0}``.
+
+    :func:`kernel` keeps the right singular vectors on which A has gain
+    at most ``rtol_A ||A||``.  A unit x in T has ``||A x|| >= sigma_min(A
+    B_T)``, so it lies at distance at least ``s = sigma_min(A B_T) /
+    ||A||_F - rtol_A`` from that kernel (``||A|| <= ||A||_F``; 1e-12 more
+    is taken off for rounding), and the largest principal cosine between
+    T and the kernel is at most ``sqrt(1 - s^2) <= 1 - s^2 / 2``.  False
+    means only that the bound cannot tell.
+    """
+    sv = image.singular_values
+    norm_f = np.linalg.norm(a)
+    if not 0 < t.dim <= sv.size or norm_f == 0.0:
+        return False
+    sep = sv[t.dim - 1] / norm_f - tol.effective_rank_rtol(a.shape) - 1e-12
+    # When the rank test runs, the stacked kernel-and-T basis has n rows
+    # and at most n columns, so its threshold is that of an n-by-n matrix.
+    n = a.shape[1]
+    return sep > 0.0 and ss.trivial_at_cosine(1.0 - sep * sep / 2.0, tol.effective_rank_rtol((n, n)))
 
 
 def _require_exists(cert: ExistenceCertificate) -> None:
@@ -273,7 +316,7 @@ def compute(
     return OuterInverseResult(
         G=g,
         residual_gag=op_norm(g @ problem.A @ g - g),
-        range_gap=ss.gap_hat(Subspace(g.shape[0], f.left_vectors[:, : f.rank(tol)]), problem.T),
+        range_gap=ss.gap_hat(_column_space_from_svd(f, tol), problem.T),
         null_gap=ss.gap_hat(kernel_from_svd(f, tol), problem.S),
     )
 
@@ -315,14 +358,15 @@ def mp_via_12_inverse(a, z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     if zm.shape != (am.shape[1], am.shape[0]):
         raise ValueError(f"Z has shape {zm.shape}, expected {(am.shape[1], am.shape[0])}")
     f = svd(am)
-    res_aza = op_norm(am @ zm @ am - am)
-    res_zaz = op_norm(zm @ am @ zm - zm)
-    if res_aza > tol.verify_atol * (1.0 + f.norm) or res_zaz > tol.verify_atol * (
-        1.0 + op_norm(zm)
+    aza = am @ zm @ am - am
+    zaz = zm @ am @ zm - zm
+    if not (
+        op_norm_at_most(aza, tol.verify_atol * (1.0 + f.norm))
+        and residual_within(zaz, zm, tol.verify_atol)
     ):
         raise ValueError(
             "Z is not a {1,2}-inverse: residuals "
-            f"||AZA-A||={res_aza:.3e}, ||ZAZ-Z||={res_zaz:.3e}"
+            f"||AZA-A||={op_norm(aza):.3e}, ||ZAZ-Z||={op_norm(zaz):.3e}"
         )
     # Row space and range of A: the leading right and left singular vectors.
     r = f.rank(tol)

@@ -53,7 +53,9 @@ from .numlin import (
     ToleranceProfile,
     as_matrix,
     op_norm,
+    op_norm_at_most,
     pinv,
+    residual_within,
     solve_square,
     svd,
 )
@@ -146,7 +148,10 @@ class BoundReport:
     ``all_satisfied`` is true when every hypothesis holds and both the
     norm and the difference inequality are met (within ``BOUND_SLACK``
     relative rounding slack).  Missing quantities (oracle unavailable,
-    bound denominator nonpositive) are ``None`` / NaN.
+    bound denominator nonpositive) are ``None`` / NaN.  When the oracle
+    refused, ``oracle_refusal`` is its exception and the actuals are NaN:
+    the bounds are checked on the oracle's result only, never on the
+    formula they are meant to check.
     """
 
     theorem: str
@@ -159,6 +164,7 @@ class BoundReport:
     diff_actual: float
     hypotheses: tuple[HypothesisStatus, ...]
     all_satisfied: bool
+    oracle_refusal: ExistenceError | IllConditionedError | None = None
 
     @property
     def hypotheses_met(self) -> bool:
@@ -336,13 +342,10 @@ def is_stable_given_svd(
         Subspace(n, bar.right_vectors[:, :r_bar]), kernel_from_svd(factors, tol), tol
     )
 
-    cond3 = False
-    if c is not None:
-        res_aca = op_norm(abar @ c @ abar - abar)
-        res_cac = op_norm(c @ abar @ c - c)
-        cond3 = res_aca <= tol.verify_atol * (1.0 + bar.norm) and res_cac <= (
-            tol.verify_atol * (1.0 + op_norm(c))
-        )
+    cond3 = c is not None and (
+        op_norm_at_most(abar @ c @ abar - abar, tol.verify_atol * (1.0 + bar.norm))
+        and residual_within(c @ abar @ c - c, c, tol.verify_atol)
+    )
 
     return StableReport(
         cond1=cond1,
@@ -461,25 +464,26 @@ def gap_propagation(
 
 
 def _try_oracle(a, t: Subspace, s: Subspace, tol: ToleranceProfile):
+    """``(oracle result, None)``, or ``(None, the exception)`` when the oracle refused."""
     try:
-        return oracle_compute(OuterInverseProblem(a, t, s), tol)
-    except (ExistenceError, IllConditionedError):
-        return None
+        return oracle_compute(OuterInverseProblem(a, t, s), tol), None
+    except (ExistenceError, IllConditionedError) as exc:
+        return None, exc
 
 
 def _finish_report(
     spec: Theorem,
     formula: np.ndarray | None,
-    oracle: np.ndarray | None,
+    oracle_run: tuple[np.ndarray | None, ExistenceError | IllConditionedError | None],
     prepared: PreparedProblem,
     norm_bound: float,
     diff_bound: float,
     hyps: tuple[HypothesisStatus, ...],
 ) -> BoundReport:
-    reference = oracle if oracle is not None else formula
-    if reference is not None:
-        norm_actual = op_norm(reference)
-        diff_actual = op_norm(reference - prepared.G)
+    oracle, refusal = oracle_run
+    if oracle is not None:
+        norm_actual = op_norm(oracle)
+        diff_actual = op_norm(oracle - prepared.G)
     else:
         norm_actual = math.nan
         diff_actual = math.nan
@@ -494,7 +498,7 @@ def _finish_report(
         theorem=spec.id,
         formula_result=formula,
         oracle_result=oracle,
-        # norm_actual is ||oracle|| whenever the oracle ran.
+        # norm_actual is ||oracle||.
         formula_vs_oracle_relerr=_relerr(formula, oracle, norm_actual),
         norm_bound=norm_bound,
         norm_actual=norm_actual,
@@ -502,6 +506,7 @@ def _finish_report(
         diff_actual=diff_actual,
         hypotheses=hyps,
         all_satisfied=satisfied,
+        oracle_refusal=refusal,
     )
 
 
@@ -531,11 +536,11 @@ def perturb_T(
     resolved = solve_square(np.eye(n, dtype=np.complex128) + k1, g, tol)
     formula = p_tp @ resolved @ p_s_perp
 
-    oracle = _try_oracle(a, t_prime, problem.S, tol)
+    oracle_run = _try_oracle(a, t_prime, problem.S, tol)
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report(_PROP31, formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_PROP31, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_S(
@@ -562,11 +567,11 @@ def perturb_S(
     resolved = solve_square(np.eye(n, dtype=np.complex128) + k, g, tol)
     formula = p_t @ resolved @ p_sp_perp
 
-    oracle = _try_oracle(a, problem.T, s_prime, tol)
+    oracle_run = _try_oracle(a, problem.T, s_prime, tol)
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report(_PROP32, formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_PROP32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
 
 
 def _ts_formula(
@@ -611,7 +616,7 @@ def perturb_TS(
     hyps = _THM31.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s)
 
     formula = _ts_formula(prepared, t_prime, s_prime, tol)
-    oracle = _try_oracle(a, t_prime, s_prime, tol)
+    oracle_run = _try_oracle(a, t_prime, s_prime, tol)
 
     gap_sum = gap_t + gap_s
     denom = 1.0 - norm_g * norm_a * gap_sum
@@ -619,7 +624,7 @@ def perturb_TS(
     diff_bound = (
         GOLDEN_RATIO * norm_g**2 * norm_a * gap_sum / denom if denom > 0.0 else math.nan
     )
-    return _finish_report(_THM31, formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_THM31, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_A(
@@ -648,19 +653,18 @@ def perturb_A(
 
     left = solve_square(np.eye(n, dtype=np.complex128) + g @ em, g, tol)
     right = solve_square((np.eye(m, dtype=np.complex128) + em @ g).T, g.T, tol).T
-    mismatch = op_norm(left - right)
-    if mismatch > tol.verify_atol * (1.0 + op_norm(left)):
+    if not residual_within(left - right, left, tol.verify_atol):
         raise NumericalError(
-            f"left and right resolvent forms disagree by {mismatch:.3e}"
+            f"left and right resolvent forms disagree by {op_norm(left - right):.3e}"
         )
     formula = left
 
-    oracle = _try_oracle(a + em, problem.T, problem.S, tol)
+    oracle_run = _try_oracle(a + em, problem.T, problem.S, tol)
     product = norm_g * norm_e
     denom = 1.0 - product
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = norm_g**2 * norm_e / denom if denom > 0.0 else math.nan
-    return _finish_report(_LEMMA32, formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_LEMMA32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
 
 
 def perturb_all(
@@ -691,7 +695,7 @@ def perturb_all(
 
     w = _ts_formula(prepared, scenario.T_prime, scenario.S_prime, tol)
     formula = solve_square(np.eye(n, dtype=np.complex128) + w @ scenario.E, w, tol)
-    oracle = _try_oracle(a + scenario.E, scenario.T_prime, scenario.S_prime, tol)
+    oracle_run = _try_oracle(a + scenario.E, scenario.T_prime, scenario.S_prime, tol)
 
     gap_sum = gap_t + gap_s
     denom = 1.0 - norm_g * (norm_e + norm_a * gap_sum)
@@ -701,4 +705,4 @@ def perturb_all(
         if denom > 0.0
         else math.nan
     )
-    return _finish_report(_THM32, formula, oracle, prepared, norm_bound, diff_bound, hyps)
+    return _finish_report(_THM32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)

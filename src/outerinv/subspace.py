@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numlin import (
+    CERT_MARGIN,
     DEFAULT_TOL,
     IllConditionedError,
     ToleranceProfile,
@@ -47,6 +48,7 @@ __all__ = [
     "gap_hat",
     "orthogonal_complement",
     "intersection_trivial",
+    "trivial_at_cosine",
     "direct_sum_is_whole",
     "oblique_projector",
     "complementedness_check",
@@ -173,15 +175,34 @@ def intersection_trivial(
     """True iff M and N meet only in the zero vector.
 
     Tested via rank of the concatenated bases: the intersection is trivial
-    exactly when the columns of [B_M | B_N] are independent.
+    exactly when the columns of [B_M | B_N] are independent.  The largest
+    principal cosine ``||B_M* B_N||`` (a d1-by-d2 SVD instead of the
+    n-by-(d1+d2) one) settles it first when :func:`trivial_at_cosine`
+    can; only otherwise does the rank decide.
     """
     _check_same_ambient(m, n)
     if m.dim == 0 or n.dim == 0:
         return True
     if m.dim + n.dim > m.ambient_dim:
         return False
-    stacked = np.hstack([m.basis, n.basis])
-    return rank(stacked, tol) == m.dim + n.dim
+    rtol = tol.effective_rank_rtol((m.ambient_dim, m.dim + n.dim))
+    if trivial_at_cosine(op_norm(m.basis.conj().T @ n.basis), rtol):
+        return True
+    return rank(np.hstack([m.basis, n.basis]), tol) == m.dim + n.dim
+
+
+def trivial_at_cosine(c: float, rtol: float) -> bool:
+    """Whether two subspaces with largest principal cosine at most ``c`` pass
+    the rank test of :func:`intersection_trivial` at relative threshold ``rtol``.
+
+    For validated bases (``||B* B - I|| <= _ORTHO_ATOL``) the stacked
+    matrix ``[B_M | B_N]`` has ``sigma_min^2 >= 1 - c - _ORTHO_ATOL`` and
+    ``sigma_max^2 <= 1 + c + _ORTHO_ATOL``, so ``sigma_min > rtol *
+    sigma_max`` is proved when this returns True.  False means only that
+    the bound cannot tell.
+    """
+    slack = _ORTHO_ATOL + CERT_MARGIN
+    return 1.0 - c - slack > rtol**2 * (1.0 + c + slack) * (1.0 + 1e-6)
 
 
 def direct_sum_is_whole(

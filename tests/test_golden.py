@@ -2,7 +2,11 @@
 
 ``golden/criterion7.csv`` is the report of the seed-1717 campaign (5
 trials of each of the 7 theorems) as the library wrote it before the
-per-trial prepared problem was introduced.  ``golden/sweep_<axis>.csv``
+per-trial prepared problem was introduced.  ``golden/campaign_40x30.csv``
+is the same seed at 40x30 (rank 24, dim_T 16, 3 trials per theorem),
+written before the rank, condition-cap and residual checks were made
+certificate-first; at this size those checks decide on matrices large
+enough for the certificates to matter.  ``golden/sweep_<axis>.csv``
 are seed-99 sweeps (4 points, 3 trials) of one applicable theorem per
 axis, written before the theorem registry replaced the hand-listed
 axis/theorem table.  Refactors may move the last bits of a number,
@@ -80,6 +84,17 @@ def test_criterion7_report_matches_golden():
     )
     rows, _ = run_campaign(config)
     _assert_matches(render_table(rows, config, CSV_COLUMNS), GOLDEN / "criterion7.csv")
+
+
+def test_campaign_40x30_report_matches_golden():
+    config = CampaignConfig(
+        gen=GenConfig(seed=1717, m=40, n=30, rank_A=24, dim_T=16),
+        theorems=THEOREMS,
+        trials=3,
+        tolerances=CampaignConfig.default().tolerances,
+    )
+    rows, _ = run_campaign(config)
+    _assert_matches(render_table(rows, config, CSV_COLUMNS), GOLDEN / "campaign_40x30.csv")
 
 
 @pytest.mark.parametrize("axis, theorem", SWEEPS)

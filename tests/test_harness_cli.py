@@ -39,6 +39,8 @@ from outerinv.numlin import (
     pinv,
 )
 from outerinv.outer_inverse import (
+    ExistenceCertificate,
+    ExistenceError,
     OuterInverseProblem,
     column_space,
     problem_to_obj,
@@ -456,8 +458,33 @@ class TestCampaignInternals:
         # lemma21's oracle is pinv(A + E) and lemma31 has no second route.
         missing = {t: s.unchecked for t, s in summary.per_theorem.items()}
         assert missing == {t: 0 if t in ("lemma21", "lemma31") else 2 for t in THEOREMS}
+        # Without the oracle there is nothing independent to measure the bounds on.
+        refused = [r for r in rows if r["theorem"] not in ("lemma21", "lemma31")]
+        for column in ("relerr", "norm_actual", "diff_actual", "margin_norm", "margin_diff"):
+            assert [r[column] for r in refused] == [None] * len(refused), column
+        assert all(r["norm_bound"] is not None and r["diff_bound"] is not None for r in refused)
         assert summary.total_violations == 0
         assert campaign_exit_code(summary) == 1
+
+    def test_oracle_refusal_reasons_are_summed_and_printed(self, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+
+        def refuse(problem, tol):
+            calls["oracle"] += 1
+            if calls["oracle"] % 3 == 0:
+                cert = ExistenceCertificate(False, 0, False)
+                raise ExistenceError("outer inverse does not exist", cert)
+            raise IllConditionedError("refused", 1e13 * calls["oracle"])
+
+        monkeypatch.setattr(perturbation, "oracle_compute", refuse)
+        out = tmp_path / "r.csv"
+        obj = small_campaign_obj(theorems=["lemma21", "prop31", "prop32"], trials=3, output_path=str(out))
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        stdout = capsys.readouterr().out
+        # Oracle calls 1-3 are prop31's trials, 4-6 prop32's; every third is an existence refusal.
+        assert "oracle refusals for prop31: existence=1, ill_conditioned=2 (max condition 2.000e+13)\n" in stdout
+        assert "oracle refusals for prop32: existence=1, ill_conditioned=2 (max condition 5.000e+13)\n" in stdout
+        assert "oracle refusals for lemma21" not in stdout
 
     def test_campaign_without_formula_exits_1(self, monkeypatch):
         # lemma21's formula can fail while its oracle pinv(A + E) runs.

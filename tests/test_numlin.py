@@ -10,12 +10,15 @@ from outerinv import numlin
 from outerinv.numlin import (
     IllConditionedError,
     ToleranceProfile,
+    cond,
     matrix_from_json,
     matrix_from_obj,
     matrix_to_json,
     op_norm,
+    op_norm_at_most,
     pinv,
     rank,
+    residual_within,
     solve_square,
     svd,
 )
@@ -153,6 +156,116 @@ class TestSolveSquare:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             solve_square(np.ones((2, 3)), np.ones((2, 1)))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls that ``module``'s own code makes to its function ``name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def unitary(rng, k):
+    q, _ = np.linalg.qr(complex_gaussian(rng, (k, k)))
+    return q
+
+
+class TestResidualCertificates:
+    """The Frobenius certificates answer as the spectral residual tests do."""
+
+    ATOL = 1e-8
+
+    def test_random_decisions_match_the_spectral_test(self, rng, monkeypatch):
+        exact_calls = count_calls(monkeypatch, numlin, "op_norm")
+        deferred = 0
+        for _ in range(400):
+            rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+            r = complex_gaussian(rng, (rows, cols))
+            if rng.random() < 0.5:  # rank one: Frobenius and spectral norms agree
+                r = np.outer(r[:, 0], r[0, :])
+            b = complex_gaussian(rng, (rows, cols)) * 10.0 ** rng.uniform(-2, 2)
+            limit = self.ATOL * (1.0 + np.linalg.svd(b, compute_uv=False)[0])
+            r *= limit * 10.0 ** rng.uniform(-0.7, 0.7) / np.linalg.svd(r, compute_uv=False)[0]
+            spectral = np.linalg.svd(r, compute_uv=False)[0]
+            before = len(exact_calls)
+            assert residual_within(r, b, self.ATOL) == (spectral <= limit)
+            assert op_norm_at_most(r, limit) == (spectral <= limit)
+            deferred += len(exact_calls) > before
+        # Both outcomes of the certificate occur, and every "no" came from the exact test.
+        assert 0 < deferred < 400
+
+    @pytest.mark.parametrize("ratio, expected", [(0.999, True), (1.001, False)])
+    def test_full_rank_residual_at_the_tolerance_defers(self, rng, monkeypatch, ratio, expected):
+        # Equal singular values: ||R||_F = 2 ||R||_2, so the certificate cannot
+        # decide and the spectral test must.
+        b = 3.0 * unitary(rng, 4)
+        limit = self.ATOL * (1.0 + 3.0)
+        r = ratio * limit * unitary(rng, 4)
+        exact_calls = count_calls(monkeypatch, numlin, "op_norm")
+        assert residual_within(r, b, self.ATOL) is expected
+        assert op_norm_at_most(r, limit) is expected
+        assert exact_calls
+
+    def test_rank_one_residual_below_the_tolerance_is_certified(self, rng, monkeypatch):
+        b = 3.0 * unitary(rng, 4)
+        x = complex_gaussian(rng, (4,))
+        r = np.outer(x, x.conj())
+        r *= 0.999 * self.ATOL * (1.0 + 3.0) / op_norm(r)
+        exact_calls = count_calls(monkeypatch, numlin, "op_norm")
+        assert residual_within(r, b, self.ATOL)
+        assert not exact_calls
+
+
+class TestConditionCapCertificate:
+    """``solve_square`` skips cond(M) only where it provably passes the cap."""
+
+    def test_small_resolvent_skips_the_condition_number(self, rng, monkeypatch):
+        k = complex_gaussian(rng, (5, 5))
+        m = np.eye(5) + 0.5 * k / np.linalg.norm(k)
+        exact_calls = count_calls(monkeypatch, numlin, "cond")
+        x = solve_square(m, np.eye(5))
+        assert not exact_calls
+        assert op_norm(m @ x - np.eye(5)) <= 1e-12
+
+    def test_frobenius_slightly_above_one_defers(self, rng, monkeypatch):
+        # ||K||_F = 1.0001 but ||K||_2 = 0.50005: cond(I + K) <= 3.
+        m = np.eye(4) + 0.50005 * unitary(rng, 4)
+        exact_calls = count_calls(monkeypatch, numlin, "cond")
+        solve_square(m, np.eye(4))
+        assert exact_calls == ["cond"]
+
+    def test_cap_of_two(self, monkeypatch):
+        tol = ToleranceProfile(cond_cap=2.0)
+        exact_calls = count_calls(monkeypatch, numlin, "cond")
+        solve_square(np.diag([1.2, 1.0, 1.0]), np.eye(3), tol)  # (1 + f)/(1 - f) = 1.5
+        assert not exact_calls
+        solve_square(np.diag([1.4, 1.0, 1.0]), np.eye(3), tol)  # bound 2.33, cond 1.4
+        assert exact_calls == ["cond"]
+        with pytest.raises(IllConditionedError) as err:
+            solve_square(np.diag([1.4, 0.6, 1.0]), np.eye(3), tol)  # cond 2.33
+        assert err.value.condition == cond(np.diag([1.4, 0.6, 1.0]))
+
+    @pytest.mark.parametrize("cap", [2.0, 1e12])
+    def test_random_refusals_match_the_condition_number(self, rng, cap):
+        tol = ToleranceProfile(cond_cap=cap)
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            k = complex_gaussian(rng, (n, n))
+            m = np.eye(n) + rng.uniform(0.0, 1.5) * k / np.linalg.norm(k)
+            c = cond(m)
+            try:
+                solve_square(m, np.eye(n), tol)
+                refused = None
+            except IllConditionedError as exc:
+                refused = exc.condition
+            assert (refused is not None) == (c > cap)
+            assert refused is None or refused == c
 
 
 class TestToleranceProfile:

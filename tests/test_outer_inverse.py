@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import math
+
+from outerinv import outer_inverse
 from outerinv import subspace as ss
 from outerinv.instance_gen import random_matrix_with_rank, random_subspace
-from outerinv.numlin import op_norm, pinv
+from outerinv.numlin import ToleranceProfile, op_norm, pinv, rank
 from outerinv.outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
@@ -16,6 +19,7 @@ from outerinv.outer_inverse import (
     drazin_index,
     existence,
     group_inverse,
+    image_of,
     kernel,
     moore_penrose,
     mp_via_12_inverse,
@@ -83,6 +87,91 @@ class TestExistence:
         prob = OuterInverseProblem(np.diag([1.0, 0.0]).astype(complex), line(0, 1), line(0, 1))
         with pytest.raises(ExistenceError, match="kernel intersection"):
             compute(prob)
+
+
+def exact_existence(problem, tol):
+    """Both conditions from the null space of A (a full SVD) and rank tests alone."""
+
+    def independent(x, y):
+        if x.dim == 0 or y.dim == 0:
+            return True
+        if x.dim + y.dim > x.ambient_dim:
+            return False
+        return rank(np.hstack([x.basis, y.basis]), tol) == x.dim + y.dim
+
+    at = image_of(problem.A, problem.T, tol)
+    m = problem.A.shape[0]
+    return (
+        independent(kernel(problem.A, tol), problem.T),
+        at.dim,
+        at.dim + problem.S.dim == m and independent(at, problem.S),
+    )
+
+
+def decided(cert):
+    return (cert.kernel_meets_T_trivially, cert.AT_dim, cert.direct_sum_holds)
+
+
+class TestExistenceCertificate:
+    """The bound from sigma_min(A B_T) answers as the kernel-based test does."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(outer_inverse, "kernel", counted)
+        return calls
+
+    def test_generic_problem_needs_no_kernel(self, rng, kernel_calls):
+        prob = random_feasible_problem(rng, m=8, n=7, rank_a=5, dim_t=3)
+        cert = existence(prob)
+        assert cert.exists
+        assert decided(cert) == exact_existence(prob, ToleranceProfile())
+        assert not kernel_calls
+
+    def test_kernel_inside_T_defers(self, rng, kernel_calls):
+        a = np.diag([1.0, 2.0, 0.0, 0.0]).astype(complex)
+        t = ss.from_spanning_set(np.column_stack([[0, 0, 1, 0], complex_gaussian(rng, (4,))]))
+        s = random_subspace(4, 2, rng)
+        cert = existence(OuterInverseProblem(a, t, s))
+        assert not cert.kernel_meets_T_trivially
+        assert kernel_calls == [1]
+
+    @pytest.mark.parametrize("direction, expected", [((1, 0), True), ((0, 1), False)])
+    def test_loose_rank_threshold_defers(self, kernel_calls, direction, expected):
+        # With rank_rtol = 0.5 the singular value 0.4 counts as zero: N(A) = span{e2}.
+        tol = ToleranceProfile(rank_rtol=0.5)
+        prob = OuterInverseProblem(np.diag([1.0, 0.4]).astype(complex), line(*direction), line(0, 1))
+        assert existence(prob, tol).kernel_meets_T_trivially is expected
+        assert decided(existence(prob, tol)) == exact_existence(prob, tol)
+        assert kernel_calls
+
+    @pytest.mark.parametrize("rank_rtol", [None, 0.5])
+    def test_random_decisions_match_the_kernel_test(self, rng, kernel_calls, rank_rtol):
+        tol = ToleranceProfile(rank_rtol=rank_rtol)
+        draws = 300
+        for _ in range(draws):
+            m, n = (int(k) for k in rng.integers(2, 9, size=2))
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = random_matrix_with_rank(m, n, r, rng)
+            t = random_subspace(n, int(rng.integers(1, n)), rng)
+            if r < n and rng.random() < 0.5:
+                # Tilt T's first vector toward N(A) by a random, often tiny, angle.
+                theta = 10.0 ** rng.uniform(-15, 0)
+                null = kernel(a).basis[:, 0]
+                basis = t.basis.copy()
+                basis[:, 0] = math.cos(theta) * null + math.sin(theta) * basis[:, 0]
+                t = ss.from_spanning_set(basis)
+            s = random_subspace(m, int(rng.integers(0, m + 1)), rng)
+            prob = OuterInverseProblem(a, t, s)
+            assert decided(existence(prob, tol)) == exact_existence(prob, tol)
+        # existence computed the null space only where its bound could not decide.
+        assert 0 < len(kernel_calls) <= draws
+        assert len(kernel_calls) < draws or rank_rtol is not None
 
 
 class TestCompute:

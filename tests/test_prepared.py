@@ -100,6 +100,38 @@ def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
         assert counts["existence"] <= 1 + counts["oracle_compute"], theorem
 
 
+# numpy.linalg.svd calls made by one run_trial per theorem (6x5, default
+# campaign seed, trial 0).  The counts are deterministic; a change that adds
+# an SVD to a trial fails here and must say why before it moves a number.
+SVD_BUDGET = {
+    "lemma21": 18,
+    "lemma31": 12,
+    "prop31": 17,
+    "prop32": 18,
+    "thm31": 20,
+    "lemma32": 16,
+    "thm32": 20,
+}
+
+
+def test_svd_budget_per_trial(monkeypatch):
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    config = replace(CampaignConfig.default(), trials=1)
+    counts = {}
+    for theorem in THEOREMS:
+        calls.clear()
+        assert run_trial(config, theorem, 0).row is not None
+        counts[theorem] = len(calls)
+    assert counts == SVD_BUDGET
+
+
 EVALUATORS = {
     "prop31": lambda p, sc: perturb_T(p, sc.T_prime),
     "prop32": lambda p, sc: perturb_S(p, sc.S_prime),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from outerinv import subspace as ss
-from outerinv.numlin import IllConditionedError, op_norm
+from outerinv.numlin import IllConditionedError, ToleranceProfile, op_norm, rank
 from outerinv.instance_gen import random_subspace
 
 from helpers import complex_gaussian, line
@@ -79,6 +79,91 @@ class TestOrthonormalityCheck:
             except ValueError:
                 accepted = False
             assert accepted == spectral_ok
+
+
+def exact_intersection_trivial(m_sub, n_sub, tol):
+    """The rank test alone: independent columns of [B_M | B_N]."""
+    if m_sub.dim == 0 or n_sub.dim == 0:
+        return True
+    if m_sub.dim + n_sub.dim > m_sub.ambient_dim:
+        return False
+    return rank(np.hstack([m_sub.basis, n_sub.basis]), tol) == m_sub.dim + n_sub.dim
+
+
+def pair_at_angle(rng, ambient, theta):
+    """M = span(q0, q1) and N = span(cos(theta) q0 + sin(theta) q2, q3):
+    principal angles theta and pi/2."""
+    q, _ = np.linalg.qr(complex_gaussian(rng, (ambient, ambient)))
+    m_sub = ss.Subspace(ambient, q[:, :2])
+    tilted = math.cos(theta) * q[:, 0] + math.sin(theta) * q[:, 2]
+    return m_sub, ss.Subspace(ambient, np.column_stack([tilted, q[:, 3]]))
+
+
+class TestIntersectionCertificate:
+    """The principal-cosine certificate answers as the rank test does."""
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(ss, "rank", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "theta, certified", [(1e-4, True), (1e-8, False), (1e-13, False), (0.0, False)]
+    )
+    def test_small_principal_angles(self, rng, rank_calls, theta, certified):
+        m_sub, n_sub = pair_at_angle(rng, 6, theta)
+        tol = ToleranceProfile()
+        assert ss.intersection_trivial(m_sub, n_sub, tol) == exact_intersection_trivial(
+            m_sub, n_sub, tol
+        )
+        assert ss.intersection_trivial(m_sub, n_sub, tol) == (theta > 0.0)
+        assert bool(rank_calls) != certified
+
+    @pytest.mark.parametrize(
+        "cosine, certified, expected",
+        # rank_rtol = 0.5 accepts exactly (1 - c) / (1 + c) > 1/4, i.e. c < 0.6.
+        [(0.5, True, True), (0.6 - 1e-8, False, True), (0.6 + 1e-8, False, False), (0.7, False, False)],
+    )
+    def test_loose_rank_threshold(self, rng, rank_calls, cosine, certified, expected):
+        m_sub, n_sub = pair_at_angle(rng, 5, math.acos(cosine))
+        tol = ToleranceProfile(rank_rtol=0.5)
+        assert ss.intersection_trivial(m_sub, n_sub, tol) is expected
+        assert exact_intersection_trivial(m_sub, n_sub, tol) is expected
+        assert bool(rank_calls) != certified
+
+    @pytest.mark.parametrize("rank_rtol", [None, 1e-3, 0.5])
+    def test_random_decisions_match_the_rank_test(self, rng, rank_calls, rank_rtol):
+        tol = ToleranceProfile(rank_rtol=rank_rtol)
+        for _ in range(300):
+            ambient = int(rng.integers(2, 9))
+            d1, d2 = (int(d) for d in rng.integers(1, ambient, size=2))
+            m_sub = random_subspace(ambient, d1, rng)
+            n_sub = random_subspace(ambient, d2, rng)
+            if rng.random() < 0.5 and d1 + d2 <= ambient:
+                # Tilt N's first vector toward M by a random, often tiny, angle.
+                theta = 10.0 ** rng.uniform(-15, 0)
+                target = m_sub.basis[:, 0]
+                first = n_sub.basis[:, 0]
+                first = first - m_sub.basis @ (m_sub.basis.conj().T @ first)
+                first -= n_sub.basis[:, 1:] @ (n_sub.basis[:, 1:].conj().T @ first)
+                if np.linalg.norm(first) < 1e-6:
+                    continue
+                first /= np.linalg.norm(first)
+                basis = n_sub.basis.copy()
+                basis[:, 0] = math.sin(theta) * first + math.cos(theta) * target
+                n_sub = ss.from_spanning_set(basis)
+            expected = exact_intersection_trivial(m_sub, n_sub, tol)
+            assert ss.intersection_trivial(m_sub, n_sub, tol) == expected
+            assert ss.direct_sum_is_whole(m_sub, n_sub, tol) == (
+                d1 + n_sub.dim == ambient and expected
+            )
+        assert rank_calls  # some draws were left to the rank test
 
 
 class TestProjector:
