@@ -24,14 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subspace as ss
-from .numlin import DEFAULT_TOL, ToleranceProfile, op_norm, svd
-from .outer_inverse import (
-    OuterInverseProblem,
-    PreparedProblem,
-    image_of,
-    kernel_from_svd,
-    prepare_feasible,
-)
+from .numlin import DEFAULT_TOL, ToleranceProfile, op_norm
+from .outer_inverse import ExistenceError, OuterInverseProblem, PreparedProblem, prepare
 from .perturbation import REGISTRY, HypothesisStatus, PerturbationScenario
 from .perturbation import theorem as theorem_record  # ``theorem`` names generate's argument
 from .subspace import Subspace
@@ -211,26 +205,25 @@ def perturb_subspace_exact_gap(
 def _draw_feasible_problem(
     config: GenConfig, rng: np.random.Generator, tol: ToleranceProfile, failures
 ) -> PreparedProblem | None:
-    """Draw (A, T, S) and decide existence, one condition at a time.
+    """Draw (A, T, S) and prepare it.
 
-    Returns the prepared problem, or None (with the failed condition
-    counted in ``failures``) when the draw is infeasible.
+    Returns the prepared problem, or None (with the failed existence
+    condition counted in ``failures``) when the draw is infeasible.
     """
     a = random_matrix_with_rank(config.m, config.n, config.rank_A, rng)
-    factors = svd(a)
     t = random_subspace(config.n, config.dim_T, rng)
-    if not ss.intersection_trivial(kernel_from_svd(factors, tol), t, tol):
-        failures["kernel_meets_T"] += 1
-        return None
-    at = image_of(a, t, tol)
-    if at.dim != config.dim_T:
-        failures["AT_dim_collapsed"] += 1
-        return None
     s = random_subspace(config.m, config.m - config.dim_T, rng)
-    if not ss.direct_sum_is_whole(at, s, tol):
-        failures["direct_sum"] += 1
+    try:
+        return prepare(OuterInverseProblem(a, t, s), tol)
+    except ExistenceError as exc:
+        cert = exc.certificate
+        if not cert.kernel_meets_T_trivially:
+            failures["kernel_meets_T"] += 1
+        elif cert.AT_dim != config.dim_T:
+            failures["AT_dim_collapsed"] += 1
+        else:
+            failures["direct_sum"] += 1
         return None
-    return prepare_feasible(OuterInverseProblem(a, t, s), factors, tol)
 
 
 def _build_perturbation_E(

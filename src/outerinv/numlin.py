@@ -141,6 +141,18 @@ class SvdFactors:
         v_r = self.right_vectors[:, :r]
         return (v_r / self.singular_values[:r]) @ u_r.conj().T
 
+    def pinv_from_12_inverse(
+        self, z: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL
+    ) -> np.ndarray:
+        """Moore-Penrose pseudoinverse from Z, any {1,2}-inverse of the factored A.
+
+        ``P_{N(A)_perp} Z P_{R(A)}``, projecting onto the leading right and
+        left singular vectors (the row space and the range of A).
+        """
+        r = self.rank(tol)
+        v_r, u_r = self.right_vectors[:, :r], self.left_vectors[:, :r]
+        return v_r @ (v_r.conj().T @ z @ u_r) @ u_r.conj().T
+
     def pinv_norm(self, tol: ToleranceProfile = DEFAULT_TOL) -> float:
         """``||pinv||``: the reciprocal of the smallest retained singular value."""
         r = self.rank(tol)

@@ -14,12 +14,14 @@ which exists precisely when ``N(A) ∩ T = {0}`` and ``A T ∔ S = C^m``
   and W of the orthogonal complement of S.
 
 They agree to rounding error whenever the inverse exists, which is what
-the verification harness leans on.  :func:`prepare` decides existence
-once and keeps what the harness derives from (A, T, S) -- the SVD of A,
-G and the norms and projectors -- in a :class:`PreparedProblem`, so each
-trial factors A and computes G exactly once.  The classical special cases
-(Moore-Penrose, group, Drazin, Bott-Duffin) are thin constructors that
-pick the right (T, S) pair and delegate.
+the verification harness leans on.  :func:`existence` is the one test
+of the two conditions.  :func:`prepare`, the only constructor of a
+:class:`PreparedProblem`, runs it once and keeps what the harness derives
+from (A, T, S) -- the SVD of A, G and the norms and projectors -- so each
+trial computes G once and factors A once (twice only when the existence
+test cannot settle ``N(A) ∩ T = {0}`` without the null space of A).  The
+classical special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are
+thin constructors that pick the right (T, S) pair and delegate.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ __all__ = [
     "column_space",
     "row_space",
     "existence",
-    "existence_given_kernel",
     "prepare",
-    "prepare_feasible",
     "compute",
     "oracle_compute",
     "mp_via_12_inverse",
@@ -112,9 +112,8 @@ class OuterInverseProblem:
 class PreparedProblem:
     """A problem whose outer inverse exists, with what every check needs of it.
 
-    Built once per trial, by :func:`prepare` or by the instance generator
-    (which decides existence itself, condition by condition), and handed
-    to the perturbation evaluators.  ``factors`` is the SVD of A, and
+    Built once per trial, only by :func:`prepare`, and handed to the
+    perturbation evaluators.  ``factors`` is the SVD of A, and
     ``rank_A``, ``norm_A`` and ``norm_pinv_A`` are read off it.  ``G`` is
     the pinv route's ``pinv(P_S_perp A P_T)``, never the oracle's, and
     ``norm_G = ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
@@ -199,32 +198,17 @@ def existence(
 ) -> ExistenceCertificate:
     """Check the two conditions under which A_{T,S}^(2) exists.
 
-    ``N(A) ∩ T = {0}`` is settled first from the SVD of ``A B_T``, which
-    A·T is read from anyway (:func:`_kernel_misses`); the null space of A,
-    a full SVD of A, is computed only when that bound cannot decide.
+    This is the one existence test; :func:`prepare` and the oracle both
+    run it.  ``N(A) ∩ T = {0}`` is settled first from the SVD of ``A
+    B_T``, which A·T is read from anyway (:func:`_kernel_misses`); the
+    null space of A, a full SVD of A, is computed only when that bound
+    cannot decide.
     """
     image = svd(problem.A @ problem.T.basis)
-    kernel_ok = _kernel_misses(problem.A, problem.T, image, tol) or ss.intersection_trivial(
-        kernel(problem.A, tol), problem.T, tol
-    )
-    return _decide_existence(problem, kernel_ok, image, tol)
-
-
-def existence_given_kernel(
-    problem: OuterInverseProblem, ker: Subspace, tol: ToleranceProfile = DEFAULT_TOL
-) -> ExistenceCertificate:
-    """:func:`existence` for a caller that already holds ``ker``, the null space of A."""
-    kernel_ok = ss.intersection_trivial(ker, problem.T, tol)
-    return _decide_existence(problem, kernel_ok, svd(problem.A @ problem.T.basis), tol)
-
-
-def _decide_existence(
-    problem: OuterInverseProblem, kernel_ok: bool, image: SvdFactors, tol: ToleranceProfile
-) -> ExistenceCertificate:
-    # ``image`` is the SVD of A B_T; A·T is its column space, as image_of builds it.
-    at = _column_space_from_svd(image, tol)
+    at = _column_space_from_svd(image, tol)  # A·T, as image_of builds it
     return ExistenceCertificate(
-        kernel_meets_T_trivially=kernel_ok,
+        kernel_meets_T_trivially=_kernel_misses(problem.A, problem.T, image, tol)
+        or ss.intersection_trivial(kernel(problem.A, tol), problem.T, tol),
         AT_dim=at.dim,
         direct_sum_holds=ss.direct_sum_is_whole(at, problem.S, tol),
     )
@@ -267,26 +251,13 @@ def prepare(
 ) -> PreparedProblem:
     """Decide existence once and compute G once, by the pinv route.
 
-    Raises :class:`ExistenceError`, naming the failed condition, when the
-    outer inverse does not exist.
+    The only constructor of :class:`PreparedProblem`.  Raises
+    :class:`ExistenceError`, naming the failed condition, when the outer
+    inverse does not exist.
     """
-    factors = svd(problem.A)
-    _require_exists(existence_given_kernel(problem, kernel_from_svd(factors, tol), tol))
-    return prepare_feasible(problem, factors, tol)
-
-
-def prepare_feasible(
-    problem: OuterInverseProblem,
-    factors: SvdFactors,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> PreparedProblem:
-    """The :class:`PreparedProblem` of an (A, T, S) already shown to be feasible.
-
-    ``factors`` is the SVD of A.  Existence is not checked again: the
-    caller has decided it (as the instance generator does); everyone
-    else calls :func:`prepare`.
-    """
+    _require_exists(existence(problem, tol))
     a = problem.A
+    factors = svd(a)
     p_t = ss.projector(problem.T)
     p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
     middle = svd(p_s_perp @ a @ p_t)
@@ -368,10 +339,7 @@ def mp_via_12_inverse(a, z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
             "Z is not a {1,2}-inverse: residuals "
             f"||AZA-A||={op_norm(aza):.3e}, ||ZAZ-Z||={op_norm(zaz):.3e}"
         )
-    # Row space and range of A: the leading right and left singular vectors.
-    r = f.rank(tol)
-    v_r, u_r = f.right_vectors[:, :r], f.left_vectors[:, :r]
-    return v_r @ (v_r.conj().T @ zm @ u_r) @ u_r.conj().T
+    return f.pinv_from_12_inverse(zm, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from .outer_inverse import (
     PreparedProblem,
     image_of,
     kernel_from_svd,
-    mp_via_12_inverse,
     oracle_compute,
 )
 from .subspace import Subspace
@@ -81,7 +80,6 @@ __all__ = [
     "REGISTRY",
     "theorem",
     "is_stable",
-    "is_stable_given_svd",
     "stable_bounds",
     "gap_propagation",
     "perturb_T",
@@ -315,13 +313,16 @@ def _resolvent_gi(ap: np.ndarray, da: np.ndarray, tol: ToleranceProfile):
 def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     """Check the three equivalent stable-perturbation conditions."""
     am = as_matrix(a)
-    return is_stable_given_svd(am, svd(am), da, tol)
+    return _stability(am, svd(am), da, tol)[0]
 
 
-def is_stable_given_svd(
-    a, factors: SvdFactors, da, tol: ToleranceProfile = DEFAULT_TOL
-) -> StableReport:
-    """:func:`is_stable` for a caller that already holds ``factors``, the SVD of A."""
+def _stability(
+    a, factors: SvdFactors, da, tol: ToleranceProfile
+) -> tuple[StableReport, SvdFactors, float]:
+    """:func:`is_stable` given ``factors``, the SVD of A.
+
+    Also returns the SVD of A + dA that the report was read from, and ``||dA||``.
+    """
     am = as_matrix(a)
     dam = as_matrix(da)
     if dam.shape != am.shape:
@@ -329,7 +330,8 @@ def is_stable_given_svd(
     m, n = am.shape
     abar = am + dam
     c = _resolvent_gi(factors.pinv(tol), dam, tol)
-    product = factors.pinv_norm(tol) * op_norm(dam)
+    norm_da = op_norm(dam)
+    product = factors.pinv_norm(tol) * norm_da
 
     # Range, its complement, row space and kernel, from the two SVDs.
     r = factors.rank(tol)
@@ -347,7 +349,7 @@ def is_stable_given_svd(
         and residual_within(c @ abar @ c - c, c, tol.verify_atol)
     )
 
-    return StableReport(
+    report = StableReport(
         cond1=cond1,
         cond2=cond2,
         cond3_formula_valid=cond3,
@@ -355,6 +357,7 @@ def is_stable_given_svd(
         hypothesis_met=product < 1.0,
         norm_product=product,
     )
+    return report, bar, norm_da
 
 
 def stable_bounds(
@@ -365,9 +368,11 @@ def stable_bounds(
     Only A matters here, with its SVD, ``||pinv(A)||`` taken from
     ``prepared``; for a bare matrix pass
     ``prepare(moore_penrose_problem(A))``.  The formula route projects the
-    resolvent {1,2}-inverse onto the row space / range of the perturbed
-    matrix; the oracle route is a direct SVD pseudoinverse of A + dA.
-    Bounds:
+    resolvent {1,2}-inverse, once cond3 has shown it is one, onto the row
+    space / range of the perturbed matrix, read off the SVD of A + dA that
+    the stability check took (the projection of
+    :func:`~outerinv.outer_inverse.mp_via_12_inverse`); the oracle route is
+    a direct SVD pseudoinverse of A + dA.  Bounds:
 
         ||pinv(A+dA)||           <= ||pinv(A)|| / (1 - ||pinv(A)|| ||dA||)
         ||pinv(A+dA) - pinv(A)|| <= golden_ratio * ||pinv(A+dA)||
@@ -375,11 +380,10 @@ def stable_bounds(
     """
     am = prepared.problem.A
     dam = as_matrix(da)
-    report = is_stable_given_svd(am, prepared.factors, dam, tol)
+    report, bar, norm_da = _stability(am, prepared.factors, dam, tol)
     abar = am + dam
     ap = prepared.factors.pinv(tol)
     norm_ap = prepared.norm_pinv_A
-    norm_da = op_norm(dam)
     product = report.norm_product
 
     hyps = _LEMMA21.hypotheses(prepared, norm_E=norm_da) + (
@@ -387,12 +391,8 @@ def stable_bounds(
         HypothesisStatus("stable_perturbation", 1.0, 0.0 if report.stable else 1.0),
     )
 
-    formula = None
-    if report.gi_matrix is not None:
-        try:
-            formula = mp_via_12_inverse(abar, report.gi_matrix, tol)
-        except ValueError:
-            formula = None
+    c = report.gi_matrix
+    formula = None if c is None else bar.pinv_from_12_inverse(c, tol)
 
     oracle = pinv(abar, tol)
     norm_actual = op_norm(oracle)

@@ -487,11 +487,12 @@ class TestCampaignInternals:
         assert "oracle refusals for lemma21" not in stdout
 
     def test_campaign_without_formula_exits_1(self, monkeypatch):
-        # lemma21's formula can fail while its oracle pinv(A + E) runs.
+        # lemma21's formula can fail while its oracle pinv(A + E) runs: a
+        # refused resolvent solve leaves no {1,2}-inverse to project.
         def refuse(*args, **kwargs):
-            raise ValueError("no {1,2}-inverse")
+            raise IllConditionedError("refused", 1e20)
 
-        monkeypatch.setattr(perturbation, "mp_via_12_inverse", refuse)
+        monkeypatch.setattr(perturbation, "solve_square", refuse)
         gen = GenConfig(seed=4, m=5, n=4, rank_A=3, dim_T=2)
         config = replace(CampaignConfig.default(), gen=gen, theorems=("lemma21",), trials=2)
         rows, summary = run_campaign(config)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from outerinv import instance_gen
 from outerinv import subspace as ss
 from outerinv.instance_gen import (
     THEOREMS,
     GenConfig,
+    GenerationError,
     derive_trial_seed,
     generate,
     perturb_subspace_exact_gap,
@@ -16,7 +18,12 @@ from outerinv.instance_gen import (
     random_subspace,
 )
 from outerinv.numlin import op_norm, rank
-from outerinv.outer_inverse import existence, problem_to_json
+from outerinv.outer_inverse import (
+    ExistenceCertificate,
+    ExistenceError,
+    existence,
+    problem_to_json,
+)
 from outerinv.subspace import subspace_to_json
 
 
@@ -155,6 +162,29 @@ class TestGenerate:
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             generate(GenConfig(seed=1), "thm99")
+
+    # GenConfig's default dim_T is 3.  A failed kernel condition is named
+    # first, whatever A·T's dimension; a collapsed A·T before the direct sum.
+    @pytest.mark.parametrize(
+        "certificate, key",
+        [
+            (ExistenceCertificate(False, 3, True), "kernel_meets_T"),
+            (ExistenceCertificate(False, 2, False), "kernel_meets_T"),
+            (ExistenceCertificate(True, 2, False), "AT_dim_collapsed"),
+            (ExistenceCertificate(True, 3, False), "direct_sum"),
+        ],
+    )
+    def test_existence_failure_is_counted_by_condition(self, monkeypatch, certificate, key):
+        def refuse(problem, tol):
+            raise ExistenceError("outer inverse does not exist", certificate)
+
+        monkeypatch.setattr(instance_gen, "prepare", refuse)
+        with pytest.raises(GenerationError) as info:
+            generate(GenConfig(seed=3, max_retries=4), "prop31")
+        expected = dict.fromkeys(
+            ("kernel_meets_T", "AT_dim_collapsed", "direct_sum", "hypothesis_band"), 0
+        )
+        assert info.value.failure_counts == {**expected, key: 4}
 
 
 class TestSeedDerivation:

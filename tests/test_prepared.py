@@ -11,14 +11,8 @@ from outerinv import outer_inverse
 from outerinv import subspace as ss
 from outerinv.harness_cli import RELERR_GATE, CampaignConfig, run_trial
 from outerinv.instance_gen import THEOREMS, GenConfig, generate
-from outerinv.numlin import op_norm, pinv, svd
-from outerinv.outer_inverse import (
-    ExistenceError,
-    OuterInverseProblem,
-    compute,
-    prepare,
-    prepare_feasible,
-)
+from outerinv.numlin import op_norm, pinv
+from outerinv.outer_inverse import ExistenceError, OuterInverseProblem, compute, prepare
 from outerinv.perturbation import (
     PerturbationScenario,
     perturb_A,
@@ -86,31 +80,31 @@ class TestPrepare:
 
 
 def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
-    # prepare_feasible builds every prepared problem (prepare delegates to
-    # it); the generator decides the base problem's existence itself, so
-    # existence() runs only inside the oracle.
-    names = ("prepare_feasible", "compute", "existence", "oracle_compute")
+    # prepare is the only constructor of a prepared problem and runs the
+    # base problem's one existence test; every other existence() call is
+    # the oracle's own.
+    names = ("prepare", "compute", "existence", "oracle_compute")
     counts = count_calls(monkeypatch, names)
     config = replace(CampaignConfig.default(seed=31), trials=1)
     for theorem in THEOREMS:
         counts.clear()
         assert run_trial(config, theorem, 0).row is not None
-        assert counts["prepare_feasible"] == 1, theorem
+        assert counts["prepare"] == 1, theorem
         assert counts["compute"] == 0, theorem
-        assert counts["existence"] <= 1 + counts["oracle_compute"], theorem
+        assert counts["existence"] == 1 + counts["oracle_compute"], theorem
 
 
 # numpy.linalg.svd calls made by one run_trial per theorem (6x5, default
 # campaign seed, trial 0).  The counts are deterministic; a change that adds
 # an SVD to a trial fails here and must say why before it moves a number.
 SVD_BUDGET = {
-    "lemma21": 18,
-    "lemma31": 12,
-    "prop31": 17,
-    "prop32": 18,
-    "thm31": 20,
-    "lemma32": 16,
-    "thm32": 20,
+    "lemma21": 15,
+    "lemma31": 11,
+    "prop31": 16,
+    "prop32": 17,
+    "thm31": 19,
+    "lemma32": 15,
+    "thm32": 19,
 }
 
 
@@ -151,11 +145,3 @@ def test_oracle_ignores_the_prepared_G(theorem):
     assert clean.formula_vs_oracle_relerr <= RELERR_GATE
     assert corrupted.formula_vs_oracle_relerr > RELERR_GATE
     assert np.array_equal(corrupted.oracle_result, clean.oracle_result)
-
-
-def test_prepare_feasible_keeps_the_given_factors(rng):
-    prob = random_feasible_problem(rng, m=5, n=4, rank_a=3, dim_t=2)
-    factors = svd(prob.A)
-    prepared = prepare_feasible(prob, factors)
-    assert prepared.factors is factors
-    assert np.array_equal(prepared.G, prepare(prob).G)
