@@ -268,17 +268,17 @@ def _nan_to_none(x: float | None) -> float | None:
     return x
 
 
-# One evaluator per registry identifier.  Each line calls the evaluator
-# through this module's own name for it, so patching that name here (a
-# test's fake, a tracer's wrapper) is what run_trial sees.
+# The evaluator of each registry identifier, by its name in this module.
+# run_trial looks the name up when it runs, so patching that name here (a
+# test's fake, a tracer's wrapper) is what it calls.
 _EVALUATORS = {
-    "lemma21": lambda prepared, sc, tol: stable_bounds(prepared, sc.E, tol),
-    "lemma31": lambda prepared, sc, tol: gap_propagation(prepared, sc.T_prime, tol),
-    "prop31": lambda prepared, sc, tol: perturb_T(prepared, sc.T_prime, tol),
-    "prop32": lambda prepared, sc, tol: perturb_S(prepared, sc.S_prime, tol),
-    "thm31": lambda prepared, sc, tol: perturb_TS(prepared, sc.T_prime, sc.S_prime, tol),
-    "lemma32": lambda prepared, sc, tol: perturb_A(prepared, sc.E, tol),
-    "thm32": lambda prepared, sc, tol: perturb_all(prepared, sc, tol),
+    "lemma21": "stable_bounds",
+    "lemma31": "gap_propagation",
+    "prop31": "perturb_T",
+    "prop32": "perturb_S",
+    "thm31": "perturb_TS",
+    "lemma32": "perturb_A",
+    "thm32": "perturb_all",
 }
 
 
@@ -311,7 +311,7 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutco
     gen_cfg = replace(config.gen, seed=seed)
     try:
         instance = generate(gen_cfg, theorem, tol)
-        report = _EVALUATORS[theorem](instance.prepared, instance.scenario, tol)
+        report = globals()[_EVALUATORS[theorem]](instance.scenario, tol)
     except GenerationError as exc:
         return TrialOutcome(skip_reasons=exc.failure_counts)
     except NumericalError:

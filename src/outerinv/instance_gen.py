@@ -138,13 +138,9 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class GeneratedInstance:
-    """A scenario plus its base problem, prepared once (``prepared.problem is scenario.base``)."""
+    """A scenario on a base problem prepared once, with its theorem's hypothesis statuses."""
 
     scenario: PerturbationScenario
-    prepared: PreparedProblem
-    achieved_gap_T: float
-    achieved_gap_S: float
-    achieved_norm_E: float
     hypothesis_statuses: tuple[HypothesisStatus, ...] = field(default=())
 
 
@@ -280,7 +276,7 @@ def generate(
             problem.A, target.get("norm_E", 0.0), spec.rank_preserving_E, rng
         )
 
-        scenario = PerturbationScenario(problem, t_prime, s_prime, e)
+        scenario = PerturbationScenario(prepared, t_prime, s_prime, e)
         statuses = spec.hypotheses(
             prepared,
             gap_T=scenario.measured_gap_T,
@@ -294,14 +290,7 @@ def generate(
         ):
             failures["hypothesis_band"] += 1
             continue
-        return GeneratedInstance(
-            scenario=scenario,
-            prepared=prepared,
-            achieved_gap_T=scenario.measured_gap_T,
-            achieved_gap_S=scenario.measured_gap_S,
-            achieved_norm_E=scenario.norm_E,
-            hypothesis_statuses=statuses,
-        )
+        return GeneratedInstance(scenario=scenario, hypothesis_statuses=statuses)
     raise GenerationError(
         f"no feasible instance for {theorem} after {config.max_retries} draws",
         failures,

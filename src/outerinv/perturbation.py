@@ -24,12 +24,16 @@ each.  The evaluators' hypotheses, the instance generator's targets and
 the harness's sweep axes are all read from it; :func:`theorem` looks a
 record up by identifier.
 
-The seven evaluators take a :class:`~outerinv.outer_inverse.PreparedProblem`
-as their first argument and reuse its G, norms and projectors; a caller
-holding a bare problem calls :func:`~outerinv.outer_inverse.prepare`
-first (for the Moore-Penrose checks, on
+The seven evaluators take one :class:`PerturbationScenario` and a
+tolerance profile.  The scenario carries the
+:class:`~outerinv.outer_inverse.PreparedProblem` of the base problem
+(whose G, norms and projectors the evaluators reuse), the perturbed
+ingredients T', S' and E, and their measured sizes; each evaluator reads
+only the ingredients its statement perturbs.  A caller holding a bare
+problem calls :func:`~outerinv.outer_inverse.prepare` first (for the
+Moore-Penrose checks, on
 :func:`~outerinv.outer_inverse.moore_penrose_problem`).  The oracle
-routes take nothing from it.
+routes take nothing from the prepared problem.
 
 Every operation evaluates its hypothesis with strict inequality.  When a
 hypothesis fails the formula is still evaluated (where possible) for
@@ -111,13 +115,15 @@ class HypothesisStatus:
 
 @dataclass(frozen=True)
 class PerturbationScenario:
-    """A base problem plus perturbed range, kernel and operator.
+    """A prepared base problem plus perturbed range, kernel and operator.
 
-    The measured gaps and the perturbation norm are always recomputed
-    from the parts at construction time, never trusted from input.
+    T -> ``T_prime``, S -> ``S_prime`` and A -> A + ``E`` on
+    ``prepared.problem``; an unperturbed ingredient is passed as it is (T,
+    S, or a zero E).  The measured gaps and the perturbation norm are
+    computed from the parts here, once, never trusted from input.
     """
 
-    base: OuterInverseProblem
+    prepared: PreparedProblem
     T_prime: Subspace
     S_prime: Subspace
     E: np.ndarray
@@ -126,16 +132,17 @@ class PerturbationScenario:
     norm_E: float = field(init=False)
 
     def __post_init__(self):
+        base = self.prepared.problem
         e = as_matrix(self.E)
-        if e.shape != self.base.A.shape:
-            raise ValueError(f"E has shape {e.shape}, expected {self.base.A.shape}")
-        if self.T_prime.ambient_dim != self.base.T.ambient_dim:
+        if e.shape != base.A.shape:
+            raise ValueError(f"E has shape {e.shape}, expected {base.A.shape}")
+        if self.T_prime.ambient_dim != base.T.ambient_dim:
             raise ValueError("T' lives in a different ambient space than T")
-        if self.S_prime.ambient_dim != self.base.S.ambient_dim:
+        if self.S_prime.ambient_dim != base.S.ambient_dim:
             raise ValueError("S' lives in a different ambient space than S")
         object.__setattr__(self, "E", e)
-        object.__setattr__(self, "measured_gap_T", ss.gap_hat(self.base.T, self.T_prime))
-        object.__setattr__(self, "measured_gap_S", ss.gap_hat(self.base.S, self.S_prime))
+        object.__setattr__(self, "measured_gap_T", ss.gap_hat(base.T, self.T_prime))
+        object.__setattr__(self, "measured_gap_S", ss.gap_hat(base.S, self.S_prime))
         object.__setattr__(self, "norm_E", op_norm(e))
 
 
@@ -313,24 +320,23 @@ def _resolvent_gi(ap: np.ndarray, da: np.ndarray, tol: ToleranceProfile):
 def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     """Check the three equivalent stable-perturbation conditions."""
     am = as_matrix(a)
-    return _stability(am, svd(am), da, tol)[0]
-
-
-def _stability(
-    a, factors: SvdFactors, da, tol: ToleranceProfile
-) -> tuple[StableReport, SvdFactors, float]:
-    """:func:`is_stable` given ``factors``, the SVD of A.
-
-    Also returns the SVD of A + dA that the report was read from, and ``||dA||``.
-    """
-    am = as_matrix(a)
     dam = as_matrix(da)
     if dam.shape != am.shape:
         raise ValueError(f"dA has shape {dam.shape}, expected {am.shape}")
-    m, n = am.shape
-    abar = am + dam
-    c = _resolvent_gi(factors.pinv(tol), dam, tol)
-    norm_da = op_norm(dam)
+    factors = svd(am)
+    return _stability(am, factors, factors.pinv(tol), dam, op_norm(dam), tol)[0]
+
+
+def _stability(
+    a, factors: SvdFactors, ap, da, norm_da: float, tol: ToleranceProfile
+) -> tuple[StableReport, SvdFactors]:
+    """:func:`is_stable` on checked same-shape A and dA, given SVD(A), pinv(A) and ``||dA||``.
+
+    Also returns the SVD of A + dA that the report was read from.
+    """
+    m, n = a.shape
+    abar = a + da
+    c = _resolvent_gi(ap, da, tol)
     product = factors.pinv_norm(tol) * norm_da
 
     # Range, its complement, row space and kernel, from the two SVDs.
@@ -357,16 +363,16 @@ def _stability(
         hypothesis_met=product < 1.0,
         norm_product=product,
     )
-    return report, bar, norm_da
+    return report, bar
 
 
 def stable_bounds(
-    prepared: PreparedProblem, da, tol: ToleranceProfile = DEFAULT_TOL
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
-    """Norm and difference bounds for pinv(A) under a stable perturbation dA.
+    """Norm and difference bounds for pinv(A) under a stable perturbation dA = E.
 
     Only A matters here, with its SVD, ``||pinv(A)||`` taken from
-    ``prepared``; for a bare matrix pass
+    ``scenario.prepared``; for a bare matrix build the scenario on
     ``prepare(moore_penrose_problem(A))``.  The formula route projects the
     resolvent {1,2}-inverse, once cond3 has shown it is one, onto the row
     space / range of the perturbed matrix, read off the SVD of A + dA that
@@ -378,11 +384,11 @@ def stable_bounds(
         ||pinv(A+dA) - pinv(A)|| <= golden_ratio * ||pinv(A+dA)||
                                      * ||pinv(A)|| * ||dA||
     """
-    am = prepared.problem.A
-    dam = as_matrix(da)
-    report, bar, norm_da = _stability(am, prepared.factors, dam, tol)
-    abar = am + dam
+    prepared = scenario.prepared
+    am, dam, norm_da = prepared.problem.A, scenario.E, scenario.norm_E
     ap = prepared.factors.pinv(tol)
+    report, bar = _stability(am, prepared.factors, ap, dam, norm_da, tol)
+    abar = am + dam
     norm_ap = prepared.norm_pinv_A
     product = report.norm_product
 
@@ -427,24 +433,23 @@ def stable_bounds(
 
 
 def gap_propagation(
-    prepared: PreparedProblem,
-    t_prime: Subspace,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
-    """How far the image A·T can move when T moves by a given gap.
+    """How far the image A·T can move when T moves to T' by a given gap.
 
     ``diff_actual`` = gap_hat(A·T, A·T'); ``diff_bound`` is
     ``k * gap / (1 - (1 + k) * gap)`` with ``k = ||A|| ||G||``, valid for
     ``gap < 1 / (1 + k)``.  There is no formula, oracle or norm bound:
     those fields are None / NaN.
     """
+    prepared = scenario.prepared
     problem = prepared.problem
     a = problem.A
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
-    gap = ss.gap_hat(problem.T, t_prime)
+    gap = scenario.measured_gap_T
     hyps = _LEMMA31.hypotheses(prepared, gap_T=gap)
 
-    actual = ss.gap_hat(image_of(a, problem.T, tol), image_of(a, t_prime, tol))
+    actual = ss.gap_hat(image_of(a, problem.T, tol), image_of(a, scenario.T_prime, tol))
     kappa = norm_a * norm_g
     denom = 1.0 - (1.0 + kappa) * gap
     bound = kappa * gap / denom if denom > 0.0 else math.nan
@@ -511,9 +516,7 @@ def _finish_report(
 
 
 def perturb_T(
-    prepared: PreparedProblem,
-    t_prime: Subspace,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
     """Perturbed range: closed form for A_{T',S}^(2) plus its bounds.
 
@@ -523,20 +526,21 @@ def perturb_T(
         ||G'||      <= ||G|| / (1 - ||G|| ||A|| gap)
         ||G' - G||  <= golden_ratio * ||G'|| * ||G|| * ||A|| * gap
     """
+    prepared = scenario.prepared
     problem = prepared.problem
     g, a = prepared.G, problem.A
     n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
-    gap = ss.gap_hat(problem.T, t_prime)
+    gap = scenario.measured_gap_T
     hyps = _PROP31.hypotheses(prepared, gap_T=gap)
 
     p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
-    p_tp = ss.projector(t_prime)
+    p_tp = ss.projector(scenario.T_prime)
     k1 = g @ p_s_perp @ a @ (p_tp - p_t)
     resolved = solve_square(np.eye(n, dtype=np.complex128) + k1, g, tol)
     formula = p_tp @ resolved @ p_s_perp
 
-    oracle_run = _try_oracle(a, t_prime, problem.S, tol)
+    oracle_run = _try_oracle(a, scenario.T_prime, problem.S, tol)
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
@@ -544,9 +548,7 @@ def perturb_T(
 
 
 def perturb_S(
-    prepared: PreparedProblem,
-    s_prime: Subspace,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
     """Perturbed kernel: closed form for A_{T,S'}^(2) plus its bounds.
 
@@ -554,39 +556,36 @@ def perturb_S(
         G'' = P_T (I + G (P_{S'_perp} - P_{S_perp}) A P_T)^{-1} G P_{S'_perp}
     with the same bound shapes as :func:`perturb_T` in gap_hat(S, S').
     """
+    prepared = scenario.prepared
     problem = prepared.problem
     g, a = prepared.G, problem.A
     n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
-    gap = ss.gap_hat(problem.S, s_prime)
+    gap = scenario.measured_gap_S
     hyps = _PROP32.hypotheses(prepared, gap_S=gap)
 
     p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
-    p_sp_perp = ss.projector(ss.orthogonal_complement(s_prime))
+    p_sp_perp = ss.projector(ss.orthogonal_complement(scenario.S_prime))
     k = g @ (p_sp_perp - p_s_perp) @ a @ p_t
     resolved = solve_square(np.eye(n, dtype=np.complex128) + k, g, tol)
     formula = p_t @ resolved @ p_sp_perp
 
-    oracle_run = _try_oracle(a, problem.T, s_prime, tol)
+    oracle_run = _try_oracle(a, problem.T, scenario.S_prime, tol)
     denom = 1.0 - norm_g * norm_a * gap
     norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
     return _finish_report(_PROP32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
 
 
-def _ts_formula(
-    prepared: PreparedProblem,
-    t_prime: Subspace,
-    s_prime: Subspace,
-    tol: ToleranceProfile,
-) -> np.ndarray:
+def _ts_formula(scenario: PerturbationScenario, tol: ToleranceProfile) -> np.ndarray:
     """The verbatim two-resolvent representation of A_{T',S'}^(2)."""
+    prepared = scenario.prepared
     g, a = prepared.G, prepared.problem.A
     n = a.shape[1]
     eye = np.eye(n, dtype=np.complex128)
     p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
-    p_tp = ss.projector(t_prime)
-    p_sp_perp = ss.projector(ss.orthogonal_complement(s_prime))
+    p_tp = ss.projector(scenario.T_prime)
+    p_sp_perp = ss.projector(ss.orthogonal_complement(scenario.S_prime))
 
     k1 = g @ p_s_perp @ a @ (p_tp - p_t)
     c = p_tp @ solve_square(eye + k1, g, tol)
@@ -595,10 +594,7 @@ def _ts_formula(
 
 
 def perturb_TS(
-    prepared: PreparedProblem,
-    t_prime: Subspace,
-    s_prime: Subspace,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
     """Range and kernel perturbed together.
 
@@ -608,15 +604,14 @@ def perturb_TS(
         ||G'||     <= ||G|| / (1 - ||G|| ||A|| d)
         ||G' - G|| <= golden_ratio * ||G||^2 ||A|| d / (1 - ||G|| ||A|| d)
     """
-    problem = prepared.problem
-    a = problem.A
+    prepared = scenario.prepared
+    a = prepared.problem.A
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
-    gap_t = ss.gap_hat(problem.T, t_prime)
-    gap_s = ss.gap_hat(problem.S, s_prime)
+    gap_t, gap_s = scenario.measured_gap_T, scenario.measured_gap_S
     hyps = _THM31.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s)
 
-    formula = _ts_formula(prepared, t_prime, s_prime, tol)
-    oracle_run = _try_oracle(a, t_prime, s_prime, tol)
+    formula = _ts_formula(scenario, tol)
+    oracle_run = _try_oracle(a, scenario.T_prime, scenario.S_prime, tol)
 
     gap_sum = gap_t + gap_s
     denom = 1.0 - norm_g * norm_a * gap_sum
@@ -628,9 +623,7 @@ def perturb_TS(
 
 
 def perturb_A(
-    prepared: PreparedProblem,
-    e,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
     """Operator perturbed: (A+E)_{T,S}^(2) via the resolvent identity.
 
@@ -641,14 +634,11 @@ def perturb_A(
         ||G_new||     <= ||G|| / (1 - ||G|| ||E||)
         ||G_new - G|| <= ||G||^2 ||E|| / (1 - ||G|| ||E||)
     """
+    prepared = scenario.prepared
     problem = prepared.problem
-    g, a = prepared.G, problem.A
-    em = as_matrix(e)
-    if em.shape != a.shape:
-        raise ValueError(f"E has shape {em.shape}, expected {a.shape}")
+    g, a, em = prepared.G, problem.A, scenario.E
     m, n = a.shape
-    norm_g = prepared.norm_G
-    norm_e = op_norm(em)
+    norm_g, norm_e = prepared.norm_G, scenario.norm_E
     hyps = _LEMMA32.hypotheses(prepared, norm_E=norm_e)
 
     left = solve_square(np.eye(n, dtype=np.complex128) + g @ em, g, tol)
@@ -668,14 +658,9 @@ def perturb_A(
 
 
 def perturb_all(
-    prepared: PreparedProblem,
-    scenario: PerturbationScenario,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
     """T, S and A all perturbed at once.
-
-    ``scenario`` must be built on ``prepared.problem``; its measured gaps
-    and ``||E||`` are reused.
 
     The representation applies the operator-perturbation resolvent to the
     combined subspace-perturbation formula.  With
@@ -684,8 +669,7 @@ def perturb_all(
         ||G_new - G|| <= ||G||^2 (||E|| + golden_ratio ||A|| d)
                          / (1 - ||G|| q)
     """
-    if scenario.base is not prepared.problem:
-        raise ValueError("the scenario is not built on the prepared problem")
+    prepared = scenario.prepared
     a = prepared.problem.A
     n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
@@ -693,7 +677,7 @@ def perturb_all(
     norm_e = scenario.norm_E
     hyps = _THM32.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s, norm_E=norm_e)
 
-    w = _ts_formula(prepared, scenario.T_prime, scenario.S_prime, tol)
+    w = _ts_formula(scenario, tol)
     formula = solve_square(np.eye(n, dtype=np.complex128) + w @ scenario.E, w, tol)
     oracle_run = _try_oracle(a + scenario.E, scenario.T_prime, scenario.S_prime, tol)
 

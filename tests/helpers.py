@@ -10,7 +10,8 @@ import numpy as np
 
 from outerinv import instance_gen as ig
 from outerinv import subspace as ss
-from outerinv.outer_inverse import OuterInverseProblem, existence
+from outerinv.outer_inverse import OuterInverseProblem, existence, prepare
+from outerinv.perturbation import PerturbationScenario
 
 
 def complex_gaussian(rng, shape):
@@ -39,3 +40,13 @@ def line(*coords) -> ss.Subspace:
     """One-dimensional subspace spanned by the given vector."""
     v = np.asarray(coords, dtype=np.complex128).reshape(-1, 1)
     return ss.from_spanning_set(v)
+
+
+def scenario(problem, *, T_prime=None, S_prime=None, E=None) -> PerturbationScenario:
+    """``problem`` prepared, perturbed in the ingredients given; T, S and A stay otherwise."""
+    return PerturbationScenario(
+        prepare(problem),
+        problem.T if T_prime is None else T_prime,
+        problem.S if S_prime is None else S_prime,
+        np.zeros_like(problem.A) if E is None else E,
+    )

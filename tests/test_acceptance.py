@@ -27,11 +27,9 @@ from outerinv.outer_inverse import (
     moore_penrose,
     moore_penrose_problem,
     oracle_compute,
-    prepare,
 )
 from outerinv.perturbation import (
     GOLDEN_RATIO,
-    PerturbationScenario,
     is_stable,
     perturb_A,
     perturb_S,
@@ -41,7 +39,7 @@ from outerinv.perturbation import (
     stable_bounds,
 )
 
-from helpers import complex_gaussian, random_feasible_problem
+from helpers import complex_gaussian, random_feasible_problem, scenario
 from test_perturbation import stable_pair
 from test_subspace import sampled_sup_dist
 
@@ -128,7 +126,7 @@ def test_criterion_4_stable_equivalence_and_bounds():
             expected_stable = kind != "jump"
             assert report.cond1 == expected_stable
             if expected_stable:
-                bounds = stable_bounds(prepare(moore_penrose_problem(a)), da)
+                bounds = stable_bounds(scenario(moore_penrose_problem(a), E=da))
                 assert bounds.all_satisfied
                 assert bounds.norm_actual <= bounds.norm_bound * (1 + 1e-10)
                 assert bounds.diff_actual <= bounds.diff_bound * (1 + 1e-10)
@@ -157,15 +155,12 @@ def test_criterion_5_theorem_suite_default_campaign():
         rng = np.random.default_rng(505)
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        zero = np.zeros_like(prob.A)
         for result in (
-            perturb_T(prepare(prob), prob.T).formula_result,
-            perturb_S(prepare(prob), prob.S).formula_result,
-            perturb_TS(prepare(prob), prob.T, prob.S).formula_result,
-            perturb_A(prepare(prob), zero).formula_result,
-            perturb_all(
-                prepare(prob), PerturbationScenario(prob, prob.T, prob.S, zero)
-            ).formula_result,
+            perturb_T(scenario(prob)).formula_result,
+            perturb_S(scenario(prob)).formula_result,
+            perturb_TS(scenario(prob)).formula_result,
+            perturb_A(scenario(prob)).formula_result,
+            perturb_all(scenario(prob)).formula_result,
         ):
             assert op_norm(result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert time.monotonic() - start < 60.0

@@ -1,5 +1,6 @@
 """CLI and campaign harness: exit codes, file formats, determinism."""
 
+import inspect
 import json
 import math
 from collections import Counter
@@ -383,7 +384,7 @@ class TestCampaignInternals:
         # BOUND_SLACK * (1 + ||G||), as every other theorem's check does.
         config = replace(CampaignConfig.default(seed=3), theorems=("lemma31",), trials=1)
         gen = replace(config.gen, seed=derive_trial_seed(config.gen.seed, "lemma31", 0))
-        noise = excess * BOUND_SLACK * (1.0 + generate(gen, "lemma31").prepared.norm_G)
+        noise = excess * BOUND_SLACK * (1.0 + generate(gen, "lemma31").scenario.prepared.norm_G)
 
         def gap_hat(u, v):
             # T and T' live in C^n, the images A T and A T' in C^m (m != n).
@@ -394,6 +395,14 @@ class TestCampaignInternals:
         outcome = run_trial(config, "lemma31", 0)
         assert outcome.row["diff_bound"] == 0.0 and outcome.row["diff_actual"] == noise
         assert outcome.violation is violated
+
+    def test_every_evaluator_takes_a_scenario_and_a_tolerance(self):
+        # One signature for all seven keeps the dispatch table a plain name table.
+        assert tuple(harness_cli._EVALUATORS) == THEOREMS
+        for name in harness_cli._EVALUATORS.values():
+            evaluator = getattr(perturbation, name)
+            assert getattr(harness_cli, name) is evaluator
+            assert tuple(inspect.signature(evaluator).parameters) == ("scenario", "tol")
 
     def test_each_theorem_calls_its_evaluator_once(self, monkeypatch):
         evaluators = {

@@ -120,8 +120,8 @@ class TestGenerate:
         cfg = GenConfig(seed=3, target_gap_T=0.0, target_gap_S=0.0, target_norm_E_ratio=0.0)
         inst = generate(cfg, "thm32")
         sc = inst.scenario
-        assert sc.T_prime is sc.base.T
-        assert sc.S_prime is sc.base.S
+        assert sc.T_prime is sc.prepared.problem.T
+        assert sc.S_prime is sc.prepared.problem.S
         assert np.all(sc.E == 0.0)
         assert all(h.satisfied for h in inst.hypothesis_statuses)
 
@@ -129,7 +129,8 @@ class TestGenerate:
         cfg = GenConfig(seed=987654321)
         a = generate(cfg, "thm32")
         b = generate(cfg, "thm32")
-        assert problem_to_json(a.scenario.base) == problem_to_json(b.scenario.base)
+        base_a, base_b = a.scenario.prepared.problem, b.scenario.prepared.problem
+        assert problem_to_json(base_a) == problem_to_json(base_b)
         assert subspace_to_json(a.scenario.T_prime) == subspace_to_json(b.scenario.T_prime)
         assert subspace_to_json(a.scenario.S_prime) == subspace_to_json(b.scenario.S_prime)
         assert a.scenario.E.tobytes() == b.scenario.E.tobytes()
@@ -137,20 +138,21 @@ class TestGenerate:
     def test_different_seeds_differ(self):
         a = generate(GenConfig(seed=1), "prop31")
         b = generate(GenConfig(seed=2), "prop31")
-        assert problem_to_json(a.scenario.base) != problem_to_json(b.scenario.base)
+        base_a, base_b = a.scenario.prepared.problem, b.scenario.prepared.problem
+        assert problem_to_json(base_a) != problem_to_json(base_b)
 
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_feasible_and_hypothesis_satisfying(self, theorem):
         for seed in range(20):
             inst = generate(GenConfig(seed=seed), theorem)
-            assert existence(inst.scenario.base).exists
+            assert existence(inst.scenario.prepared.problem).exists
             assert all(h.satisfied for h in inst.hypothesis_statuses)
 
     def test_gap_targeting_accuracy(self):
         # achieved gap = target ratio x threshold, exact to the stated 1e-10.
         inst = generate(GenConfig(seed=11, target_gap_T=0.5), "prop31")
         (hyp,) = inst.hypothesis_statuses
-        assert abs(inst.achieved_gap_T - 0.5 * hyp.threshold) <= 1e-10
+        assert abs(inst.scenario.measured_gap_T - 0.5 * hyp.threshold) <= 1e-10
 
     def test_norm_E_targeting_accuracy(self):
         inst = generate(GenConfig(seed=12, target_norm_E_ratio=0.7), "lemma32")

@@ -30,7 +30,7 @@ from outerinv.perturbation import (
     theorem,
 )
 
-from helpers import complex_gaussian, line, random_feasible_problem
+from helpers import complex_gaussian, line, random_feasible_problem, scenario
 
 
 def diag_problem():
@@ -78,10 +78,9 @@ class TestHypothesisStatus:
 
     def test_zero_operator_leaves_E_unconstrained(self):
         # ||pinv(A)|| = ||G|| = 0: the limits 1/||pinv(A)|| and 1/||G|| are infinite.
-        prepared = prepare(moore_penrose_problem(np.zeros((2, 2), dtype=complex)))
-        e = 0.1 * np.eye(2)
-        assert stable_bounds(prepared, e).hypotheses[0] == HypothesisStatus("norm_E", math.inf, 0.1)
-        assert perturb_A(prepared, e).all_satisfied
+        sc = scenario(moore_penrose_problem(np.zeros((2, 2), dtype=complex)), E=0.1 * np.eye(2))
+        assert stable_bounds(sc).hypotheses[0] == HypothesisStatus("norm_E", math.inf, 0.1)
+        assert perturb_A(sc).all_satisfied
 
 
 class TestScenario:
@@ -89,7 +88,7 @@ class TestScenario:
         prob = random_feasible_problem(rng, m=5, n=4, rank_a=3, dim_t=2)
         t_prime = perturb_subspace_exact_gap(prob.T, 0.3, rng)
         e = complex_gaussian(rng, (5, 4))
-        sc = PerturbationScenario(prob, t_prime, prob.S, e)
+        sc = PerturbationScenario(prepare(prob), t_prime, prob.S, e)
         assert sc.measured_gap_T == pytest.approx(ss.gap_hat(prob.T, t_prime), abs=1e-15)
         assert sc.measured_gap_S == 0.0
         assert sc.norm_E == pytest.approx(op_norm(e), abs=1e-15)
@@ -97,7 +96,16 @@ class TestScenario:
     def test_shape_mismatch_rejected(self, rng):
         prob = random_feasible_problem(rng, m=5, n=4)
         with pytest.raises(ValueError, match="shape"):
-            PerturbationScenario(prob, prob.T, prob.S, np.zeros((4, 5)))
+            PerturbationScenario(prepare(prob), prob.T, prob.S, np.zeros((4, 5)))
+
+    def test_subspace_in_the_wrong_ambient_space_rejected(self, rng):
+        # T lives in C^4 (the domain) and S in C^5 (the codomain).
+        prob = random_feasible_problem(rng, m=5, n=4, rank_a=3, dim_t=2)
+        prepared = prepare(prob)
+        with pytest.raises(ValueError, match="T'"):
+            PerturbationScenario(prepared, random_subspace(5, 2, rng), prob.S, np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="S'"):
+            PerturbationScenario(prepared, prob.T, random_subspace(4, 3, rng), np.zeros((5, 4)))
 
 
 class TestStableEquivalence:
@@ -107,6 +115,10 @@ class TestStableEquivalence:
         assert report.cond1 and report.cond2 and report.cond3_formula_valid
         assert report.hypothesis_met
         assert op_norm(report.gi_matrix - pinv(a)) < 1e-10
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dA has shape"):
+            is_stable(np.eye(2), np.zeros((3, 2)))
 
     def test_rank_jump_all_false(self):
         # diag(1, 0) -> diag(1, 1e-3): the new range tilts into the old
@@ -129,14 +141,14 @@ class TestStableEquivalence:
 class TestStableBounds:
     def test_zero_perturbation(self, rng):
         a = complex_gaussian(rng, (3, 4))
-        report = stable_bounds(prepare(moore_penrose_problem(a)), np.zeros_like(a))
+        report = stable_bounds(scenario(moore_penrose_problem(a)))
         assert report.diff_actual == 0.0
         assert report.diff_bound == 0.0
         assert report.all_satisfied
 
     def test_scaled_identity_closed_form(self):
         eye = np.eye(2, dtype=complex)
-        report = stable_bounds(prepare(moore_penrose_problem(eye)), 0.1 * eye)
+        report = stable_bounds(scenario(moore_penrose_problem(eye), E=0.1 * eye))
         assert report.norm_actual == pytest.approx(1.0 / 1.1)
         assert report.norm_bound == pytest.approx(1.0 / 0.9)
         assert report.all_satisfied
@@ -148,7 +160,7 @@ class TestStableBounds:
     def test_bounds_hold_on_stable_trials(self, rng, kind):
         for _ in range(100):
             a, da = stable_pair(rng, kind)
-            report = stable_bounds(prepare(moore_penrose_problem(a)), da)
+            report = stable_bounds(scenario(moore_penrose_problem(a), E=da))
             assert report.all_satisfied
             assert report.norm_actual <= report.norm_bound * (1 + 1e-10)
             assert report.diff_actual <= report.diff_bound * (1 + 1e-10)
@@ -157,14 +169,14 @@ class TestStableBounds:
     def test_unstable_flagged_not_asserted(self, rng):
         a = np.diag([1.0, 0.0]).astype(complex)
         da = np.diag([0.0, 1e-3]).astype(complex)
-        report = stable_bounds(prepare(moore_penrose_problem(a)), da)
+        report = stable_bounds(scenario(moore_penrose_problem(a), E=da))
         assert not report.all_satisfied
 
 
 class TestGapPropagation:
     def test_identical_subspace(self, rng):
         prob = random_feasible_problem(rng, m=5, n=4, rank_a=3, dim_t=2)
-        gp = gap_propagation(prepare(prob), prob.T)
+        gp = gap_propagation(scenario(prob))
         assert gp.diff_actual == 0.0 and gp.diff_bound == 0.0
         assert gp.hypotheses_met
 
@@ -174,7 +186,7 @@ class TestGapPropagation:
         s = ss.orthogonal_complement(t)
         prob = OuterInverseProblem(np.eye(4, dtype=complex), t, s)
         t_prime = perturb_subspace_exact_gap(t, 0.1, rng)
-        gp = gap_propagation(prepare(prob), t_prime)
+        gp = gap_propagation(scenario(prob, T_prime=t_prime))
         assert gp.diff_actual == pytest.approx(ss.gap_hat(t, t_prime), abs=1e-12)
         assert gp.diff_actual <= gp.diff_bound * (1 + 1e-10)
 
@@ -184,8 +196,8 @@ class TestGapPropagation:
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_T=float(rng.uniform(0, 0.95)))
             inst = generate(cfg, "lemma31")
-            prob, t_prime = inst.scenario.base, inst.scenario.T_prime
-            gp = gap_propagation(prepare(prob), t_prime)
+            prob, t_prime = inst.scenario.prepared.problem, inst.scenario.T_prime
+            gp = gap_propagation(inst.scenario)
             assert gp.hypotheses_met
             assert gp.diff_actual <= gp.diff_bound * (1 + 1e-10)
             kappa = op_norm(prob.A) * op_norm(compute(prob).G)
@@ -197,7 +209,7 @@ class TestPerturbT:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_T(prepare(prob), prob.T)
+        report = perturb_T(scenario(prob))
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
@@ -207,7 +219,7 @@ class TestPerturbT:
         theta = 0.1
         prob = diag_problem()
         t_prime = line(math.cos(theta), math.sin(theta))
-        report = perturb_T(prepare(prob), t_prime)
+        report = perturb_T(scenario(prob, T_prime=t_prime))
         expected = np.array([[0.5, 0.0], [math.tan(theta) / 2.0, 0.0]], dtype=complex)
         assert op_norm(report.formula_result - expected) < 1e-12
         assert report.formula_vs_oracle_relerr <= 1e-8
@@ -217,7 +229,7 @@ class TestPerturbT:
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_T=float(rng.uniform(0, 0.95)))
             inst = generate(cfg, "prop31")
-            report = perturb_T(prepare(inst.scenario.base), inst.scenario.T_prime)
+            report = perturb_T(inst.scenario)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -225,7 +237,7 @@ class TestPerturbT:
     def test_hypothesis_unmet_flagged(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=2)
         far = perturb_subspace_exact_gap(prob.T, math.asin(0.9), rng)
-        report = perturb_T(prepare(prob), far)
+        report = perturb_T(scenario(prob, T_prime=far))
         assert not report.hypotheses_met
         assert not report.all_satisfied
         assert report.formula_result is not None  # still evaluated
@@ -235,7 +247,7 @@ class TestPerturbS:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_S(prepare(prob), prob.S)
+        report = perturb_S(scenario(prob))
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
@@ -244,7 +256,7 @@ class TestPerturbS:
         theta = 0.05
         prob = diag_problem()
         s_prime = line(math.sin(theta), math.cos(theta))
-        report = perturb_S(prepare(prob), s_prime)
+        report = perturb_S(scenario(prob, S_prime=s_prime))
         expected = np.array([[0.5, -math.tan(theta) / 2.0], [0.0, 0.0]], dtype=complex)
         assert op_norm(report.formula_result - expected) < 1e-12
         assert report.formula_vs_oracle_relerr <= 1e-8
@@ -254,7 +266,7 @@ class TestPerturbS:
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_S=float(rng.uniform(0, 0.95)))
             inst = generate(cfg, "prop32")
-            report = perturb_S(prepare(inst.scenario.base), inst.scenario.S_prime)
+            report = perturb_S(inst.scenario)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -264,14 +276,14 @@ class TestPerturbTS:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_TS(prepare(prob), prob.T, prob.S)
+        report = perturb_TS(scenario(prob))
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
     def test_simultaneous_rotation_5x4(self, rng):
         cfg = GenConfig(seed=1234, m=5, n=4, rank_A=3, dim_T=2)
         inst = generate(cfg, "thm31")
-        report = perturb_TS(prepare(inst.scenario.base), inst.scenario.T_prime, inst.scenario.S_prime)
+        report = perturb_TS(inst.scenario)
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
 
@@ -283,7 +295,7 @@ class TestPerturbTS:
                 target_gap_S=float(rng.uniform(0, 0.95)),
             )
             inst = generate(cfg, "thm31")
-            report = perturb_TS(prepare(inst.scenario.base), inst.scenario.T_prime, inst.scenario.S_prime)
+            report = perturb_TS(inst.scenario)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -293,7 +305,7 @@ class TestPerturbA:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        report = perturb_A(prepare(prob), np.zeros_like(prob.A))
+        report = perturb_A(scenario(prob))
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
@@ -301,7 +313,7 @@ class TestPerturbA:
         # Only the (1,1) entry matters: 1/2 -> 1/2.1.
         prob = diag_problem()
         e = np.diag([0.1, 0.0]).astype(complex)
-        report = perturb_A(prepare(prob), e)
+        report = perturb_A(scenario(prob, E=e))
         assert op_norm(report.formula_result - np.diag([1.0 / 2.1, 0.0])) < 1e-12
         assert report.all_satisfied
 
@@ -314,7 +326,7 @@ class TestPerturbA:
             inst = generate(cfg, "lemma32")
             # perturb_A itself raises if the left and right resolvent forms
             # disagree, so a completed call covers that identity.
-            report = perturb_A(prepare(inst.scenario.base), inst.scenario.E)
+            report = perturb_A(inst.scenario)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -326,7 +338,7 @@ class TestPerturbA:
         base_norm = 0.5 / (op_norm(g) * op_norm(direction))
         diffs = []
         for scale in (1.0, 1e-2, 1e-4):
-            report = perturb_A(prepare(prob), direction * (base_norm * scale))
+            report = perturb_A(scenario(prob, E=direction * (base_norm * scale)))
             diffs.append(report.diff_actual)
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[-1] <= diffs[0] * 1e-2
@@ -336,15 +348,14 @@ class TestPerturbAll:
     def test_zero_perturbation_reduction(self, rng):
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
         g = compute(prob).G
-        sc = PerturbationScenario(prob, prob.T, prob.S, np.zeros_like(prob.A))
-        report = perturb_all(prepare(prob), sc)
+        report = perturb_all(scenario(prob))
         assert op_norm(report.formula_result - g) <= 1e-12 * (1.0 + op_norm(g))
         assert report.all_satisfied
 
     def test_combined_6x5(self):
         cfg = GenConfig(seed=777, m=6, n=5, rank_A=4, dim_T=3)
         inst = generate(cfg, "thm32")
-        report = perturb_all(prepare(inst.scenario.base), inst.scenario)
+        report = perturb_all(inst.scenario)
         assert {h.name for h in report.hypotheses} == {"gap_T", "gap_S", "norm_E"}
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
@@ -358,7 +369,7 @@ class TestPerturbAll:
                 target_norm_E_ratio=float(rng.uniform(0, 0.95)),
             )
             inst = generate(cfg, "thm32")
-            report = perturb_all(prepare(inst.scenario.base), inst.scenario)
+            report = perturb_all(inst.scenario)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
