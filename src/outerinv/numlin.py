@@ -315,12 +315,10 @@ def _cond_capped_near_identity(m: np.ndarray, cap: float) -> bool:
 def matrix_to_obj(a) -> dict:
     m = as_matrix(a)
     rows, cols = m.shape
-    flat = m.reshape(-1)
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    # A C-ordered complex128 array viewed as float64 interleaves (re, im),
+    # so one tolist() yields the row-major pairs as Python floats.
+    pairs = np.ascontiguousarray(m).view(np.float64).reshape(rows * cols, 2)
+    return {"rows": rows, "cols": cols, "entries": pairs.tolist()}
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -332,11 +330,26 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if rows < 0 or cols < 0:
         raise ValueError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"malformed matrix object: entries is {type(entries).__name__}, not a list")
     if len(entries) != rows * cols:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
         )
-    data = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    values: list[complex] = []
+    append = values.append
+    for entry in entries:
+        # The unpacking rejects anything that is not a pair, and complex()
+        # rejects strings and None; the failing entry's index is len(values).
+        try:
+            re, im = entry
+            append(complex(re, im))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"malformed matrix object: entry {len(values)} is {entry!r}, "
+                "not a pair [re, im] of numbers"
+            ) from None
+    data = np.array(values, dtype=np.complex128)
     return as_matrix(data.reshape(rows, cols))
 
 

@@ -9,7 +9,8 @@ which exists precisely when ``N(A) ∩ T = {0}`` and ``A T ∔ S = C^m``
 (direct sum).  Two independent computational routes are provided:
 
 * :func:`compute` uses the projector identity
-  ``A_{T,S}^(2) = pinv(P_{S_perp} A P_T)``, through :func:`prepare`;
+  ``A_{T,S}^(2) = pinv(P_{S_perp} A P_T)``, by the route :func:`prepare`
+  takes, and never factors A;
 * :func:`oracle_compute` builds ``U (W* A U)^{-1} W*`` from bases U of T
   and W of the orthogonal complement of S.
 
@@ -17,17 +18,20 @@ They agree to rounding error whenever the inverse exists, which is what
 the verification harness leans on.  :func:`existence` is the one test
 of the two conditions.  :func:`prepare`, the only constructor of a
 :class:`PreparedProblem`, runs it once and keeps what the harness derives
-from (A, T, S) -- the SVD of A, G and the norms and projectors -- so each
-trial computes G once and factors A once (twice only when the existence
-test cannot settle ``N(A) ∩ T = {0}`` without the null space of A).  The
-classical special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are
-thin constructors that pick the right (T, S) pair and delegate.
+from (A, T, S) -- the SVD of A, G, the norms, the projectors and the
+image A·T -- so each trial computes G once and factors A once (twice
+only when the existence test cannot settle ``N(A) ∩ T = {0}`` without
+the null space of A).  The orthogonal complement of S is computed once
+per :class:`~outerinv.subspace.Subspace` and kept there, so the oracle's
+W on an S the pinv route has seen costs no further SVD.  The classical
+special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
+constructors that pick the right (T, S) pair and delegate.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,7 +121,9 @@ class PreparedProblem:
     ``rank_A``, ``norm_A`` and ``norm_pinv_A`` are read off it.  ``G`` is
     the pinv route's ``pinv(P_S_perp A P_T)``, never the oracle's, and
     ``norm_G = ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
-    projectors onto T and the orthogonal complement of S.
+    projectors onto T and the orthogonal complement of S.  ``AT`` is the
+    image A·T that the existence test read off, as :func:`image_of`
+    builds it.
     """
 
     problem: OuterInverseProblem
@@ -129,6 +135,7 @@ class PreparedProblem:
     norm_G: float
     P_T: np.ndarray
     P_S_perp: np.ndarray
+    AT: Subspace
 
 
 @dataclass(frozen=True)
@@ -136,12 +143,15 @@ class ExistenceCertificate:
     """Outcome of the two existence conditions.
 
     ``exists`` holds iff the kernel of A meets T trivially and the image
-    A T together with S splits the codomain as a direct sum.
+    A T together with S splits the codomain as a direct sum.  ``AT`` is
+    that image, kept for :func:`prepare` (None on a hand-built
+    certificate); it takes no part in comparisons.
     """
 
     kernel_meets_T_trivially: bool
     AT_dim: int
     direct_sum_holds: bool
+    AT: Subspace | None = field(default=None, compare=False, repr=False)
 
     @property
     def exists(self) -> bool:
@@ -211,6 +221,7 @@ def existence(
         or ss.intersection_trivial(kernel(problem.A, tol), problem.T, tol),
         AT_dim=at.dim,
         direct_sum_holds=ss.direct_sum_is_whole(at, problem.S, tol),
+        AT=at,
     )
 
 
@@ -246,21 +257,30 @@ def _require_exists(cert: ExistenceCertificate) -> None:
         raise ExistenceError("outer inverse does not exist: " + "; ".join(reasons), cert)
 
 
+def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
+    """``(P_T, P_S_perp, middle)``, where ``middle`` is the SVD of ``P_S_perp A P_T``.
+
+    G is ``middle.pinv(tol)``: the one pinv route, which both
+    :func:`prepare` and :func:`compute` take.
+    """
+    p_t = ss.projector(problem.T)
+    p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
+    return p_t, p_s_perp, svd(p_s_perp @ problem.A @ p_t)
+
+
 def prepare(
     problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
 ) -> PreparedProblem:
-    """Decide existence once and compute G once, by the pinv route.
+    """Decide existence once, compute G once by the pinv route, and factor A.
 
     The only constructor of :class:`PreparedProblem`.  Raises
     :class:`ExistenceError`, naming the failed condition, when the outer
     inverse does not exist.
     """
-    _require_exists(existence(problem, tol))
-    a = problem.A
-    factors = svd(a)
-    p_t = ss.projector(problem.T)
-    p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
-    middle = svd(p_s_perp @ a @ p_t)
+    cert = existence(problem, tol)
+    _require_exists(cert)
+    factors = svd(problem.A)
+    p_t, p_s_perp, middle = _pinv_route(problem, tol)
     return PreparedProblem(
         problem=problem,
         factors=factors,
@@ -271,6 +291,7 @@ def prepare(
         norm_G=middle.pinv_norm(tol),
         P_T=p_t,
         P_S_perp=p_s_perp,
+        AT=cert.AT,
     )
 
 
@@ -279,10 +300,14 @@ def compute(
 ) -> OuterInverseResult:
     """Outer inverse via ``pinv(P_{S_perp} A P_T)``, with residual report.
 
-    The report measures ``||GAG - G||`` and the gaps between range(G) and
-    T and between kernel(G) and S.
+    Runs :func:`existence` and the pinv route that :func:`prepare` takes,
+    so G is the same to the bit, but reads nothing else of a prepared
+    problem and never factors A.  The report measures ``||GAG - G||`` and
+    the gaps between range(G) and T and between kernel(G) and S.
     """
-    g = prepare(problem, tol).G
+    _require_exists(existence(problem, tol))
+    _, _, middle = _pinv_route(problem, tol)
+    g = middle.pinv(tol)
     f = svd(g)
     return OuterInverseResult(
         G=g,

@@ -439,17 +439,16 @@ def gap_propagation(
 
     ``diff_actual`` = gap_hat(A·T, A·T'); ``diff_bound`` is
     ``k * gap / (1 - (1 + k) * gap)`` with ``k = ||A|| ||G||``, valid for
-    ``gap < 1 / (1 + k)``.  There is no formula, oracle or norm bound:
-    those fields are None / NaN.
+    ``gap < 1 / (1 + k)``.  A·T is ``prepared.AT``, the image the
+    existence test built; only A·T' is computed here.  There is no
+    formula, oracle or norm bound: those fields are None / NaN.
     """
     prepared = scenario.prepared
-    problem = prepared.problem
-    a = problem.A
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = scenario.measured_gap_T
     hyps = _LEMMA31.hypotheses(prepared, gap_T=gap)
 
-    actual = ss.gap_hat(image_of(a, problem.T, tol), image_of(a, scenario.T_prime, tol))
+    actual = ss.gap_hat(prepared.AT, image_of(prepared.problem.A, scenario.T_prime, tol))
     kappa = norm_a * norm_g
     denom = 1.0 - (1.0 + kappa) * gap
     bound = kappa * gap / denom if denom > 0.0 else math.nan

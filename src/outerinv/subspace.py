@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,9 @@ class Subspace:
 
     ``basis`` has ``ambient_dim`` rows and ``dim`` columns; ``dim`` may be
     zero.  Construction validates orthonormality, so any `Subspace` in
-    circulation satisfies ``basis* basis = I``.
+    circulation satisfies ``basis* basis = I``.  The orthogonal
+    complement is computed at most once per instance (see
+    :func:`orthogonal_complement`).
     """
 
     ambient_dim: int
@@ -96,6 +99,18 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    @cached_property
+    def _complement(self) -> "Subspace":
+        # Computed on the first orthogonal_complement() call and kept; the
+        # basis is made read-only because every later caller shares it.
+        d = self.dim
+        if d == 0:
+            comp = np.eye(self.ambient_dim, dtype=np.complex128)
+        else:
+            comp = svd(self.basis).left_vectors[:, d:]
+        comp.flags.writeable = False
+        return Subspace(self.ambient_dim, comp)
 
 
 @dataclass(frozen=True)
@@ -161,12 +176,13 @@ def gap_hat(m: Subspace, n: Subspace) -> float:
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
-    """Orthogonal complement; dims add up to the ambient dimension."""
-    d = v.dim
-    if d == 0:
-        return Subspace(v.ambient_dim, np.eye(v.ambient_dim, dtype=np.complex128))
-    f = svd(v.basis)
-    return Subspace(v.ambient_dim, f.left_vectors[:, d:])
+    """Orthogonal complement; dims add up to the ambient dimension.
+
+    Its basis is the trailing left singular vectors of ``v.basis``.  The
+    SVD runs on the first call for ``v``; every later call returns the
+    same subspace, whose basis is read-only.
+    """
+    return v._complement
 
 
 def intersection_trivial(

@@ -12,8 +12,11 @@ axis, written before the theorem registry replaced the hand-listed
 axis/theorem table.  Refactors may move the last bits of a number,
 nothing else: trial ids, theorems, ``hyp_ok``, the metadata, the header
 and the row order must match exactly, and numeric cells within ``RTOL``
-relative plus ``ATOL`` absolute.  Do not regenerate the fixtures to make
-a change pass.
+relative plus ``ATOL`` absolute.  ``golden/compute_40x30.json`` is what
+``oil compute`` wrote for ``golden/problem_40x30.json`` (a seeded 40x30
+problem, rank 24, dim_T 16) before the library path stopped factoring A
+and started writing matrices in bulk; it must match byte for byte.  Do
+not regenerate the fixtures to make a change pass.
 """
 
 import csv
@@ -27,6 +30,7 @@ from outerinv.harness_cli import (
     CSV_COLUMNS,
     SWEEP_COLUMNS,
     CampaignConfig,
+    main,
     render_table,
     run_campaign,
     run_sweep,
@@ -107,3 +111,9 @@ def test_sweep_report_matches_golden(axis, theorem):
     )
     rows, _ = run_sweep(config, axis, points=4)
     _assert_matches(render_table(rows, config, SWEEP_COLUMNS), GOLDEN / f"sweep_{axis}.csv")
+
+
+def test_compute_output_matches_golden_bytes(tmp_path):
+    out = tmp_path / "result.json"
+    assert main(["compute", str(GOLDEN / "problem_40x30.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "compute_40x30.json").read_bytes()

@@ -316,6 +316,53 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="finite"):
             matrix_from_obj({"rows": 1, "cols": 1, "entries": [[math.inf, 0.0]]})
 
+    @pytest.mark.parametrize(
+        "entry", [["1", 0.0], [None, 0.0], 2.5, [1.0], [1.0, 2.0, 3.0]], ids=repr
+    )
+    def test_malformed_entry_names_its_index(self, entry):
+        obj = {"rows": 1, "cols": 2, "entries": [[0.0, 0.0], entry]}
+        with pytest.raises(ValueError, match="malformed matrix object: entry 1 "):
+            matrix_from_obj(obj)
+        with pytest.raises(ValueError, match="malformed matrix object: entry 1 "):
+            matrix_from_json(json.dumps(obj))
+
+    def test_null_entries_rejected(self):
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            matrix_from_obj({"rows": 1, "cols": 1, "entries": None})
+
+
+def _entrywise_obj(a) -> dict:
+    """The per-entry serialization the bulk ``matrix_to_obj`` replaced."""
+    m = np.asarray(a, dtype=np.complex128)
+    return {
+        "rows": m.shape[0],
+        "cols": m.shape[1],
+        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+    }
+
+
+def _layouts():
+    base = np.arange(12.0).reshape(3, 4) - 5.5 + 1j * np.linspace(-1, 1, 12).reshape(3, 4)
+    specials = base.copy()
+    specials[0, 0] = complex(-0.0, -0.0)
+    specials[0, 1] = complex(5e-324, -2.2250738585072014e-309)
+    specials[1, 0] = complex(1e300, -1e-300)
+    specials[1, 1] = complex(-1e-300, 1e300)
+    return {
+        "specials": specials,
+        "real": base.real.copy(),
+        "fortran": np.asfortranarray(specials),
+        "transposed": specials.T,
+        "strided": specials[:, ::2],
+        "empty_rows": np.zeros((0, 4), dtype=np.complex128),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_layouts()))
+def test_bulk_output_writes_the_same_json_as_the_per_entry_form(name):
+    a = _layouts()[name]
+    assert matrix_to_json(a) == json.dumps(_entrywise_obj(a))
+
 
 def test_default_tol_is_shared_instance():
     assert numlin.DEFAULT_TOL.verify_atol == 1e-8

@@ -1,18 +1,30 @@
 """The per-trial prepared problem: contents, reuse, and oracle independence."""
 
+import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outerinv import outer_inverse
 from outerinv import subspace as ss
+from outerinv import harness_cli
 from outerinv.harness_cli import RELERR_GATE, CampaignConfig, run_trial
 from outerinv.instance_gen import THEOREMS, GenConfig, generate
 from outerinv.numlin import op_norm, pinv
-from outerinv.outer_inverse import ExistenceError, OuterInverseProblem, compute, prepare
+from outerinv.outer_inverse import (
+    ExistenceError,
+    OuterInverseProblem,
+    compute,
+    image_of,
+    oracle_compute,
+    prepare,
+    problem_from_obj,
+    result_to_obj,
+)
 from outerinv.perturbation import (
     perturb_A,
     perturb_S,
@@ -85,21 +97,7 @@ def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
         assert counts["existence"] == 1 + counts["oracle_compute"], theorem
 
 
-# numpy.linalg.svd calls made by one run_trial per theorem (6x5, default
-# campaign seed, trial 0).  The counts are deterministic; a change that adds
-# an SVD to a trial fails here and must say why before it moves a number.
-SVD_BUDGET = {
-    "lemma21": 14,
-    "lemma31": 10,
-    "prop31": 15,
-    "prop32": 16,
-    "thm31": 17,
-    "lemma32": 14,
-    "thm32": 19,
-}
-
-
-def test_svd_budget_per_trial(monkeypatch):
+def count_svds(monkeypatch) -> list:
     calls = []
     original = np.linalg.svd
 
@@ -108,6 +106,25 @@ def test_svd_budget_per_trial(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+# numpy.linalg.svd calls made by one run_trial per theorem (6x5, default
+# campaign seed, trial 0).  The counts are deterministic; a change that adds
+# an SVD to a trial fails here and must say why before it moves a number.
+SVD_BUDGET = {
+    "lemma21": 14,
+    "lemma31": 9,
+    "prop31": 14,
+    "prop32": 14,
+    "thm31": 15,
+    "lemma32": 13,
+    "thm32": 17,
+}
+
+
+def test_svd_budget_per_trial(monkeypatch):
+    calls = count_svds(monkeypatch)
     config = replace(CampaignConfig.default(), trials=1)
     counts = {}
     for theorem in THEOREMS:
@@ -115,6 +132,44 @@ def test_svd_budget_per_trial(monkeypatch):
         assert run_trial(config, theorem, 0).row is not None
         counts[theorem] = len(calls)
     assert counts == SVD_BUDGET
+
+
+def test_svd_budget_of_the_library_path(monkeypatch):
+    # Load, compute, cross-check with the oracle and serialize one 40x30
+    # problem: 2 SVDs to load T and S, 8 in compute (none of A) and 3 in
+    # the oracle, which reuses the complement of S that compute took.
+    obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
+    calls = count_svds(monkeypatch)
+    problem = problem_from_obj(obj)
+    assert len(calls) == 2
+    result = compute(problem)
+    assert len(calls) == 10
+    oracle_compute(problem)
+    result_to_obj(result)
+    assert len(calls) == 13
+
+
+def test_prepared_image_is_the_one_image_of_builds(rng):
+    for _ in range(10):
+        prob = random_feasible_problem(rng)
+        at = prepare(prob).AT
+        assert at.basis.tobytes() == image_of(prob.A, prob.T).basis.tobytes()
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_shared_complements_leave_a_trial_unchanged(theorem):
+    # Every complement a trial takes is computed once per subspace and
+    # shared by the generator, the formula and the oracle; after the
+    # trial each still equals a fresh SVD complement to the bit.
+    scenario = generate(GenConfig(seed=23), theorem).scenario
+    getattr(harness_cli, harness_cli._EVALUATORS[theorem])(scenario)
+    base = scenario.prepared.problem
+    subspaces = (base.T, base.S, scenario.T_prime, scenario.S_prime)
+    cached = [v for v in subspaces if "_complement" in vars(v)]
+    assert cached
+    for v in cached:
+        fresh = np.linalg.svd(v.basis)[0][:, v.dim :]
+        assert ss.orthogonal_complement(v).basis.tobytes() == fresh.tobytes()
 
 
 EVALUATORS = {

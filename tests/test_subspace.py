@@ -286,6 +286,21 @@ class TestComplement:
         assert sub.dim + comp.dim == 5
         assert op_norm(sub.basis.conj().T @ comp.basis) < 1e-12
 
+    @pytest.mark.parametrize("dim", [0, 2, 5])
+    def test_computed_once_and_equal_to_a_fresh_svd(self, rng, dim):
+        sub = random_subspace(5, dim, rng)
+        comp = ss.orthogonal_complement(sub)
+        assert ss.orthogonal_complement(sub) is comp
+        fresh = (
+            np.linalg.svd(sub.basis)[0][:, dim:] if dim else np.eye(5, dtype=np.complex128)
+        )
+        assert comp.basis.tobytes() == fresh.tobytes()
+
+    def test_cached_basis_is_read_only(self, rng):
+        comp = ss.orthogonal_complement(random_subspace(5, 2, rng))
+        with pytest.raises(ValueError, match="read-only"):
+            comp.basis[0, 0] = 1.0
+
 
 class TestDirectSum:
     def test_orthogonal_lines(self):
