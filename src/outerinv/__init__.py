@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .numlin import (
     DEFAULT_TOL,
     IllConditionedError,
+    NonFiniteError,
     NumericalError,
     SvdConvergenceError,
     SvdFactors,

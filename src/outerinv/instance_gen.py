@@ -171,9 +171,9 @@ def random_subspace(ambient: int, dim: int, rng: np.random.Generator) -> Subspac
     if not (0 <= dim <= ambient):
         raise ValueError(f"dim {dim} infeasible in ambient {ambient}")
     if dim == 0:
-        return Subspace(ambient, np.zeros((ambient, 0), dtype=np.complex128))
+        return Subspace._trusted(np.zeros((ambient, 0), dtype=np.complex128))
     q, _ = np.linalg.qr(_complex_gaussian(rng, (ambient, dim)))
-    return Subspace(ambient, q)
+    return Subspace._trusted(q)
 
 
 def perturb_subspace_exact_gap(
@@ -195,7 +195,8 @@ def perturb_subspace_exact_gap(
     j = int(rng.integers(v.dim))
     basis = v.basis.copy()
     basis[:, j] = math.cos(theta) * v.basis[:, j] + math.sin(theta) * w
-    return Subspace(v.ambient_dim, basis)
+    # w is a unit vector orthogonal to V, so the basis stays orthonormal.
+    return Subspace._trusted(basis)
 
 
 def _draw_feasible_problem(

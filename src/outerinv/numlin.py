@@ -16,12 +16,27 @@ cosine) is tried before the SVD, and it may only *confirm* the answer
 the SVD test would give, with a margin far above rounding.  When the
 bound cannot decide, the SVD test runs as the only judge, so it alone
 ever answers "no".
+
+Finiteness is checked where data enters the package, by
+:func:`as_matrix`: the wire format, :class:`~outerinv.outer_inverse.OuterInverseProblem`,
+a scenario's E, the public :class:`~outerinv.subspace.Subspace`
+constructor and the public entry points that take raw matrices.  The
+kernels here only coerce their arguments (dtype and ndim), except that
+every array is checked finite right before LAPACK factors it: LAPACK's
+SVD with vectors does not return on an infinite entry, and its
+values-only SVD prints argument errors.  The certificates need no scan,
+because a finite Frobenius norm under a finite threshold proves every
+entry finite.  A non-finite array raises :class:`NonFiniteError`, which
+is both a ``ValueError`` (the contract for bad input) and a
+:class:`NumericalError` (so inside a harness trial it costs one row, not
+the campaign).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +45,7 @@ __all__ = [
     "ToleranceProfile",
     "SvdFactors",
     "NumericalError",
+    "NonFiniteError",
     "SvdConvergenceError",
     "IllConditionedError",
     "as_matrix",
@@ -51,6 +67,10 @@ __all__ = [
 
 class NumericalError(Exception):
     """Base class for numerical failures in this package."""
+
+
+class NonFiniteError(ValueError, NumericalError):
+    """A matrix had a NaN or infinite entry."""
 
 
 class SvdConvergenceError(NumericalError):
@@ -160,18 +180,30 @@ class SvdFactors:
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce input to a finite 2-d complex128 array."""
+    """Coerce input to a finite 2-d complex128 array.
+
+    The check for data entering the package; :class:`NonFiniteError` on a
+    NaN or infinite entry.
+    """
+    return _finite(_as_2d(a))
+
+
+def _as_2d(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    return m
+
+
+def _finite(m: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix entries must be finite (no NaN/Inf)")
     return m
 
 
 def svd(a) -> SvdFactors:
     """Full singular value decomposition of a dense complex matrix."""
-    m = as_matrix(a)
+    m = _finite(_as_2d(a))  # LAPACK does not return on an infinite entry
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -182,6 +214,7 @@ def svd(a) -> SvdFactors:
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
+    _finite(a)  # LAPACK prints argument errors on an infinite entry
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -208,7 +241,7 @@ def pinv(a, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 def op_norm(a) -> float:
     """Spectral operator norm (largest singular value)."""
-    m = as_matrix(a)
+    m = _as_2d(a)
     if not m.any():  # empty or exactly zero: no SVD needed
         return 0.0
     s = _singular_values(m)
@@ -219,10 +252,12 @@ def op_norm_at_most(a, limit: float) -> bool:
     """``op_norm(a) <= limit``, with no SVD when ``||a||_F`` settles it.
 
     ``||a||_2 <= ||a||_F``, so a Frobenius norm below the limit proves
-    the spectral test passes; otherwise the spectral test decides.
+    the spectral test passes; otherwise the spectral test decides.  The
+    limit must be finite for the Frobenius pass, which then also proves
+    every entry finite.
     """
-    m = as_matrix(a)
-    return np.linalg.norm(m) <= limit * (1.0 - CERT_MARGIN) or op_norm(m) <= limit
+    m = _as_2d(a)
+    return np.linalg.norm(m) <= limit * (1.0 - CERT_MARGIN) < math.inf or op_norm(m) <= limit
 
 
 def residual_within(r, b, atol: float) -> bool:
@@ -230,18 +265,20 @@ def residual_within(r, b, atol: float) -> bool:
 
     Certified without an SVD when ``||r||_F <= atol (1 + ||b||_F /
     sqrt(min shape of b))``: the left side bounds ``||r||_2`` from above,
-    and ``||b||_F / sqrt(min shape)`` bounds ``||b||_2`` from below.
+    and ``||b||_F / sqrt(min shape)`` bounds ``||b||_2`` from below.  The
+    threshold must be finite, so a NaN or infinite ``b`` always reaches
+    the spectral test, which rejects it.
     """
-    rm, bm = as_matrix(r), as_matrix(b)
+    rm, bm = _as_2d(r), _as_2d(b)
     b_floor = np.linalg.norm(bm) / math.sqrt(min(bm.shape)) if bm.size else 0.0
-    if np.linalg.norm(rm) <= atol * (1.0 + b_floor) * (1.0 - CERT_MARGIN):
+    if np.linalg.norm(rm) <= atol * (1.0 + b_floor) * (1.0 - CERT_MARGIN) < math.inf:
         return True
     return op_norm(rm) <= atol * (1.0 + op_norm(bm))
 
 
 def rank(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_rtol * sigma_max``."""
-    m = as_matrix(a)
+    m = _as_2d(a)
     if m.size == 0:
         return 0
     return _rank_from_values(_singular_values(m), m.shape, tol)
@@ -249,7 +286,7 @@ def rank(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
 
 def cond(a) -> float:
     """Spectral condition number; ``inf`` for singular or empty input."""
-    m = as_matrix(a)
+    m = _as_2d(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("condition number is defined here for square matrices only")
     if m.shape[0] == 0:
@@ -267,10 +304,11 @@ def solve_square(m, rhs, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     when ``cond(M) > cond_cap`` or the residual check fails.  ``cond(M)``
     is skipped when ``f = ||M - I||_F < 1`` already caps it: then
     ``cond(M) <= (1 + f) / (1 - f)``, which covers every resolvent
-    ``I + K`` with a small ``K``.
+    ``I + K`` with a small ``K``.  Either test proves M finite, and rhs
+    is checked before the solve.
     """
-    mm = as_matrix(m)
-    b = as_matrix(rhs)
+    mm = _as_2d(m)
+    b = _as_2d(rhs)
     if mm.shape[0] != mm.shape[1]:
         raise ValueError(f"solve_square needs a square matrix, got {mm.shape}")
     if b.shape[0] != mm.shape[0]:
@@ -284,7 +322,7 @@ def solve_square(m, rhs, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
                 f"matrix rejected: condition number {c:.3e} exceeds cap {tol.cond_cap:.3e}",
                 condition=c,
             )
-    x = np.linalg.solve(mm, b)
+    x = np.linalg.solve(mm, _finite(b))
     r = mm @ x - b
     if not residual_within(r, b, tol.verify_atol):
         c = cond(mm)
@@ -321,10 +359,21 @@ def matrix_to_obj(a) -> dict:
     return {"rows": rows, "cols": cols, "entries": pairs.tolist()}
 
 
+def _wire_size(value, what: str, name: str) -> int:
+    """A dimension read from a wire object: an integer, not a boolean or a fraction.
+
+    ``what`` and ``name`` (the object kind and the field) go into the
+    ``ValueError`` that rejects anything else.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"malformed {what} object: {name} is {value!r}, not an integer")
+    return int(value)
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _wire_size(obj["rows"], "matrix", "rows")
+        cols = _wire_size(obj["cols"], "matrix", "cols")
         entries = obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
@@ -339,10 +388,14 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     values: list[complex] = []
     append = values.append
     for entry in entries:
-        # The unpacking rejects anything that is not a pair, and complex()
-        # rejects strings and None; the failing entry's index is len(values).
+        # The unpacking rejects anything that is not a pair, complex()
+        # rejects strings and None, and a boolean (which complex() reads as
+        # 0 or 1) is refused by its class; the failing entry's index is
+        # len(values).
         try:
             re, im = entry
+            if re.__class__ is bool or im.__class__ is bool:
+                raise TypeError
             append(complex(re, im))
         except (TypeError, ValueError):
             raise ValueError(

@@ -175,8 +175,7 @@ def kernel(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
 
 def kernel_from_svd(factors: SvdFactors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Null space of the factored matrix: its right singular vectors past the rank."""
-    v = factors.right_vectors
-    return Subspace(v.shape[0], v[:, factors.rank(tol) :])
+    return Subspace._trusted(factors.right_vectors[:, factors.rank(tol) :])
 
 
 def column_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -185,14 +184,13 @@ def column_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
 
 
 def _column_space_from_svd(factors: SvdFactors, tol: ToleranceProfile) -> Subspace:
-    u = factors.left_vectors
-    return Subspace(u.shape[0], u[:, : factors.rank(tol)])
+    return Subspace._trusted(factors.left_vectors[:, : factors.rank(tol)])
 
 
 def row_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement of the kernel (= range of A*)."""
     f = svd(a)
-    return Subspace(f.right_vectors.shape[0], f.right_vectors[:, : f.rank(tol)])
+    return Subspace._trusted(f.right_vectors[:, : f.rank(tol)])
 
 
 def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -374,12 +372,11 @@ def mp_via_12_inverse(a, z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 def moore_penrose_problem(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseProblem:
     """(A, N(A)_perp, R(A)_perp): the problem whose outer inverse is pinv(A)."""
-    am = as_matrix(a)
-    f = svd(am)
+    f = svd(a)
     r = f.rank(tol)
-    t = Subspace(am.shape[1], f.right_vectors[:, :r])
-    s = Subspace(am.shape[0], f.left_vectors[:, r:])
-    return OuterInverseProblem(am, t, s)
+    t = Subspace._trusted(f.right_vectors[:, :r])
+    s = Subspace._trusted(f.left_vectors[:, r:])
+    return OuterInverseProblem(a, t, s)
 
 
 def moore_penrose(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:

@@ -334,7 +334,6 @@ def _stability(
 
     Also returns the SVD of A + dA that the report was read from.
     """
-    m, n = a.shape
     abar = a + da
     c = _resolvent_gi(ap, da, tol)
     product = factors.pinv_norm(tol) * norm_da
@@ -344,10 +343,12 @@ def _stability(
     bar = svd(abar)
     r_bar = bar.rank(tol)
     cond1 = ss.intersection_trivial(
-        Subspace(m, bar.left_vectors[:, :r_bar]), Subspace(m, factors.left_vectors[:, r:]), tol
+        Subspace._trusted(bar.left_vectors[:, :r_bar]),
+        Subspace._trusted(factors.left_vectors[:, r:]),
+        tol,
     )
     cond2 = ss.intersection_trivial(
-        Subspace(n, bar.right_vectors[:, :r_bar]), kernel_from_svd(factors, tol), tol
+        Subspace._trusted(bar.right_vectors[:, :r_bar]), kernel_from_svd(factors, tol), tol
     )
 
     cond3 = c is not None and (

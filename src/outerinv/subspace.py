@@ -14,6 +14,15 @@ and idempotent (oblique) projectors with prescribed range and kernel.
 The directed gap is computed through the exact finite-dimensional
 identity ``delta(M, N) = ||(I - P_N) P_M||``; the sup-over-unit-sphere
 definition is kept only as a Monte-Carlo cross-check in the test suite.
+
+A basis is validated where it enters: ``Subspace(...)`` and
+:func:`from_orthonormal` check that it is finite and orthonormal, and
+:func:`subspace_from_obj` that it is finite and of full column rank
+(the stored basis is re-orthonormalized).  Bases the package makes
+orthonormal by construction -- QR factors, SVD columns, the cached
+orthogonal complement and the plane rotation of
+:func:`~outerinv.instance_gen.perturb_subspace_exact_gap` -- are wrapped
+by the private ``Subspace._trusted`` and not checked again.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .numlin import (
     DEFAULT_TOL,
     IllConditionedError,
     ToleranceProfile,
+    _wire_size,
     as_matrix,
     cond,
     matrix_from_obj,
@@ -67,10 +77,12 @@ class Subspace:
     """A closed subspace of C^n, represented by an orthonormal basis.
 
     ``basis`` has ``ambient_dim`` rows and ``dim`` columns; ``dim`` may be
-    zero.  Construction validates orthonormality, so any `Subspace` in
-    circulation satisfies ``basis* basis = I``.  The orthogonal
-    complement is computed at most once per instance (see
-    :func:`orthogonal_complement`).
+    zero.  Every `Subspace` satisfies ``basis* basis = I``: the public
+    constructor validates it (finite entries, orthonormal columns), and
+    the package's own producers, whose bases are orthonormal by
+    construction (QR, SVD columns), build through :meth:`_trusted`
+    without the check.  The orthogonal complement is computed at most
+    once per instance (see :func:`orthogonal_complement`).
     """
 
     ambient_dim: int
@@ -96,6 +108,17 @@ class Subspace:
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def _trusted(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace spanned by ``basis``, a 2-d complex128 array with
+        orthonormal columns by construction (a QR factor, SVD columns);
+        nothing is checked.  For the package's own producers only.
+        """
+        v = object.__new__(cls)
+        object.__setattr__(v, "ambient_dim", basis.shape[0])
+        object.__setattr__(v, "basis", basis)
+        return v
+
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
@@ -104,13 +127,15 @@ class Subspace:
     def _complement(self) -> "Subspace":
         # Computed on the first orthogonal_complement() call and kept; the
         # basis is made read-only because every later caller shares it.
+        # The columns are copied so the subspace does not pin the whole
+        # left-singular-vector matrix.
         d = self.dim
         if d == 0:
             comp = np.eye(self.ambient_dim, dtype=np.complex128)
         else:
-            comp = svd(self.basis).left_vectors[:, d:]
+            comp = svd(self.basis).left_vectors[:, d:].copy()
         comp.flags.writeable = False
-        return Subspace(self.ambient_dim, comp)
+        return Subspace._trusted(comp)
 
 
 @dataclass(frozen=True)
@@ -134,9 +159,8 @@ def from_spanning_set(vectors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     The basis comes from the SVD of the input, truncated at the shared
     rank threshold, so dependent or zero columns are dropped.
     """
-    v = as_matrix(vectors)
-    f = svd(v)
-    return Subspace(ambient_dim=v.shape[0], basis=f.left_vectors[:, : f.rank(tol)])
+    f = svd(vectors)
+    return Subspace._trusted(f.left_vectors[:, : f.rank(tol)])
 
 
 def projector(v: Subspace) -> np.ndarray:
@@ -211,7 +235,7 @@ def trivial_at_cosine(c: float, rtol: float) -> bool:
     """Whether two subspaces with largest principal cosine at most ``c`` pass
     the rank test of :func:`intersection_trivial` at relative threshold ``rtol``.
 
-    For validated bases (``||B* B - I|| <= _ORTHO_ATOL``) the stacked
+    For orthonormal bases (``||B* B - I|| <= _ORTHO_ATOL``) the stacked
     matrix ``[B_M | B_N]`` has ``sigma_min^2 >= 1 - c - _ORTHO_ATOL`` and
     ``sigma_max^2 <= 1 + c + _ORTHO_ATOL``, so ``sigma_min > rtol *
     sigma_max`` is proved when this returns True.  False means only that
@@ -295,7 +319,7 @@ def subspace_from_obj(obj: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Subspac
     count (the serialized basis must actually span what it claims).
     """
     try:
-        ambient = int(obj["ambient_dim"])
+        ambient = _wire_size(obj["ambient_dim"], "subspace", "ambient_dim")
         basis = matrix_from_obj(obj["basis"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed subspace object: {exc}") from exc

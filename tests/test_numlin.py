@@ -326,6 +326,25 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="malformed matrix object: entry 1 "):
             matrix_from_json(json.dumps(obj))
 
+    @pytest.mark.parametrize(
+        "entry", [[True, False], [1.0, False], [True, 0.0]], ids=repr
+    )
+    def test_boolean_entry_names_its_index(self, entry):
+        obj = {"rows": 1, "cols": 2, "entries": [[0.0, 0.0], entry]}
+        with pytest.raises(ValueError, match="malformed matrix object: entry 1 "):
+            matrix_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, "1", None], ids=repr)
+    def test_size_that_is_not_an_integer_names_its_field(self, field, value):
+        obj = {"rows": 1, "cols": 1, "entries": [[2.0, 0.0]], field: value}
+        with pytest.raises(ValueError, match=f"malformed matrix object: {field} is "):
+            matrix_from_json(json.dumps(obj))
+
+    def test_numpy_integer_sizes_accepted(self):
+        obj = {"rows": np.int64(1), "cols": np.int32(2), "entries": [[1.0, 0.0], [0, -1]]}
+        assert matrix_from_obj(obj).tolist() == [[1.0 + 0.0j, -1.0j]]
+
     def test_null_entries_rejected(self):
         with pytest.raises(ValueError, match="malformed matrix object"):
             matrix_from_obj({"rows": 1, "cols": 1, "entries": None})

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from outerinv import outer_inverse
+from outerinv import numlin, outer_inverse
 from outerinv import subspace as ss
 from outerinv import harness_cli
 from outerinv.harness_cli import RELERR_GATE, CampaignConfig, run_trial
@@ -36,11 +36,11 @@ from outerinv.perturbation import (
 from helpers import line, random_feasible_problem
 
 
-def count_calls(monkeypatch, names):
-    """Count calls of ``outer_inverse.<name>`` made through any outerinv module."""
+def count_calls(monkeypatch, names, owner=outer_inverse):
+    """Count calls of ``owner.<name>`` made through any outerinv module."""
     counts = Counter()
     for name in names:
-        original = getattr(outer_inverse, name)
+        original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
@@ -132,6 +132,40 @@ def test_svd_budget_per_trial(monkeypatch):
         assert run_trial(config, theorem, 0).row is not None
         counts[theorem] = len(calls)
     assert counts == SVD_BUDGET
+
+
+# Full finiteness scans (numlin.as_matrix) and validated Subspace
+# constructions in the same trials.  A trial checks only the data that
+# enters it: the drawn A (as an OuterInverseProblem), the scenario's E, and
+# the problem handed to the oracle (lemma31: the A of image_of).  Bases made
+# from QR or SVD columns are trusted, so no Subspace is validated.
+VALIDATION_BUDGET = {
+    "lemma21": {"as_matrix": 2, "Subspace": 0},
+    "lemma31": {"as_matrix": 3, "Subspace": 0},
+    "prop31": {"as_matrix": 3, "Subspace": 0},
+    "prop32": {"as_matrix": 3, "Subspace": 0},
+    "thm31": {"as_matrix": 3, "Subspace": 0},
+    "lemma32": {"as_matrix": 3, "Subspace": 0},
+    "thm32": {"as_matrix": 3, "Subspace": 0},
+}
+
+
+def test_validation_budget_per_trial(monkeypatch):
+    counts = count_calls(monkeypatch, ["as_matrix"], numlin)
+    validate = ss.Subspace.__post_init__
+
+    def counted_validate(self):
+        counts["Subspace"] += 1
+        validate(self)
+
+    monkeypatch.setattr(ss.Subspace, "__post_init__", counted_validate)
+    config = replace(CampaignConfig.default(), trials=1)
+    spent = {}
+    for theorem in THEOREMS:
+        counts.clear()
+        assert run_trial(config, theorem, 0).row is not None
+        spent[theorem] = {"as_matrix": counts["as_matrix"], "Subspace": counts["Subspace"]}
+    assert spent == VALIDATION_BUDGET
 
 
 def test_svd_budget_of_the_library_path(monkeypatch):

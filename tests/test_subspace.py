@@ -1,5 +1,6 @@
 """Subspace algebra: gaps, complements, direct sums, oblique projectors."""
 
+import json
 import math
 
 import numpy as np
@@ -443,6 +444,15 @@ class TestSerialization:
         }
         with pytest.raises(ValueError, match="span"):
             ss.subspace_from_obj(obj)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=repr)
+    def test_loader_rejects_an_ambient_dim_that_is_not_an_integer(self, value):
+        obj = {
+            "ambient_dim": value,
+            "basis": {"rows": 2, "cols": 1, "entries": [[1.0, 0.0], [0.0, 0.0]]},
+        }
+        with pytest.raises(ValueError, match="malformed subspace object: ambient_dim is "):
+            ss.subspace_from_json(json.dumps(obj))
 
     def test_loader_reorthonormalizes(self):
         obj = {
