@@ -109,11 +109,6 @@ def test_entry_point_rejects_a_nonfinite_argument(name, index, kind):
     assert isinstance(err.value, numlin.NumericalError)
 
 
-def test_nonfinite_error_is_a_value_error_and_a_numerical_error():
-    assert issubclass(numlin.NonFiniteError, ValueError)
-    assert issubclass(numlin.NonFiniteError, numlin.NumericalError)
-
-
 def test_certificates_need_a_finite_threshold():
     # An infinite b or limit would certify anything under the Frobenius
     # bound; the spectral test decides (and rejects) instead.
@@ -200,7 +195,7 @@ def test_complement_owns_its_columns(rng):
     assert comp.shape == (7, 4) and not comp.flags.writeable
 
 
-def test_nonfinite_intermediate_in_a_trial_costs_its_rows_not_the_campaign(monkeypatch, tmp_path):
+def test_nonfinite_intermediate_in_a_trial_costs_its_rows_not_the_campaign(monkeypatch):
     # np.linalg.solve returns NaN inside perturb_T only: each prop31 trial
     # raises NonFiniteError, which the campaign counts as an error.
     solve = np.linalg.solve
@@ -218,22 +213,6 @@ def test_nonfinite_intermediate_in_a_trial_costs_its_rows_not_the_campaign(monke
     assert summary.per_theorem["prop32"].errors == 0
     assert [row["theorem"] for row in rows] == ["prop32"] * 3
     assert campaign_exit_code(summary) == harness_cli.EXIT_OPERATIONAL
-
-    report = tmp_path / "report.json"
-    path = tmp_path / "campaign.json"
-    path.write_text(
-        json.dumps(
-            {
-                "gen": {"seed": config.gen.seed},
-                "theorems": ["prop31", "prop32"],
-                "trials": 3,
-                "output_path": str(report),
-                "format": "json",
-            }
-        )
-    )
-    assert main(["verify", str(path)]) == harness_cli.EXIT_OPERATIONAL
-    assert [row["theorem"] for row in json.loads(report.read_text())["rows"]] == ["prop32"] * 3
 
 
 def test_compute_keeps_its_exit_code_for_a_nonfinite_problem(tmp_path, capsys):
