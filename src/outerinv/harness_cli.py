@@ -48,7 +48,7 @@ from .instance_gen import (
     derive_trial_seed,
     generate,
 )
-from .numlin import IllConditionedError, NumericalError, ToleranceProfile
+from .numlin import IllConditionedError, NumericalError, ToleranceProfile, _wire_size
 from .outer_inverse import (
     ExistenceError,
     compute,
@@ -208,6 +208,12 @@ class CampaignSummary:
 # ---------------------------------------------------------------------------
 
 
+def _wire_real(value, what: str, name: str) -> None:
+    """Reject a config value that is not a real number: an int or a float, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"malformed {what} object: {name} is {value!r}, not a number")
+
+
 def gen_config_from_obj(obj: dict) -> GenConfig:
     known = {f.name for f in fields(GenConfig)}
     unknown = set(obj) - known
@@ -215,6 +221,12 @@ def gen_config_from_obj(obj: dict) -> GenConfig:
         raise ValueError(f"unknown gen config keys: {sorted(unknown)}")
     if "seed" not in obj:
         raise ValueError("gen config requires a seed")
+    for name, value in obj.items():
+        # The target ratios are reals; every other field is an integer.
+        if name in TARGET_FIELDS.values():
+            _wire_real(value, "gen config", name)
+        else:
+            _wire_size(value, "gen config", name)
     return GenConfig(**obj)
 
 
@@ -223,6 +235,9 @@ def tolerances_from_obj(obj: dict) -> ToleranceProfile:
     unknown = set(obj) - known
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+    for name, value in obj.items():
+        if not (name == "rank_rtol" and value is None):
+            _wire_real(value, "tolerances", name)
     return ToleranceProfile(**obj)
 
 
@@ -231,15 +246,22 @@ def campaign_config_from_obj(obj: dict) -> CampaignConfig:
         gen = gen_config_from_obj(obj["gen"])
     except KeyError:
         raise ValueError("campaign config requires a 'gen' block") from None
-    theorems = tuple(obj.get("theorems", THEOREMS))
-    trials = int(obj.get("trials", 1))
-    tolerances = tolerances_from_obj(obj.get("tolerances", {}))
+    theorems = obj.get("theorems", THEOREMS)
+    if not isinstance(theorems, (list, tuple)) or not all(isinstance(t, str) for t in theorems):
+        raise ValueError(
+            f"malformed campaign config object: theorems is {theorems!r}, not a list of strings"
+        )
+    output_path = obj.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ValueError(
+            f"malformed campaign config object: output_path is {output_path!r}, not a string"
+        )
     return CampaignConfig(
         gen=gen,
-        theorems=theorems,
-        trials=trials,
-        tolerances=tolerances,
-        output_path=obj.get("output_path"),
+        theorems=tuple(theorems),
+        trials=_wire_size(obj.get("trials", 1), "campaign config", "trials"),
+        tolerances=tolerances_from_obj(obj.get("tolerances", {})),
+        output_path=output_path,
         format=obj.get("format", "csv"),
     )
 
@@ -310,13 +332,12 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutco
     seed = derive_trial_seed(config.gen.seed, theorem, trial_id)
     gen_cfg = replace(config.gen, seed=seed)
     try:
-        instance = generate(gen_cfg, theorem, tol)
-        report = globals()[_EVALUATORS[theorem]](instance.scenario, tol)
+        scenario = generate(gen_cfg, theorem, tol)
+        report = globals()[_EVALUATORS[theorem]](scenario, tol)
     except GenerationError as exc:
         return TrialOutcome(skip_reasons=exc.failure_counts)
     except NumericalError:
         return TrialOutcome(error=True)
-    scenario = instance.scenario
 
     row = {
         "trial_id": trial_id,

@@ -8,7 +8,11 @@ directly to the requested norm.  That makes hypothesis targeting exact
 and keeps every emitted instance strictly inside its theorem's
 hypothesis region.  Which sizes a theorem perturbs, and the limit each
 target ratio is a fraction of, come from its record in
-:data:`outerinv.perturbation.REGISTRY`.
+:data:`outerinv.perturbation.REGISTRY`.  :func:`generate` returns the
+:class:`~outerinv.perturbation.PerturbationScenario` itself, after
+rejecting any draw whose hypotheses sit within
+``HYPOTHESIS_GUARD_BAND`` of their thresholds; a caller that wants the
+hypothesis statuses asks the theorem's record for them.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
 seed determines an instance byte-for-byte.  Parallel trials derive their
@@ -19,14 +23,14 @@ seeds by the documented splitting rule implemented in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import subspace as ss
 from .numlin import DEFAULT_TOL, ToleranceProfile, op_norm
 from .outer_inverse import ExistenceError, OuterInverseProblem, PreparedProblem, prepare
-from .perturbation import REGISTRY, HypothesisStatus, PerturbationScenario
+from .perturbation import REGISTRY, PerturbationScenario
 from .perturbation import theorem as theorem_record  # ``theorem`` names generate's argument
 from .subspace import Subspace
 
@@ -35,7 +39,6 @@ __all__ = [
     "THEOREMS",
     "TARGET_FIELDS",
     "GenConfig",
-    "GeneratedInstance",
     "GenerationError",
     "derive_trial_seed",
     "random_matrix_with_rank",
@@ -136,14 +139,6 @@ class GenConfig:
             raise ValueError("max_retries must be at least 1")
 
 
-@dataclass(frozen=True)
-class GeneratedInstance:
-    """A scenario on a base problem prepared once, with its theorem's hypothesis statuses."""
-
-    scenario: PerturbationScenario
-    hypothesis_statuses: tuple[HypothesisStatus, ...] = field(default=())
-
-
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
@@ -241,7 +236,7 @@ def generate(
     config: GenConfig,
     theorem: str,
     tol: ToleranceProfile = DEFAULT_TOL,
-) -> GeneratedInstance:
+) -> PerturbationScenario:
     """One feasible, hypothesis-satisfying scenario for the given theorem.
 
     Deterministic in ``config``: the same seed always yields the same
@@ -291,7 +286,7 @@ def generate(
         ):
             failures["hypothesis_band"] += 1
             continue
-        return GeneratedInstance(scenario=scenario, hypothesis_statuses=statuses)
+        return scenario
     raise GenerationError(
         f"no feasible instance for {theorem} after {config.max_retries} draws",
         failures,

@@ -34,7 +34,6 @@ the campaign).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,8 +56,6 @@ __all__ = [
     "rank",
     "solve_square",
     "cond",
-    "matrix_to_json",
-    "matrix_from_json",
     "matrix_to_obj",
     "matrix_from_obj",
     "DEFAULT_TOL",
@@ -130,7 +127,7 @@ DEFAULT_TOL = ToleranceProfile()
 CERT_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Full SVD ``A = U @ diag(s) @ V.conj().T``.
 
@@ -404,11 +401,3 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
             ) from None
     data = np.array(values, dtype=np.complex128)
     return as_matrix(data.reshape(rows, cols))
-
-
-def matrix_to_json(a) -> str:
-    return json.dumps(matrix_to_obj(a))
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    return matrix_from_obj(json.loads(text))

@@ -26,11 +26,16 @@ per :class:`~outerinv.subspace.Subspace` and kept there, so the oracle's
 W on an S the pinv route has seen costs no further SVD.  The classical
 special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
 constructors that pick the right (T, S) pair and delegate.
+
+The subspaces read off an SVD (kernel, column space, row space, A·T)
+own copies of their columns, so none of them keeps a full
+singular-vector matrix alive.  Problems and results travel as plain
+dicts (:func:`problem_to_obj`, :func:`problem_from_obj`,
+:func:`result_to_obj`); callers do their own JSON encoding.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +68,7 @@ __all__ = [
     "kernel_from_svd",
     "column_space",
     "row_space",
+    "image_of",
     "existence",
     "prepare",
     "compute",
@@ -71,15 +77,12 @@ __all__ = [
     "moore_penrose",
     "moore_penrose_problem",
     "group_inverse",
+    "drazin_index",
     "drazin",
     "bott_duffin",
-    "classical_cases",
     "problem_to_obj",
     "problem_from_obj",
-    "problem_to_json",
-    "problem_from_json",
     "result_to_obj",
-    "result_to_json",
 ]
 
 
@@ -91,7 +94,7 @@ class ExistenceError(ValueError):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterInverseProblem:
     """The data (A, T, S): T lives in the domain, S in the codomain."""
 
@@ -112,7 +115,7 @@ class OuterInverseProblem:
         object.__setattr__(self, "A", a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedProblem:
     """A problem whose outer inverse exists, with what every check needs of it.
 
@@ -158,7 +161,7 @@ class ExistenceCertificate:
         return self.kernel_meets_T_trivially and self.direct_sum_holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OuterInverseResult:
     """Computed inverse G plus its defining-equation residuals."""
 
@@ -436,30 +439,6 @@ def bott_duffin(a, constraint: Subspace, tol: ToleranceProfile = DEFAULT_TOL) ->
     return compute(OuterInverseProblem(am, constraint, s), tol)
 
 
-def classical_cases(
-    a,
-    which: str,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    constraint: Subspace | None = None,
-) -> OuterInverseResult:
-    """Dispatch to one of the named classical generalized inverses.
-
-    ``which`` is one of ``moore_penrose``, ``group``, ``drazin``,
-    ``bott_duffin`` (the last requires ``constraint``).
-    """
-    if which == "moore_penrose":
-        return moore_penrose(a, tol)
-    if which == "group":
-        return group_inverse(a, tol)
-    if which == "drazin":
-        return drazin(a, tol)
-    if which == "bott_duffin":
-        if constraint is None:
-            raise ValueError("bott_duffin requires the constraint subspace")
-        return bott_duffin(a, constraint, tol)
-    raise ValueError(f"unknown classical case {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON wire formats
 #
@@ -486,14 +465,6 @@ def problem_from_obj(obj: dict, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInv
     return OuterInverseProblem(a, t, s)
 
 
-def problem_to_json(problem: OuterInverseProblem) -> str:
-    return json.dumps(problem_to_obj(problem))
-
-
-def problem_from_json(text: str, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseProblem:
-    return problem_from_obj(json.loads(text), tol)
-
-
 def result_to_obj(result: OuterInverseResult) -> dict:
     return {
         "G": matrix_to_obj(result.G),
@@ -503,7 +474,3 @@ def result_to_obj(result: OuterInverseResult) -> dict:
             "null_gap": result.null_gap,
         },
     }
-
-
-def result_to_json(result: OuterInverseResult) -> str:
-    return json.dumps(result_to_obj(result))

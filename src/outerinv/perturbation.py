@@ -113,7 +113,7 @@ class HypothesisStatus:
         return self.observed < self.threshold
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationScenario:
     """A prepared base problem plus perturbed range, kernel and operator.
 
@@ -146,7 +146,7 @@ class PerturbationScenario:
         object.__setattr__(self, "norm_E", op_norm(e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
     """Record of one perturbation check: formula vs oracle vs bounds.
 
@@ -184,7 +184,7 @@ class BoundReport:
         return self.diff_bound - self.diff_actual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StableReport:
     """The three equivalent characterizations of a stable perturbation.
 

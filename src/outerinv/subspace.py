@@ -8,26 +8,25 @@ orthogonal projectors, the directed gap
     delta(M, N) = sup { dist(x, N) : x in M, ||x|| = 1 },
 
 the symmetric gap ``gap_hat(M, N) = max(delta(M, N), delta(N, M))``
-(equal to ``||P_M - P_N||``), orthogonal complements, direct-sum tests,
-and idempotent (oblique) projectors with prescribed range and kernel.
+(equal to ``||P_M - P_N||``), orthogonal complements and direct-sum
+tests.
 
 The directed gap is computed through the exact finite-dimensional
 identity ``delta(M, N) = ||(I - P_N) P_M||``; the sup-over-unit-sphere
 definition is kept only as a Monte-Carlo cross-check in the test suite.
 
-A basis is validated where it enters: ``Subspace(...)`` and
-:func:`from_orthonormal` check that it is finite and orthonormal, and
-:func:`subspace_from_obj` that it is finite and of full column rank
-(the stored basis is re-orthonormalized).  Bases the package makes
-orthonormal by construction -- QR factors, SVD columns, the cached
-orthogonal complement and the plane rotation of
+A basis is validated where it enters: ``Subspace(basis)`` checks that it
+is finite and orthonormal, and :func:`subspace_from_obj` that it is
+finite and of full column rank (the stored basis is re-orthonormalized).
+Bases the package makes orthonormal by construction -- QR factors, SVD
+columns, the cached orthogonal complement and the plane rotation of
 :func:`~outerinv.instance_gen.perturb_subspace_exact_gap` -- are wrapped
-by the private ``Subspace._trusted`` and not checked again.
+by the private ``Subspace._trusted`` and not checked again.  Either way
+the subspace owns its basis and the basis is read-only.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,11 +35,9 @@ import numpy as np
 from .numlin import (
     CERT_MARGIN,
     DEFAULT_TOL,
-    IllConditionedError,
     ToleranceProfile,
     _wire_size,
     as_matrix,
-    cond,
     matrix_from_obj,
     matrix_to_obj,
     op_norm,
@@ -50,9 +47,7 @@ from .numlin import (
 
 __all__ = [
     "Subspace",
-    "ObliqueProjector",
     "from_spanning_set",
-    "from_orthonormal",
     "projector",
     "dist",
     "delta",
@@ -61,51 +56,43 @@ __all__ = [
     "intersection_trivial",
     "trivial_at_cosine",
     "direct_sum_is_whole",
-    "oblique_projector",
-    "complementedness_check",
     "subspace_to_obj",
     "subspace_from_obj",
-    "subspace_to_json",
-    "subspace_from_json",
 ]
 
 _ORTHO_ATOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A closed subspace of C^n, represented by an orthonormal basis.
 
-    ``basis`` has ``ambient_dim`` rows and ``dim`` columns; ``dim`` may be
-    zero.  Every `Subspace` satisfies ``basis* basis = I``: the public
-    constructor validates it (finite entries, orthonormal columns), and
-    the package's own producers, whose bases are orthonormal by
-    construction (QR, SVD columns), build through :meth:`_trusted`
-    without the check.  The orthogonal complement is computed at most
-    once per instance (see :func:`orthogonal_complement`).
+    ``basis``, the one stored field, is an n-by-d matrix with
+    ``basis* basis = I``; n = ``ambient_dim`` is at least one and d =
+    ``dim`` may be zero.  The subspace owns its basis and the basis is
+    read-only.  The public constructor checks the basis (2-d, at least
+    one row, finite entries, orthonormal columns) and stores a read-only
+    copy, leaving the caller's array as it was; the package's own
+    producers, whose bases are orthonormal by construction (QR, SVD
+    columns), build through :meth:`_trusted` without the check.
+    Equality and hashing are by identity.  The orthogonal complement is
+    computed at most once per instance (see :func:`orthogonal_complement`).
     """
 
-    ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = as_matrix(self.basis)
-        if self.ambient_dim <= 0:
-            raise ValueError(f"ambient_dim must be positive, got {self.ambient_dim}")
-        if b.shape[0] != self.ambient_dim:
-            raise ValueError(
-                f"basis has {b.shape[0]} rows, expected ambient_dim={self.ambient_dim}"
-            )
-        if b.shape[1] > self.ambient_dim:
-            raise ValueError(
-                f"dimension {b.shape[1]} exceeds ambient dimension {self.ambient_dim}"
-            )
+        if b.shape[0] == 0:
+            raise ValueError("basis must have at least one row")
         if b.shape[1]:
             residual = b.conj().T @ b - np.eye(b.shape[1])
             # ||.||_2 <= ||.||_F, so a Frobenius pass accepts only what the
             # spectral test accepts; anything else gets the exact test.
             if np.linalg.norm(residual) > _ORTHO_ATOL and op_norm(residual) > _ORTHO_ATOL:
                 raise ValueError("basis columns are not orthonormal")
+        b = b.copy()
+        b.flags.writeable = False
         object.__setattr__(self, "basis", b)
 
     @classmethod
@@ -113,11 +100,21 @@ class Subspace:
         """The subspace spanned by ``basis``, a 2-d complex128 array with
         orthonormal columns by construction (a QR factor, SVD columns);
         nothing is checked.  For the package's own producers only.
+
+        The subspace takes ownership: a view (such as a column slice of a
+        full singular-vector matrix) is copied, so the subspace never pins
+        the larger array, and the basis is made read-only.
         """
+        if basis.base is not None:
+            basis = basis.copy()
+        basis.flags.writeable = False
         v = object.__new__(cls)
-        object.__setattr__(v, "ambient_dim", basis.shape[0])
         object.__setattr__(v, "basis", basis)
         return v
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -125,32 +122,11 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> "Subspace":
-        # Computed on the first orthogonal_complement() call and kept; the
-        # basis is made read-only because every later caller shares it.
-        # The columns are copied so the subspace does not pin the whole
-        # left-singular-vector matrix.
+        # Computed on the first orthogonal_complement() call and kept.
         d = self.dim
         if d == 0:
-            comp = np.eye(self.ambient_dim, dtype=np.complex128)
-        else:
-            comp = svd(self.basis).left_vectors[:, d:].copy()
-        comp.flags.writeable = False
-        return Subspace._trusted(comp)
-
-
-@dataclass(frozen=True)
-class ObliqueProjector:
-    """An idempotent matrix with prescribed range and null space."""
-
-    matrix: np.ndarray
-    range_space: Subspace
-    null_space: Subspace
-
-
-def from_orthonormal(basis) -> Subspace:
-    """Wrap an already-orthonormal basis (validated) as a Subspace."""
-    b = as_matrix(basis)
-    return Subspace(ambient_dim=b.shape[0], basis=b)
+            return Subspace._trusted(np.eye(self.ambient_dim, dtype=np.complex128))
+        return Subspace._trusted(svd(self.basis).left_vectors[:, d:])
 
 
 def from_spanning_set(vectors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -255,54 +231,6 @@ def direct_sum_is_whole(
     return intersection_trivial(m, n, tol)
 
 
-def oblique_projector(
-    range_space: Subspace,
-    null_space: Subspace,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> ObliqueProjector:
-    """Idempotent P with range ``range_space`` and kernel ``null_space``.
-
-    Requires the two subspaces to split the whole space; the projector is
-    built as ``U (W* U)^{-1} W*`` with U a basis of the range and W a
-    basis of the kernel's orthogonal complement.
-    """
-    _check_same_ambient(range_space, null_space)
-    if not direct_sum_is_whole(range_space, null_space, tol):
-        raise ValueError(
-            "range and null space do not form a direct sum of the whole space"
-        )
-    n = range_space.ambient_dim
-    if range_space.dim == 0:
-        return ObliqueProjector(
-            np.zeros((n, n), dtype=np.complex128), range_space, null_space
-        )
-    u = range_space.basis
-    w = orthogonal_complement(null_space).basis
-    middle = w.conj().T @ u
-    c = cond(middle)
-    if not c <= tol.cond_cap:
-        raise IllConditionedError(
-            f"oblique projector middle matrix has condition number {c:.3e}",
-            condition=c,
-        )
-    p = u @ np.linalg.solve(middle, w.conj().T)
-    return ObliqueProjector(p, range_space, null_space)
-
-
-def complementedness_check(
-    p: ObliqueProjector, m_prime: Subspace, tol: ToleranceProfile = DEFAULT_TOL
-) -> bool:
-    """Whether ``range(I - P)`` and M' split the whole space.
-
-    When ``gap_hat(range(P), M') < 1 / (1 + ||P||)`` this is guaranteed to
-    be true; callers checking that guarantee evaluate the gap themselves.
-    """
-    _check_same_ambient(p.range_space, m_prime)
-    eye = np.eye(p.range_space.ambient_dim, dtype=np.complex128)
-    residual_range = from_spanning_set(eye - p.matrix, tol)
-    return direct_sum_is_whole(residual_range, m_prime, tol)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format: {"ambient_dim": n, "basis": <matrix object>}
 # ---------------------------------------------------------------------------
@@ -334,11 +262,3 @@ def subspace_from_obj(obj: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Subspac
             f"dimension {span.dim}"
         )
     return span
-
-
-def subspace_to_json(v: Subspace) -> str:
-    return json.dumps(subspace_to_obj(v))
-
-
-def subspace_from_json(text: str, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    return subspace_from_obj(json.loads(text), tol)

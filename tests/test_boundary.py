@@ -2,9 +2,10 @@
 
 Finiteness is checked where a matrix enters the package (``as_matrix``)
 and, inside ``numlin``, right before LAPACK factors an array.  A basis is
-checked by the public ``Subspace`` constructors; the package's own QR and
+checked by the public ``Subspace`` constructor; the package's own QR and
 SVD producers build through ``Subspace._trusted`` without the check, so
-their output must pass that check anyway.
+their output must pass that check anyway.  Either way the subspace owns
+its basis, read-only.
 """
 
 import json
@@ -71,8 +72,7 @@ ENTRY_POINTS = {
     "numlin.cond": (numlin.cond, lambda: [_square()]),
     "numlin.solve_square": (numlin.solve_square, lambda: [_square(), _rect()[:5]]),
     "numlin.matrix_to_obj": (numlin.matrix_to_obj, lambda: [_rect()]),
-    "subspace.Subspace": (lambda b: ss.Subspace(6, b), lambda: [_basis()]),
-    "subspace.from_orthonormal": (ss.from_orthonormal, lambda: [_basis()]),
+    "subspace.Subspace": (ss.Subspace, lambda: [_basis()]),
     "subspace.from_spanning_set": (ss.from_spanning_set, lambda: [_rect()]),
     "outer_inverse.OuterInverseProblem": (_problem_with, lambda: [_problem().A]),
     "outer_inverse.kernel": (oi.kernel, lambda: [_rect()]),
@@ -129,14 +129,24 @@ NOT_ORTHONORMAL = {
 
 
 @pytest.mark.parametrize("basis", sorted(NOT_ORTHONORMAL))
-@pytest.mark.parametrize(
-    "construct",
-    [lambda b: ss.Subspace(3, b), ss.from_orthonormal],
-    ids=["Subspace", "from_orthonormal"],
-)
-def test_public_constructors_reject_a_nonorthonormal_basis(construct, basis):
+def test_public_constructor_rejects_a_nonorthonormal_basis(basis):
     with pytest.raises(ValueError, match="orthonormal"):
-        construct(NOT_ORTHONORMAL[basis])
+        ss.Subspace(NOT_ORTHONORMAL[basis])
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (np.zeros((0, 0)), "at least one row"),
+        (np.zeros((0, 2)), "at least one row"),
+        (np.ones(3), "2-d"),
+        (np.ones((3, 1, 1)), "2-d"),
+    ],
+    ids=["0x0", "0x2", "1-d", "3-d"],
+)
+def test_public_constructor_rejects_a_basis_of_the_wrong_shape(basis, message):
+    with pytest.raises(ValueError, match=message):
+        ss.Subspace(basis)
 
 
 def _trusted_outputs(rng):
@@ -183,16 +193,15 @@ def test_trusted_producers_pass_the_public_check(monkeypatch):
         produced.update({f"stability[{k}]": w for k, w in enumerate(stability_ranges)})
         for name, w in produced.items():
             seen.add(name.split("[")[0])
-            checked = ss.Subspace(w.ambient_dim, w.basis)  # raises if not orthonormal
-            assert checked.dim == w.dim, name
+            caller = np.array(w.basis)
+            checked = ss.Subspace(caller)  # raises if not orthonormal
+            assert checked.dim == w.dim and checked.ambient_dim == w.ambient_dim, name
+            assert caller.flags.writeable, name  # the caller's array is not frozen
+            for owner in (w, checked):
+                # Owned, not a view that pins a whole singular-vector matrix.
+                assert owner.basis.base is None, name
+                assert not owner.basis.flags.writeable, name
     assert {"perturb_subspace_exact_gap", "stability"} <= seen
-
-
-def test_complement_owns_its_columns(rng):
-    v = instance_gen.random_subspace(7, 3, rng)
-    comp = ss.orthogonal_complement(v).basis
-    assert comp.base is None  # not a view of the 7x7 left-singular-vector matrix
-    assert comp.shape == (7, 4) and not comp.flags.writeable
 
 
 def test_nonfinite_intermediate_in_a_trial_costs_its_rows_not_the_campaign(monkeypatch):

@@ -200,6 +200,53 @@ class TestCmdVerify:
         assert "thm99" in capsys.readouterr().err
 
 
+# Config entries of the wrong type: (where, field, value).  Each one must
+# end in exit 1 with the field named, not in a traceback, a silently
+# converted value or a run of the wrong campaign.
+WRONG_TYPES = [
+    ("campaign", "trials", 2.7),
+    ("campaign", "trials", True),
+    ("campaign", "trials", "2"),
+    ("gen", "seed", True),
+    ("gen", "m", 6.0),
+    ("gen", "max_retries", None),
+    ("gen", "target_gap_T", "0.5"),
+    ("gen", "target_gap_S", True),
+    ("tolerances", "verify_atol", "1e-8"),
+    ("tolerances", "cond_cap", False),
+    ("tolerances", "rank_rtol", [0.1]),
+    ("campaign", "theorems", "lemma31"),
+    ("campaign", "theorems", ["lemma31", 7]),
+    ("campaign", "output_path", 5),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "where, field, value", WRONG_TYPES, ids=[f"{w}.{f}={v!r}" for w, f, v in WRONG_TYPES]
+    )
+    def test_wrong_type_exits_1_naming_the_field(self, tmp_path, capsys, where, field, value):
+        obj = small_campaign_obj(output_path=str(tmp_path / "r.csv"))
+        if where == "campaign":
+            obj[field] = value
+        else:
+            obj.setdefault(where, {})[field] = value
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f" {field} is {value!r}" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_valid_values_keep_their_types(self):
+        obj = small_campaign_obj(
+            theorems=["prop31"], tolerances={"rank_rtol": None, "cond_cap": 10**12}
+        )
+        obj["gen"]["target_gap_T"] = 0
+        config = campaign_config_from_obj(obj)
+        assert config.gen.target_gap_T == 0 and type(config.gen.target_gap_T) is int
+        assert type(config.tolerances.cond_cap) is int and config.tolerances.rank_rtol is None
+        assert config.trials == 2 and config.theorems == ("prop31",)
+
+
 class TestExitCodeGate:
     def _summary(self, **kwargs):
         t = TheoremSummary(trials_requested=10, trials_run=10, hypotheses_met=10)
@@ -384,7 +431,7 @@ class TestCampaignInternals:
         # BOUND_SLACK * (1 + ||G||), as every other theorem's check does.
         config = replace(CampaignConfig.default(seed=3), theorems=("lemma31",), trials=1)
         gen = replace(config.gen, seed=derive_trial_seed(config.gen.seed, "lemma31", 0))
-        noise = excess * BOUND_SLACK * (1.0 + generate(gen, "lemma31").scenario.prepared.norm_G)
+        noise = excess * BOUND_SLACK * (1.0 + generate(gen, "lemma31").prepared.norm_G)
 
         def gap_hat(u, v):
             # T and T' live in C^n, the images A T and A T' in C^m (m != n).

@@ -195,9 +195,9 @@ class TestGapPropagation:
 
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_T=float(rng.uniform(0, 0.95)))
-            inst = generate(cfg, "lemma31")
-            prob, t_prime = inst.scenario.prepared.problem, inst.scenario.T_prime
-            gp = gap_propagation(inst.scenario)
+            sc = generate(cfg, "lemma31")
+            prob, t_prime = sc.prepared.problem, sc.T_prime
+            gp = gap_propagation(sc)
             assert gp.hypotheses_met
             assert gp.diff_actual <= gp.diff_bound * (1 + 1e-10)
             kappa = op_norm(prob.A) * op_norm(compute(prob).G)
@@ -228,8 +228,8 @@ class TestPerturbT:
     def test_random_trials(self, rng):
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_T=float(rng.uniform(0, 0.95)))
-            inst = generate(cfg, "prop31")
-            report = perturb_T(inst.scenario)
+            sc = generate(cfg, "prop31")
+            report = perturb_T(sc)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -265,8 +265,8 @@ class TestPerturbS:
     def test_random_trials(self, rng):
         for _ in range(100):
             cfg = GenConfig(seed=int(rng.integers(0, 2**63)), target_gap_S=float(rng.uniform(0, 0.95)))
-            inst = generate(cfg, "prop32")
-            report = perturb_S(inst.scenario)
+            sc = generate(cfg, "prop32")
+            report = perturb_S(sc)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -282,8 +282,8 @@ class TestPerturbTS:
 
     def test_simultaneous_rotation_5x4(self, rng):
         cfg = GenConfig(seed=1234, m=5, n=4, rank_A=3, dim_T=2)
-        inst = generate(cfg, "thm31")
-        report = perturb_TS(inst.scenario)
+        sc = generate(cfg, "thm31")
+        report = perturb_TS(sc)
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
 
@@ -294,8 +294,8 @@ class TestPerturbTS:
                 target_gap_T=float(rng.uniform(0, 0.95)),
                 target_gap_S=float(rng.uniform(0, 0.95)),
             )
-            inst = generate(cfg, "thm31")
-            report = perturb_TS(inst.scenario)
+            sc = generate(cfg, "thm31")
+            report = perturb_TS(sc)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -323,10 +323,10 @@ class TestPerturbA:
                 seed=int(rng.integers(0, 2**63)),
                 target_norm_E_ratio=float(rng.uniform(0, 0.95)),
             )
-            inst = generate(cfg, "lemma32")
+            sc = generate(cfg, "lemma32")
             # perturb_A itself raises if the left and right resolvent forms
             # disagree, so a completed call covers that identity.
-            report = perturb_A(inst.scenario)
+            report = perturb_A(sc)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
@@ -354,8 +354,8 @@ class TestPerturbAll:
 
     def test_combined_6x5(self):
         cfg = GenConfig(seed=777, m=6, n=5, rank_A=4, dim_T=3)
-        inst = generate(cfg, "thm32")
-        report = perturb_all(inst.scenario)
+        sc = generate(cfg, "thm32")
+        report = perturb_all(sc)
         assert {h.name for h in report.hypotheses} == {"gap_T", "gap_S", "norm_E"}
         assert report.formula_vs_oracle_relerr <= 1e-8
         assert report.all_satisfied
@@ -368,8 +368,8 @@ class TestPerturbAll:
                 target_gap_S=float(rng.uniform(0, 0.95)),
                 target_norm_E_ratio=float(rng.uniform(0, 0.95)),
             )
-            inst = generate(cfg, "thm32")
-            report = perturb_all(inst.scenario)
+            sc = generate(cfg, "thm32")
+            report = perturb_all(sc)
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied

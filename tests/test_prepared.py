@@ -26,6 +26,7 @@ from outerinv.outer_inverse import (
     result_to_obj,
 )
 from outerinv.perturbation import (
+    is_stable,
     perturb_A,
     perturb_S,
     perturb_T,
@@ -33,7 +34,7 @@ from outerinv.perturbation import (
     perturb_all,
 )
 
-from helpers import line, random_feasible_problem
+from helpers import line, random_feasible_problem, scenario
 
 
 def count_calls(monkeypatch, names, owner=outer_inverse):
@@ -76,7 +77,7 @@ class TestPrepare:
             prepare(prob)
 
     def test_generated_instance_carries_its_prepared_base(self):
-        prepared = generate(GenConfig(seed=5), "thm32").scenario.prepared
+        prepared = generate(GenConfig(seed=5), "thm32").prepared
         again = prepare(prepared.problem)
         assert np.array_equal(prepared.G, again.G)
         assert prepared.norm_G == again.norm_G
@@ -195,7 +196,7 @@ def test_shared_complements_leave_a_trial_unchanged(theorem):
     # Every complement a trial takes is computed once per subspace and
     # shared by the generator, the formula and the oracle; after the
     # trial each still equals a fresh SVD complement to the bit.
-    scenario = generate(GenConfig(seed=23), theorem).scenario
+    scenario = generate(GenConfig(seed=23), theorem)
     getattr(harness_cli, harness_cli._EVALUATORS[theorem])(scenario)
     base = scenario.prepared.problem
     subspaces = (base.T, base.S, scenario.T_prime, scenario.S_prime)
@@ -217,7 +218,7 @@ EVALUATORS = {
 
 @pytest.mark.parametrize("theorem", sorted(EVALUATORS))
 def test_oracle_ignores_the_prepared_G(theorem):
-    scenario = generate(GenConfig(seed=17), theorem).scenario
+    scenario = generate(GenConfig(seed=17), theorem)
     evaluate = EVALUATORS[theorem]
     clean = evaluate(scenario)
     corrupted_prepared = replace(scenario.prepared, G=scenario.prepared.G * (1.0 + 1e-3))
@@ -225,3 +226,30 @@ def test_oracle_ignores_the_prepared_G(theorem):
     assert clean.formula_vs_oracle_relerr <= RELERR_GATE
     assert corrupted.formula_vs_oracle_relerr > RELERR_GATE
     assert np.array_equal(corrupted.oracle_result, clean.oracle_result)
+
+
+def _problem():
+    return random_feasible_problem(np.random.default_rng(8), m=6, n=5, rank_a=4, dim_t=3)
+
+
+# Each frozen record with an array field, and a way to build one.  Two
+# builds from the same input are distinct records with equal contents.
+RECORDS = {
+    "Subspace": lambda: ss.Subspace(np.eye(4, 2)),
+    "SvdFactors": lambda: numlin.svd(_problem().A),
+    "OuterInverseProblem": _problem,
+    "PreparedProblem": lambda: prepare(_problem()),
+    "OuterInverseResult": lambda: compute(_problem()),
+    "PerturbationScenario": lambda: scenario(_problem(), E=1e-3 * _problem().A),
+    "BoundReport": lambda: perturb_A(scenario(_problem(), E=1e-3 * _problem().A)),
+    "StableReport": lambda: is_stable(_problem().A, 1e-3 * _problem().A),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_with_arrays_compare_and_hash_by_identity(name):
+    first, second = RECORDS[name](), RECORDS[name]()
+    assert type(first).__name__ == name
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert len({first, second}) == 2
