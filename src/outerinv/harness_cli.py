@@ -214,7 +214,14 @@ def _wire_real(value, what: str, name: str) -> None:
         raise ValueError(f"malformed {what} object: {name} is {value!r}, not a number")
 
 
+def _wire_object(value, name: str) -> None:
+    """Reject a campaign config block that is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"malformed campaign config: {name} is {value!r}, not an object")
+
+
 def gen_config_from_obj(obj: dict) -> GenConfig:
+    _wire_object(obj, "gen")
     known = {f.name for f in fields(GenConfig)}
     unknown = set(obj) - known
     if unknown:
@@ -231,6 +238,7 @@ def gen_config_from_obj(obj: dict) -> GenConfig:
 
 
 def tolerances_from_obj(obj: dict) -> ToleranceProfile:
+    _wire_object(obj, "tolerances")
     known = {f.name for f in fields(ToleranceProfile)}
     unknown = set(obj) - known
     if unknown:
@@ -242,6 +250,7 @@ def tolerances_from_obj(obj: dict) -> ToleranceProfile:
 
 
 def campaign_config_from_obj(obj: dict) -> CampaignConfig:
+    _wire_object(obj, "the top level")
     try:
         gen = gen_config_from_obj(obj["gen"])
     except KeyError:
@@ -597,7 +606,10 @@ def _load_campaign(path: str) -> CampaignConfig:
 
 def cmd_compute(args) -> int:
     obj = _load_json_file(args.problem)
-    tol = ToleranceProfile(verify_atol=args.tol) if args.tol else ToleranceProfile()
+    try:
+        tol = ToleranceProfile() if args.tol is None else ToleranceProfile(verify_atol=args.tol)
+    except ValueError as exc:
+        raise ValueError(f"--tol {args.tol}: {exc}") from None
     result = compute(problem_from_obj(obj, tol), tol)
     text = json.dumps(result_to_obj(result), indent=2) + "\n"
     if args.out:

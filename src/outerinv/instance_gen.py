@@ -273,12 +273,7 @@ def generate(
         )
 
         scenario = PerturbationScenario(prepared, t_prime, s_prime, e)
-        statuses = spec.hypotheses(
-            prepared,
-            gap_T=scenario.measured_gap_T,
-            gap_S=scenario.measured_gap_S,
-            norm_E=scenario.norm_E,
-        )
+        statuses = spec.hypotheses(scenario)
         # Reject anything inside the numerical-ambiguity band below the
         # threshold: the theorems are strict inequalities.
         if not all(

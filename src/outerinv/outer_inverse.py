@@ -121,7 +121,7 @@ class PreparedProblem:
 
     Built once per trial, only by :func:`prepare`, and handed to the
     perturbation evaluators.  ``factors`` is the SVD of A, and
-    ``rank_A``, ``norm_A`` and ``norm_pinv_A`` are read off it.  ``G`` is
+    ``norm_A`` and ``norm_pinv_A`` are read off it.  ``G`` is
     the pinv route's ``pinv(P_S_perp A P_T)``, never the oracle's, and
     ``norm_G = ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
     projectors onto T and the orthogonal complement of S.  ``AT`` is the
@@ -131,7 +131,6 @@ class PreparedProblem:
 
     problem: OuterInverseProblem
     factors: SvdFactors
-    rank_A: int
     norm_A: float
     norm_pinv_A: float
     G: np.ndarray
@@ -285,7 +284,6 @@ def prepare(
     return PreparedProblem(
         problem=problem,
         factors=factors,
-        rank_A=factors.rank(tol),
         norm_A=factors.norm,
         norm_pinv_A=factors.pinv_norm(tol),
         G=middle.pinv(tol),

@@ -20,20 +20,22 @@ or the operator A itself moves a little:
 :data:`REGISTRY` is where each verified statement is defined: one
 :class:`Theorem` record per identifier, naming the sizes the statement
 perturbs (``gap_T``, ``gap_S``, ``norm_E``) and the strict upper bound of
-each.  The evaluators' hypotheses, the instance generator's targets and
-the harness's sweep axes are all read from it; :func:`theorem` looks a
-record up by identifier.
+each.  The evaluators' hypotheses, the ingredients their oracle is
+given, the instance generator's targets and the harness's sweep axes are
+all read from it; :func:`theorem` looks a record up by identifier.
 
 The seven evaluators take one :class:`PerturbationScenario` and a
 tolerance profile.  The scenario carries the
 :class:`~outerinv.outer_inverse.PreparedProblem` of the base problem
 (whose G, norms and projectors the evaluators reuse), the perturbed
-ingredients T', S' and E, and their measured sizes; each evaluator reads
-only the ingredients its statement perturbs.  A caller holding a bare
-problem calls :func:`~outerinv.outer_inverse.prepare` first (for the
-Moore-Penrose checks, on
-:func:`~outerinv.outer_inverse.moore_penrose_problem`).  The oracle
-routes take nothing from the prepared problem.
+ingredients T', S' and E, and their measured sizes.  The formula route of
+each evaluator reads the perturbed ingredients its statement names; the
+oracle of the five formula evaluators gets the perturbed ingredient for
+each size in the record's ``limits`` and the base one otherwise.  A
+caller holding a bare problem calls
+:func:`~outerinv.outer_inverse.prepare` first (for the Moore-Penrose
+checks, on :func:`~outerinv.outer_inverse.moore_penrose_problem`).  The
+oracle routes take nothing from the prepared problem.
 
 Every operation evaluates its hypothesis with strict inequality.  When a
 hypothesis fails the formula is still evaluated (where possible) for
@@ -232,8 +234,10 @@ class Theorem:
     ``limits`` maps each size the statement constrains (``"gap_T"`` =
     gap_hat(T, T'), ``"gap_S"`` = gap_hat(S, S'), ``"norm_E"`` = ||E||)
     to that size's strict upper bound, a function of the prepared base
-    problem.  Sizes not in ``limits`` are left unperturbed by the instance
-    generator.  ``rank_preserving_E`` asks the generator for ``E = B A``,
+    problem; :meth:`hypotheses` compares them with a scenario's measured
+    sizes.  Sizes not in ``limits`` are left unperturbed by the instance
+    generator, and a formula evaluator's oracle gets the base T, S or A
+    for them.  ``rank_preserving_E`` asks the generator for ``E = B A``,
     which cannot change the rank of A.
     """
 
@@ -241,12 +245,15 @@ class Theorem:
     limits: Mapping[str, Callable[[PreparedProblem], float]]
     rank_preserving_E: bool = False
 
-    def hypotheses(
-        self, prepared: PreparedProblem, **sizes: float
-    ) -> tuple[HypothesisStatus, ...]:
-        """``size < limit`` for each constrained size, measured values given by keyword."""
+    def hypotheses(self, scenario: PerturbationScenario) -> tuple[HypothesisStatus, ...]:
+        """``size < limit`` for each constrained size, at the scenario's measured sizes."""
+        measured = {
+            "gap_T": scenario.measured_gap_T,
+            "gap_S": scenario.measured_gap_S,
+            "norm_E": scenario.norm_E,
+        }
         return tuple(
-            HypothesisStatus(size, limit(prepared), sizes[size])
+            HypothesisStatus(size, limit(scenario.prepared), measured[size])
             for size, limit in self.limits.items()
         )
 
@@ -393,7 +400,7 @@ def stable_bounds(
     norm_ap = prepared.norm_pinv_A
     product = report.norm_product
 
-    hyps = _LEMMA21.hypotheses(prepared, norm_E=norm_da) + (
+    hyps = _LEMMA21.hypotheses(scenario) + (
         # Stability itself, encoded as 0 (stable) vs 1 (unstable).
         HypothesisStatus("stable_perturbation", 1.0, 0.0 if report.stable else 1.0),
     )
@@ -447,7 +454,7 @@ def gap_propagation(
     prepared = scenario.prepared
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = scenario.measured_gap_T
-    hyps = _LEMMA31.hypotheses(prepared, gap_T=gap)
+    hyps = _LEMMA31.hypotheses(scenario)
 
     actual = ss.gap_hat(prepared.AT, image_of(prepared.problem.A, scenario.T_prime, tol))
     kappa = norm_a * norm_g
@@ -468,34 +475,47 @@ def gap_propagation(
     )
 
 
-def _try_oracle(a, t: Subspace, s: Subspace, tol: ToleranceProfile):
-    """``(oracle result, None)``, or ``(None, the exception)`` when the oracle refused."""
-    try:
-        return oracle_compute(OuterInverseProblem(a, t, s), tol), None
-    except (ExistenceError, IllConditionedError) as exc:
-        return None, exc
+def _norm_bound(norm_g: float, denom: float) -> float:
+    # The norm bound ||G|| / (1 - ||G|| q); NaN once the denominator is not positive.
+    return norm_g / denom if denom > 0.0 else math.nan
 
 
-def _finish_report(
+def _check(
     spec: Theorem,
-    formula: np.ndarray | None,
-    oracle_run: tuple[np.ndarray | None, ExistenceError | IllConditionedError | None],
-    prepared: PreparedProblem,
+    scenario: PerturbationScenario,
+    formula: np.ndarray,
     norm_bound: float,
     diff_bound: float,
-    hyps: tuple[HypothesisStatus, ...],
+    tol: ToleranceProfile,
 ) -> BoundReport:
-    oracle, refusal = oracle_run
-    if oracle is not None:
+    """The report of ``spec``: ``formula`` against the oracle, the oracle against the bounds.
+
+    The oracle is given the perturbed ingredient (A + E, T', S') for each
+    size that ``spec.limits`` names, and the base ingredient otherwise.
+    """
+    prepared = scenario.prepared
+    base = prepared.problem
+    limits = spec.limits
+    try:
+        oracle = oracle_compute(
+            OuterInverseProblem(
+                base.A + scenario.E if "norm_E" in limits else base.A,
+                scenario.T_prime if "gap_T" in limits else base.T,
+                scenario.S_prime if "gap_S" in limits else base.S,
+            ),
+            tol,
+        )
+    except (ExistenceError, IllConditionedError) as exc:
+        oracle, refusal = None, exc
+        norm_actual = diff_actual = math.nan
+    else:
+        refusal = None
         norm_actual = op_norm(oracle)
         diff_actual = op_norm(oracle - prepared.G)
-    else:
-        norm_actual = math.nan
-        diff_actual = math.nan
-    hyp_ok = all(h.satisfied for h in hyps)
+    hyps = spec.hypotheses(scenario)
     scale = 1.0 + prepared.norm_G
     satisfied = (
-        hyp_ok
+        all(h.satisfied for h in hyps)
         and _bounds_ok(norm_actual, norm_bound, scale)
         and _bounds_ok(diff_actual, diff_bound, scale)
     )
@@ -515,6 +535,16 @@ def _finish_report(
     )
 
 
+def _range_resolvent(
+    scenario: PerturbationScenario, p_tp: np.ndarray, tol: ToleranceProfile
+) -> np.ndarray:
+    """``P_{T'} (I + G P_{S_perp} A (P_{T'} - P_T))^{-1} G``, given ``P_{T'}``."""
+    prepared = scenario.prepared
+    g, a = prepared.G, prepared.problem.A
+    k1 = g @ prepared.P_S_perp @ a @ (p_tp - prepared.P_T)
+    return p_tp @ solve_square(np.eye(a.shape[1], dtype=np.complex128) + k1, g, tol)
+
+
 def perturb_T(
     scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
@@ -527,24 +557,13 @@ def perturb_T(
         ||G' - G||  <= golden_ratio * ||G'|| * ||G|| * ||A|| * gap
     """
     prepared = scenario.prepared
-    problem = prepared.problem
-    g, a = prepared.G, problem.A
-    n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = scenario.measured_gap_T
-    hyps = _PROP31.hypotheses(prepared, gap_T=gap)
-
-    p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
     p_tp = ss.projector(scenario.T_prime)
-    k1 = g @ p_s_perp @ a @ (p_tp - p_t)
-    resolved = solve_square(np.eye(n, dtype=np.complex128) + k1, g, tol)
-    formula = p_tp @ resolved @ p_s_perp
-
-    oracle_run = _try_oracle(a, scenario.T_prime, problem.S, tol)
+    formula = _range_resolvent(scenario, p_tp, tol) @ prepared.P_S_perp
     denom = 1.0 - norm_g * norm_a * gap
-    norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report(_PROP31, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
+    return _check(_PROP31, scenario, formula, _norm_bound(norm_g, denom), diff_bound, tol)
 
 
 def perturb_S(
@@ -557,39 +576,29 @@ def perturb_S(
     with the same bound shapes as :func:`perturb_T` in gap_hat(S, S').
     """
     prepared = scenario.prepared
-    problem = prepared.problem
-    g, a = prepared.G, problem.A
-    n = a.shape[1]
+    g, a = prepared.G, prepared.problem.A
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
     gap = scenario.measured_gap_S
-    hyps = _PROP32.hypotheses(prepared, gap_S=gap)
-
-    p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
+    p_t = prepared.P_T
     p_sp_perp = ss.projector(ss.orthogonal_complement(scenario.S_prime))
-    k = g @ (p_sp_perp - p_s_perp) @ a @ p_t
-    resolved = solve_square(np.eye(n, dtype=np.complex128) + k, g, tol)
+    k = g @ (p_sp_perp - prepared.P_S_perp) @ a @ p_t
+    resolved = solve_square(np.eye(a.shape[1], dtype=np.complex128) + k, g, tol)
     formula = p_t @ resolved @ p_sp_perp
-
-    oracle_run = _try_oracle(a, problem.T, scenario.S_prime, tol)
     denom = 1.0 - norm_g * norm_a * gap
-    norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = GOLDEN_RATIO * op_norm(formula) * norm_g * norm_a * gap
-    return _finish_report(_PROP32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
+    return _check(_PROP32, scenario, formula, _norm_bound(norm_g, denom), diff_bound, tol)
 
 
 def _ts_formula(scenario: PerturbationScenario, tol: ToleranceProfile) -> np.ndarray:
     """The verbatim two-resolvent representation of A_{T',S'}^(2)."""
     prepared = scenario.prepared
-    g, a = prepared.G, prepared.problem.A
-    n = a.shape[1]
-    eye = np.eye(n, dtype=np.complex128)
-    p_t, p_s_perp = prepared.P_T, prepared.P_S_perp
+    a, p_s_perp = prepared.problem.A, prepared.P_S_perp
     p_tp = ss.projector(scenario.T_prime)
     p_sp_perp = ss.projector(ss.orthogonal_complement(scenario.S_prime))
 
-    k1 = g @ p_s_perp @ a @ (p_tp - p_t)
-    c = p_tp @ solve_square(eye + k1, g, tol)
+    c = _range_resolvent(scenario, p_tp, tol)
     k2 = c @ (p_s_perp @ p_sp_perp - p_s_perp) @ a @ p_tp
+    eye = np.eye(a.shape[1], dtype=np.complex128)
     return p_tp @ solve_square(eye + k2, c @ p_s_perp @ p_sp_perp, tol)
 
 
@@ -605,21 +614,14 @@ def perturb_TS(
         ||G' - G|| <= golden_ratio * ||G||^2 ||A|| d / (1 - ||G|| ||A|| d)
     """
     prepared = scenario.prepared
-    a = prepared.problem.A
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
-    gap_t, gap_s = scenario.measured_gap_T, scenario.measured_gap_S
-    hyps = _THM31.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s)
-
     formula = _ts_formula(scenario, tol)
-    oracle_run = _try_oracle(a, scenario.T_prime, scenario.S_prime, tol)
-
-    gap_sum = gap_t + gap_s
+    gap_sum = scenario.measured_gap_T + scenario.measured_gap_S
     denom = 1.0 - norm_g * norm_a * gap_sum
-    norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = (
         GOLDEN_RATIO * norm_g**2 * norm_a * gap_sum / denom if denom > 0.0 else math.nan
     )
-    return _finish_report(_THM31, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
+    return _check(_THM31, scenario, formula, _norm_bound(norm_g, denom), diff_bound, tol)
 
 
 def perturb_A(
@@ -635,11 +637,9 @@ def perturb_A(
         ||G_new - G|| <= ||G||^2 ||E|| / (1 - ||G|| ||E||)
     """
     prepared = scenario.prepared
-    problem = prepared.problem
-    g, a, em = prepared.G, problem.A, scenario.E
-    m, n = a.shape
+    g, em = prepared.G, scenario.E
+    m, n = em.shape
     norm_g, norm_e = prepared.norm_G, scenario.norm_E
-    hyps = _LEMMA32.hypotheses(prepared, norm_E=norm_e)
 
     left = solve_square(np.eye(n, dtype=np.complex128) + g @ em, g, tol)
     right = solve_square((np.eye(m, dtype=np.complex128) + em @ g).T, g.T, tol).T
@@ -647,14 +647,10 @@ def perturb_A(
         raise NumericalError(
             f"left and right resolvent forms disagree by {op_norm(left - right):.3e}"
         )
-    formula = left
 
-    oracle_run = _try_oracle(a + em, problem.T, problem.S, tol)
-    product = norm_g * norm_e
-    denom = 1.0 - product
-    norm_bound = norm_g / denom if denom > 0.0 else math.nan
+    denom = 1.0 - norm_g * norm_e
     diff_bound = norm_g**2 * norm_e / denom if denom > 0.0 else math.nan
-    return _finish_report(_LEMMA32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
+    return _check(_LEMMA32, scenario, left, _norm_bound(norm_g, denom), diff_bound, tol)
 
 
 def perturb_all(
@@ -670,23 +666,17 @@ def perturb_all(
                          / (1 - ||G|| q)
     """
     prepared = scenario.prepared
-    a = prepared.problem.A
-    n = a.shape[1]
     norm_a, norm_g = prepared.norm_A, prepared.norm_G
-    gap_t, gap_s = scenario.measured_gap_T, scenario.measured_gap_S
     norm_e = scenario.norm_E
-    hyps = _THM32.hypotheses(prepared, gap_T=gap_t, gap_S=gap_s, norm_E=norm_e)
-
     w = _ts_formula(scenario, tol)
-    formula = solve_square(np.eye(n, dtype=np.complex128) + w @ scenario.E, w, tol)
-    oracle_run = _try_oracle(a + scenario.E, scenario.T_prime, scenario.S_prime, tol)
+    eye = np.eye(w.shape[0], dtype=np.complex128)
+    formula = solve_square(eye + w @ scenario.E, w, tol)
 
-    gap_sum = gap_t + gap_s
+    gap_sum = scenario.measured_gap_T + scenario.measured_gap_S
     denom = 1.0 - norm_g * (norm_e + norm_a * gap_sum)
-    norm_bound = norm_g / denom if denom > 0.0 else math.nan
     diff_bound = (
         norm_g**2 * (norm_e + GOLDEN_RATIO * norm_a * gap_sum) / denom
         if denom > 0.0
         else math.nan
     )
-    return _finish_report(_THM32, formula, oracle_run, prepared, norm_bound, diff_bound, hyps)
+    return _check(_THM32, scenario, formula, _norm_bound(norm_g, denom), diff_bound, tol)

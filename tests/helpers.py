@@ -11,7 +11,7 @@ import numpy as np
 from outerinv import instance_gen as ig
 from outerinv import subspace as ss
 from outerinv.outer_inverse import OuterInverseProblem, existence, prepare
-from outerinv.perturbation import PerturbationScenario, theorem
+from outerinv.perturbation import PerturbationScenario
 
 
 def complex_gaussian(rng, shape):
@@ -51,12 +51,3 @@ def scenario(problem, *, T_prime=None, S_prime=None, E=None) -> PerturbationScen
         np.zeros_like(problem.A) if E is None else E,
     )
 
-
-def hypothesis_statuses(scenario, theorem_id):
-    """The hypothesis statuses of ``theorem_id`` at the scenario's measured sizes."""
-    return theorem(theorem_id).hypotheses(
-        scenario.prepared,
-        gap_T=scenario.measured_gap_T,
-        gap_S=scenario.measured_gap_S,
-        norm_E=scenario.norm_E,
-    )

@@ -15,7 +15,11 @@ and the row order must match exactly, and numeric cells within ``RTOL``
 relative plus ``ATOL`` absolute.  ``golden/compute_40x30.json`` is what
 ``oil compute`` wrote for ``golden/problem_40x30.json`` (a seeded 40x30
 problem, rank 24, dim_T 16) before the library path stopped factoring A
-and started writing matrices in bulk; it must match byte for byte.  Do
+and started writing matrices in bulk; it must match byte for byte.
+``golden/criterion7_exact.csv`` is the seed-1717 campaign again, 20
+trials of each of the 7 theorems at the default 6x5, as commit a2790a4
+wrote it, before the five formula evaluators shared one checker; it too
+must match byte for byte, so a refactor that moves any bit fails it.  Do
 not regenerate the fixtures to make a change pass.
 """
 
@@ -88,6 +92,18 @@ def test_criterion7_report_matches_golden():
     )
     rows, _ = run_campaign(config)
     _assert_matches(render_table(rows, config, CSV_COLUMNS), GOLDEN / "criterion7.csv")
+
+
+def test_criterion7_report_matches_golden_bytes():
+    config = CampaignConfig(
+        gen=GenConfig(seed=1717),
+        theorems=THEOREMS,
+        trials=20,
+        tolerances=CampaignConfig.default().tolerances,
+    )
+    rows, _ = run_campaign(config)
+    text = render_table(rows, config, CSV_COLUMNS)
+    assert text.encode("utf-8") == (GOLDEN / "criterion7_exact.csv").read_bytes()
 
 
 def test_campaign_40x30_report_matches_golden():

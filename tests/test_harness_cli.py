@@ -114,6 +114,13 @@ class TestCmdCompute:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_nonpositive_tolerance_exits_1_naming_the_flag(self, tmp_path, capsys, value):
+        prob_file = write_json(tmp_path / "p.json", identity_problem_obj())
+        assert main(["compute", prob_file, "--tol", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol ") and "verify_atol must be positive" in err
+
     def test_stdout_when_no_out_flag(self, tmp_path, capsys):
         prob_file = write_json(tmp_path / "p.json", identity_problem_obj())
         assert main(["compute", prob_file]) == 0
@@ -218,6 +225,9 @@ WRONG_TYPES = [
     ("campaign", "theorems", "lemma31"),
     ("campaign", "theorems", ["lemma31", 7]),
     ("campaign", "output_path", 5),
+    ("campaign", "gen", 5),
+    ("campaign", "tolerances", 5),
+    ("campaign", "tolerances", []),
 ]
 
 
@@ -235,6 +245,12 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f" {field} is {value!r}" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("top", [[1], "x"], ids=["list", "string"])
+    def test_top_level_not_an_object_exits_1(self, tmp_path, capsys, top):
+        assert main(["verify", write_json(tmp_path / "c.json", top)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"top level is {top!r}, not an object" in err
 
     def test_valid_values_keep_their_types(self):
         obj = small_campaign_obj(

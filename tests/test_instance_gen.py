@@ -25,9 +25,8 @@ from outerinv.outer_inverse import (
     existence,
     problem_to_obj,
 )
+from outerinv.perturbation import theorem
 from outerinv.subspace import subspace_to_obj
-
-from helpers import hypothesis_statuses
 
 
 class TestRandomMatrixWithRank:
@@ -125,7 +124,7 @@ class TestGenerate:
         assert sc.T_prime is sc.prepared.problem.T
         assert sc.S_prime is sc.prepared.problem.S
         assert np.all(sc.E == 0.0)
-        assert all(h.satisfied for h in hypothesis_statuses(sc, "thm32"))
+        assert all(h.satisfied for h in theorem("thm32").hypotheses(sc))
 
     def test_determinism_byte_for_byte(self):
         cfg = GenConfig(seed=987654321)
@@ -143,22 +142,22 @@ class TestGenerate:
         base_a, base_b = a.prepared.problem, b.prepared.problem
         assert json.dumps(problem_to_obj(base_a)) != json.dumps(problem_to_obj(base_b))
 
-    @pytest.mark.parametrize("theorem", THEOREMS)
-    def test_feasible_and_hypothesis_satisfying(self, theorem):
+    @pytest.mark.parametrize("theorem_id", THEOREMS)
+    def test_feasible_and_hypothesis_satisfying(self, theorem_id):
         for seed in range(20):
-            sc = generate(GenConfig(seed=seed), theorem)
+            sc = generate(GenConfig(seed=seed), theorem_id)
             assert existence(sc.prepared.problem).exists
-            assert all(h.satisfied for h in hypothesis_statuses(sc, theorem))
+            assert all(h.satisfied for h in theorem(theorem_id).hypotheses(sc))
 
     def test_gap_targeting_accuracy(self):
         # achieved gap = target ratio x threshold, exact to the stated 1e-10.
         sc = generate(GenConfig(seed=11, target_gap_T=0.5), "prop31")
-        (hyp,) = hypothesis_statuses(sc, "prop31")
+        (hyp,) = theorem("prop31").hypotheses(sc)
         assert abs(sc.measured_gap_T - 0.5 * hyp.threshold) <= 1e-10
 
     def test_norm_E_targeting_accuracy(self):
         sc = generate(GenConfig(seed=12, target_norm_E_ratio=0.7), "lemma32")
-        (hyp,) = hypothesis_statuses(sc, "lemma32")
+        (hyp,) = theorem("lemma32").hypotheses(sc)
         # observed = ||E|| must equal 0.7 of the threshold 1/||G||; the
         # tolerance is relative, i.e. 1e-10 on the product ||G|| ||E||.
         assert abs(hyp.observed - 0.7 * hyp.threshold) <= 1e-10 * hyp.threshold
@@ -197,7 +196,7 @@ class TestSeedDerivation:
 
     def test_distinct_across_trials_and_labels(self):
         seeds = {
-            derive_trial_seed(42, theorem, i) for theorem in THEOREMS for i in range(100)
+            derive_trial_seed(42, theorem_id, i) for theorem_id in THEOREMS for i in range(100)
         }
         assert len(seeds) == len(THEOREMS) * 100
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from outerinv import perturbation
 from outerinv import subspace as ss
 from outerinv.instance_gen import (
     GenConfig,
@@ -373,3 +374,39 @@ class TestPerturbAll:
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
+
+
+# Each formula evaluator and the theorem record it checks.
+FORMULA_EVALUATORS = (
+    (perturb_T, "prop31"),
+    (perturb_S, "prop32"),
+    (perturb_TS, "thm31"),
+    (perturb_A, "lemma32"),
+    (perturb_all, "thm32"),
+)
+
+
+@pytest.mark.parametrize(
+    "evaluate, theorem_id", FORMULA_EVALUATORS, ids=[f.__name__ for f, _ in FORMULA_EVALUATORS]
+)
+def test_oracle_gets_the_ingredients_its_record_limits(monkeypatch, evaluate, theorem_id):
+    # A thm32 scenario moves T, S and A at once; the oracle must see the
+    # perturbed ingredient only for the sizes the record's limits name.
+    sc = generate(GenConfig(seed=4242), "thm32")
+    base = sc.prepared.problem
+    assert sc.T_prime is not base.T and sc.S_prime is not base.S and sc.norm_E > 0.0
+    seen = []
+    real = perturbation.oracle_compute
+
+    def recording(problem, *args):
+        seen.append(problem)
+        return real(problem, *args)
+
+    monkeypatch.setattr(perturbation, "oracle_compute", recording)
+    evaluate(sc)
+
+    (problem,) = seen
+    limits = theorem(theorem_id).limits
+    assert problem.T is (sc.T_prime if "gap_T" in limits else base.T)
+    assert problem.S is (sc.S_prime if "gap_S" in limits else base.S)
+    assert np.array_equal(problem.A, base.A + sc.E if "norm_E" in limits else base.A)
