@@ -4,12 +4,17 @@
     python3 scripts/bench_pairs.py --parent ../outerinv-parent --workload campaign_small --seeds 300-309 --out BENCH.json
 
 The change is the checkout this script lives in; ``--parent`` is a second
-checkout (a ``git clone`` of the parent commit).  For every seed the
-script runs each tree's own ``perfbench/run.py --workload W --seed S
---seconds <run_seconds of BENCHMARK.json> --trace 0``, one run at a time,
-and alternates which tree goes first: the parent on the first pair, the
-change on the second, and so on.  A slow phase of a shared host then
-lands on both sides instead of on one block of runs.
+checkout (a ``git clone`` of the parent commit).  Each tree's ``git
+describe`` is recorded, and then both are copied, without ``.git`` and
+``perfbench/out``, to ``<tmp>/parent`` and ``<tmp>/change``: paths of
+equal length, so the two sides differ in their code and nothing else
+(``peak_rss_mb`` moves by about 1 MB with the checkout path alone).  For
+every seed the script runs each copy's own ``perfbench/run.py --workload
+W --seed S --seconds <run_seconds of BENCHMARK.json> --trace 0`` with
+this script's interpreter, one run at a time, and alternates which tree
+goes first: the parent on the first pair, the change on the second, and
+so on.  A slow phase of a shared host then lands on both sides instead
+of on one block of runs.
 
 ``--out`` gets every run's end-to-end metrics and, per metric, each
 side's median and quartiles and the wins per pair (the better value by
@@ -23,9 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -76,6 +83,20 @@ def commit(tree: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def _uncopied(directory: str, names: list[str]) -> set[str]:
+    # shutil.copytree's ignore: the git store and perfbench's run outputs.
+    path = Path(directory)
+    return {
+        name for name in names
+        if name == ".git" or (name == "out" and path.name == "perfbench")
+    }
+
+
+def copy_trees(trees: dict[str, Path], into: Path) -> dict[str, Path]:
+    """Copy each tree to ``into/<side>``; the side names are equally long."""
+    return {side: Path(shutil.copytree(tree, into / side, ignore=_uncopied)) for side, tree in trees.items()}
+
+
 def quartiles(values: list[float]) -> dict[str, float]:
     """Median and quartiles (``statistics.quantiles``, n=4); one value is its own quartiles."""
     if len(values) == 1:
@@ -119,18 +140,21 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    commits = {side: commit(path) for side, path in trees.items()}
 
     pairs = []
-    for index, seed in enumerate(parse_seeds(args.seeds)):
-        order = SIDES if index % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            started = time.time()
-            pair[side] = run_once(trees[side], args.workload, seed, seconds)
-            pair[side]["started_unix"] = round(started, 1)
-            value = pair[side].get("metrics", {}).get("items_per_s")
-            print(f"# seed {seed} {side:<6} ok={pair[side]['ok']} items_per_s={value}", flush=True)
-        pairs.append(pair)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        copies = copy_trees(trees, Path(tmp))
+        for index, seed in enumerate(parse_seeds(args.seeds)):
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                started = time.time()
+                pair[side] = run_once(copies[side], args.workload, seed, seconds)
+                pair[side]["started_unix"] = round(started, 1)
+                value = pair[side].get("metrics", {}).get("items_per_s")
+                print(f"# seed {seed} {side:<6} ok={pair[side]['ok']} items_per_s={value}", flush=True)
+            pairs.append(pair)
 
     summary = summarize(pairs, better)
     for name, s in summary.items():
@@ -142,7 +166,7 @@ def main(argv=None) -> int:
     doc = {
         "workload": args.workload,
         "run_seconds": seconds,
-        "commits": {side: commit(path) for side, path in trees.items()},
+        "commits": commits,
         "summary": summary,
         "pairs": pairs,
     }

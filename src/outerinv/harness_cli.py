@@ -13,11 +13,13 @@ Three subcommands on the ``oil`` entry point:
   (:data:`outerinv.perturbation.REGISTRY`) limits that size.
 
 Exit codes are a stable contract: 0 pass, 1 operational error (including
-a campaign or sweep with trials that raised a numerical error, or a
-campaign with more than ``MAX_SKIP_FRACTION`` of its trials skipped or
-left without a cross-check), 2 infeasible input, 3 bound violation (a
-checked inequality failed numerically under satisfied hypotheses; this
-should never happen and is the highest-severity signal).
+a campaign with trials that raised a numerical error, more than
+``MAX_SKIP_FRACTION`` of its trials skipped or left without a
+cross-check, or a formula-vs-oracle error above ``RELERR_GATE``), 2
+infeasible input, 3 bound violation (a checked inequality failed
+numerically under satisfied hypotheses; this should never happen and is
+the highest-severity signal).  A sweep is judged per grid point by the
+same campaign rule and exits with its worst point's code.
 
 Output files are deterministic given the seed: metadata embeds the
 config hash, seed, RNG identifier, tolerance profile and library
@@ -27,6 +29,7 @@ version, but never wall-clock times (those go to stdout only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -70,7 +73,6 @@ __all__ = [
     "CampaignConfig",
     "TheoremSummary",
     "CampaignSummary",
-    "TrialOutcome",
     "CSV_COLUMNS",
     "SWEEP_COLUMNS",
     "RELERR_GATE",
@@ -151,7 +153,7 @@ class CampaignConfig:
 
 @dataclass
 class TheoremSummary:
-    """Per-theorem campaign tallies.
+    """Per-theorem campaign tallies; :func:`run_trial` returns a summary of one trial.
 
     ``skips`` counts trials whose generation exhausted its retries
     (``skip_reasons`` sums their per-condition failure counts),
@@ -160,6 +162,7 @@ class TheoremSummary:
     ``oracle_refusals`` counts why the oracle refused (``existence`` or
     ``ill_conditioned``); ``max_refusal_condition`` is the largest
     condition number among the ill-conditioned refusals (0 if none).
+    ``max_relerr`` is NaN and each margin ``inf`` until a row has one.
     """
 
     trials_requested: int = 0
@@ -176,6 +179,23 @@ class TheoremSummary:
     oracle_refusals: Counter = field(default_factory=Counter)
     max_refusal_condition: float = 0.0
 
+    def add(self, other: "TheoremSummary") -> None:
+        """Fold ``other`` into this summary: counts add, extremes combine."""
+        self.trials_requested += other.trials_requested
+        self.trials_run += other.trials_run
+        self.skips += other.skips
+        self.errors += other.errors
+        self.unchecked += other.unchecked
+        self.hypotheses_met += other.hypotheses_met
+        self.bounds_violations += other.bounds_violations
+        self.skip_reasons.update(other.skip_reasons)
+        self.oracle_refusals.update(other.oracle_refusals)
+        if math.isnan(self.max_relerr) or other.max_relerr > self.max_relerr:
+            self.max_relerr = other.max_relerr
+        self.worst_margin_norm = min(self.worst_margin_norm, other.worst_margin_norm)
+        self.worst_margin_diff = min(self.worst_margin_diff, other.worst_margin_diff)
+        self.max_refusal_condition = max(self.max_refusal_condition, other.max_refusal_condition)
+
 
 @dataclass
 class CampaignSummary:
@@ -183,24 +203,12 @@ class CampaignSummary:
     wall_time: float
 
     @property
-    def total_violations(self) -> int:
-        return sum(t.bounds_violations for t in self.per_theorem.values())
-
-    @property
-    def total_errors(self) -> int:
-        return sum(t.errors for t in self.per_theorem.values())
-
-    @property
-    def max_relerr(self) -> float:
-        vals = [t.max_relerr for t in self.per_theorem.values() if not math.isnan(t.max_relerr)]
-        return max(vals) if vals else math.nan
-
-    @property
-    def unchecked_fraction(self) -> float:
-        """Share of requested trials skipped or left without a cross-check."""
-        requested = sum(t.trials_requested for t in self.per_theorem.values())
-        unchecked = sum(t.skips + t.unchecked for t in self.per_theorem.values())
-        return unchecked / requested if requested else 0.0
+    def total(self) -> TheoremSummary:
+        """Every theorem's tallies folded into one."""
+        total = TheoremSummary()
+        for t in self.per_theorem.values():
+            total.add(t)
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +321,16 @@ _EVALUATORS = {
 }
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """What one trial produced: a table row, or why there is none.
+def _no_margin_as_inf(margin: float) -> float:
+    return math.inf if math.isnan(margin) else margin
 
-    ``violation``: hypotheses held but a bound inequality failed.
-    ``unchecked``: of the formula and the oracle route, only one ran, so
-    nothing cross-checks the row (a report with neither is not counted).
-    ``skip_reasons``: generation exhausted its retries (failure counts).
-    ``error``: generation or evaluation raised a ``NumericalError``.
-    ``oracle_refusal``: why the oracle refused (``existence`` or
-    ``ill_conditioned``, with the refused ``condition``), else None.
+
+def run_trial(config: CampaignConfig, theorem: str, trial_id: int):
+    """One campaign trial: generate, evaluate, reduce to ``(row, tally)``.
+
+    ``row`` is the table row, or None for a skip or a ``NumericalError``;
+    ``tally`` is the :class:`TheoremSummary` of this one trial.
     """
-
-    row: dict | None = None
-    violation: bool = False
-    unchecked: bool = False
-    skip_reasons: dict[str, int] | None = None
-    error: bool = False
-    oracle_refusal: str | None = None
-    condition: float = math.nan
-
-
-def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutcome:
-    """One campaign trial: generate, evaluate, reduce to a table row."""
     tol = config.tolerances
     seed = derive_trial_seed(config.gen.seed, theorem, trial_id)
     gen_cfg = replace(config.gen, seed=seed)
@@ -344,9 +338,10 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutco
         scenario = generate(gen_cfg, theorem, tol)
         report = globals()[_EVALUATORS[theorem]](scenario, tol)
     except GenerationError as exc:
-        return TrialOutcome(skip_reasons=exc.failure_counts)
+        skipped = Counter(exc.failure_counts)
+        return None, TheoremSummary(trials_requested=1, skips=1, skip_reasons=skipped)
     except NumericalError:
-        return TrialOutcome(error=True)
+        return None, TheoremSummary(trials_requested=1, errors=1)
 
     row = {
         "trial_id": trial_id,
@@ -363,22 +358,25 @@ def run_trial(config: CampaignConfig, theorem: str, trial_id: int) -> TrialOutco
         "margin_norm": _nan_to_none(report.margin_norm),
         "margin_diff": _nan_to_none(report.margin_diff),
     }
-    refusal, reason = report.oracle_refusal, None
-    if refusal is not None:
-        reason = "ill_conditioned" if isinstance(refusal, IllConditionedError) else "existence"
-    return TrialOutcome(
-        row=row,
-        # A refused oracle leaves no actuals: no bound was checked, so none was violated.
-        violation=report.hypotheses_met
-        and not report.all_satisfied
-        and not math.isnan(report.diff_actual),
-        unchecked=(report.formula_result is None) != (report.oracle_result is None),
-        oracle_refusal=reason,
-        condition=getattr(refusal, "condition", math.nan),
+    refusal = report.oracle_refusal
+    ill_conditioned = isinstance(refusal, IllConditionedError)
+    reasons = [] if refusal is None else ["ill_conditioned" if ill_conditioned else "existence"]
+    tally = TheoremSummary(
+        trials_requested=1,
+        trials_run=1,
+        unchecked=int(report.unchecked),
+        hypotheses_met=int(report.hypotheses_met),
+        bounds_violations=int(report.violated),
+        max_relerr=report.formula_vs_oracle_relerr,
+        worst_margin_norm=_no_margin_as_inf(report.margin_norm),
+        worst_margin_diff=_no_margin_as_inf(report.margin_diff),
+        oracle_refusals=Counter(reasons),
+        max_refusal_condition=refusal.condition if ill_conditioned else 0.0,
     )
+    return row, tally
 
 
-def _trial_worker(args) -> TrialOutcome:
+def _trial_worker(args):
     config, theorem, trial_id = args
     return run_trial(config, theorem, trial_id)
 
@@ -395,51 +393,28 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
         for theorem in config.theorems
         for trial_id in range(config.trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_worker, tasks, chunksize=8))
-    else:
-        results = [_trial_worker(t) for t in tasks]
-
     rows = []
-    per_theorem = {t: TheoremSummary(trials_requested=config.trials) for t in config.theorems}
-    for (_, theorem_id, _), outcome in zip(tasks, results):
-        summary = per_theorem[theorem_id]
-        if outcome.skip_reasons is not None:
-            summary.skips += 1
-            summary.skip_reasons.update(outcome.skip_reasons)
-            continue
-        if outcome.error:
-            summary.errors += 1
-            continue
-        row = outcome.row
-        summary.trials_run += 1
-        summary.hypotheses_met += row["hyp_ok"]
-        summary.bounds_violations += outcome.violation
-        summary.unchecked += outcome.unchecked
-        if outcome.oracle_refusal is not None:
-            summary.oracle_refusals[outcome.oracle_refusal] += 1
-        if outcome.oracle_refusal == "ill_conditioned":
-            summary.max_refusal_condition = max(summary.max_refusal_condition, outcome.condition)
-        if row["relerr"] is not None:
-            if math.isnan(summary.max_relerr) or row["relerr"] > summary.max_relerr:
-                summary.max_relerr = row["relerr"]
-        if row["margin_norm"] is not None:
-            summary.worst_margin_norm = min(summary.worst_margin_norm, row["margin_norm"])
-        if row["margin_diff"] is not None:
-            summary.worst_margin_diff = min(summary.worst_margin_diff, row["margin_diff"])
-        rows.append(row)
+    per_theorem = {t: TheoremSummary() for t in config.theorems}
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        results = pool.map(_trial_worker, tasks, chunksize=8) if pool else map(_trial_worker, tasks)
+        for (_, theorem_id, _), (row, tally) in zip(tasks, results):
+            per_theorem[theorem_id].add(tally)
+            if row is not None:
+                rows.append(row)
     return rows, CampaignSummary(per_theorem=per_theorem, wall_time=time.monotonic() - start)
 
 
 def campaign_exit_code(summary: CampaignSummary) -> int:
     """Map a campaign outcome onto the exit-code contract."""
-    if summary.total_violations > 0:
+    total = summary.total
+    if total.bounds_violations > 0:
         return EXIT_BOUND_VIOLATION
-    if summary.total_errors > 0 or summary.unchecked_fraction > MAX_SKIP_FRACTION:
+    # The share of requested trials skipped or left without a cross-check.
+    requested = total.trials_requested
+    unchecked = (total.skips + total.unchecked) / requested if requested else 0.0
+    if total.errors > 0 or unchecked > MAX_SKIP_FRACTION:
         return EXIT_OPERATIONAL
-    max_relerr = summary.max_relerr
-    if not math.isnan(max_relerr) and max_relerr > RELERR_GATE:
+    if not math.isnan(total.max_relerr) and total.max_relerr > RELERR_GATE:
         return EXIT_OPERATIONAL
     return EXIT_PASS
 
@@ -554,8 +529,7 @@ def _write_report(rows, config: CampaignConfig, columns, default_name: str) -> s
     return path
 
 
-def _print_summary(summary: CampaignSummary, path: str):
-    print(f"report written to {path}")
+def _print_summary(summary: CampaignSummary):
     header = (
         f"{'theorem':<10} {'run':>5} {'skips':>5} {'errors':>6} {'unchecked':>9} {'hyp_met':>7} "
         f"{'violations':>10} {'max_relerr':>12} {'margin_norm':>12} {'margin_diff':>12}"
@@ -600,7 +574,10 @@ def _load_campaign(path: str) -> CampaignConfig:
     config = campaign_config_from_obj(_load_json_file(path))
     env_seed = os.environ.get("OIL_SEED")
     if env_seed is not None:
-        config = replace(config, gen=replace(config.gen, seed=int(env_seed)))
+        try:
+            config = replace(config, gen=replace(config.gen, seed=int(env_seed)))
+        except ValueError:
+            raise ValueError(f"OIL_SEED={env_seed!r} is not a 64-bit unsigned integer") from None
     return config
 
 
@@ -624,7 +601,8 @@ def cmd_verify(args) -> int:
     config = _load_campaign(args.campaign)
     rows, summary = run_campaign(config, jobs=args.jobs)
     path = _write_report(rows, config, CSV_COLUMNS, "verify_report." + config.format)
-    _print_summary(summary, path)
+    print(f"report written to {path}")
+    _print_summary(summary)
     return campaign_exit_code(summary)
 
 
@@ -633,11 +611,15 @@ def cmd_sweep(args) -> int:
     rows, summaries = run_sweep(config, args.axis, args.points, jobs=args.jobs)
     path = _write_report(rows, config, SWEEP_COLUMNS, "sweep_report." + config.format)
     print(f"sweep written to {path} ({len(rows)} points)")
-    errors = sum(s.total_errors for s in summaries)
+    codes = [campaign_exit_code(summary) for summary in summaries]
+    for row, summary, code in zip(rows, summaries, codes):
+        if code != EXIT_PASS:
+            print(f"point {row['point']} (ratio {row['ratio']!r}) exits {code}:")
+            _print_summary(summary)
+    errors = sum(s.total.errors for s in summaries)
     if errors:
         print(f"error: {errors} sweep trials raised a numerical error", file=sys.stderr)
-        return EXIT_OPERATIONAL
-    return EXIT_PASS
+    return max(codes)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -44,6 +44,7 @@ from . import subspace as ss
 from .numlin import (
     DEFAULT_TOL,
     IllConditionedError,
+    NumericalError,
     SvdFactors,
     ToleranceProfile,
     as_matrix,
@@ -52,7 +53,6 @@ from .numlin import (
     matrix_to_obj,
     op_norm,
     op_norm_at_most,
-    rank,
     residual_within,
     svd,
 )
@@ -385,54 +385,65 @@ def moore_penrose(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:
     return compute(moore_penrose_problem(a, tol), tol)
 
 
-def group_inverse(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:
-    """Group inverse of a square A with rank(A^2) = rank(A): T = R(A), S = N(A)."""
+def _square(a, what: str) -> np.ndarray:
     am = as_matrix(a)
     if am.shape[0] != am.shape[1]:
-        raise ValueError("group inverse needs a square matrix")
-    if rank(am @ am, tol) != rank(am, tol):
-        raise ValueError(
-            "group inverse does not exist: rank(A^2) != rank(A) "
-            f"({rank(am @ am, tol)} vs {rank(am, tol)})"
-        )
-    return compute(OuterInverseProblem(am, column_space(am, tol), kernel(am, tol)), tol)
+        raise ValueError(f"{what} needs a square matrix")
+    return am
+
+
+def _drazin_problem(a, what: str, tol: ToleranceProfile) -> tuple[int, OuterInverseProblem]:
+    """The index k of square A and (A, R(A^k), N(A^k)), read off one SVD of A^k.
+
+    rank(A^j) counts singular values above ``rank_rtol * ||A||^j``, the scale
+    of a computed power's rounding (``sigma_max(A^j)`` is far smaller for a
+    non-normal A).  The ranks fall strictly until the index; one that rises
+    means the powers are not resolved in double precision.
+    """
+    am = _square(a, what)
+    n = am.shape[0]
+    rtol = tol.effective_rank_rtol(am.shape)
+    eye = np.eye(n, dtype=np.complex128)
+    power, factors, r = eye, SvdFactors(eye, np.ones(n), eye), n
+    for k in range(n + 1):
+        nxt = power @ am
+        nxt_factors = svd(nxt)
+        if k == 0:
+            norm_a = nxt_factors.norm
+        r_next = int(np.count_nonzero(nxt_factors.singular_values > rtol * norm_a ** (k + 1)))
+        if r_next == r:
+            t = Subspace._trusted(factors.left_vectors[:, :r])
+            return k, OuterInverseProblem(am, t, Subspace._trusted(factors.right_vectors[:, r:]))
+        if r_next > r:
+            break
+        power, factors, r = nxt, nxt_factors, r_next
+    raise NumericalError(
+        f"rank(A^{k + 1}) = {r_next} exceeds rank(A^{k}) = {r}: "
+        "the powers of A are not resolved in double precision"
+    )
+
+
+def group_inverse(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:
+    """Group inverse of a square A with rank(A^2) = rank(A): T = R(A), S = N(A)."""
+    k, problem = _drazin_problem(a, "group inverse", tol)
+    if k > 1:
+        raise ValueError(f"group inverse does not exist: rank(A^2) != rank(A) (index {k})")
+    return compute(problem, tol)
 
 
 def drazin_index(a, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Smallest k with rank(A^(k+1)) = rank(A^k) (k = 0 for invertible A)."""
-    am = as_matrix(a)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("Drazin index needs a square matrix")
-    n = am.shape[0]
-    power = np.eye(n, dtype=np.complex128)
-    prev_rank = n
-    for k in range(n + 1):
-        nxt = power @ am
-        r = rank(nxt, tol)
-        if r == prev_rank:
-            return k
-        power = nxt
-        prev_rank = r
-    raise RuntimeError("rank sequence failed to stabilize")  # unreachable for n >= 1
+    return _drazin_problem(a, "Drazin index", tol)[0]
 
 
 def drazin(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:
     """Drazin inverse: T = R(A^k), S = N(A^k) at the index k."""
-    am = as_matrix(a)
-    k = drazin_index(am, tol)
-    power = np.linalg.matrix_power(am, k) if k > 0 else np.eye(
-        am.shape[0], dtype=np.complex128
-    )
-    t = column_space(power, tol)
-    s = kernel(power, tol)
-    return compute(OuterInverseProblem(am, t, s), tol)
+    return compute(_drazin_problem(a, "Drazin inverse", tol)[1], tol)
 
 
 def bott_duffin(a, constraint: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:
     """Bott-Duffin inverse with constraint subspace L: T = L, S = L_perp."""
-    am = as_matrix(a)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError("Bott-Duffin inverse needs a square matrix")
+    am = _square(a, "Bott-Duffin inverse")
     s = ss.orthogonal_complement(constraint)
     return compute(OuterInverseProblem(am, constraint, s), tol)
 

@@ -158,7 +158,8 @@ class BoundReport:
     bound denominator nonpositive) are ``None`` / NaN.  When the oracle
     refused, ``oracle_refusal`` is its exception and the actuals are NaN:
     the bounds are checked on the oracle's result only, never on the
-    formula they are meant to check.
+    formula they are meant to check.  :attr:`violated` and
+    :attr:`unchecked`, the report's verdict, read that convention here.
     """
 
     theorem: str
@@ -176,6 +177,16 @@ class BoundReport:
     @property
     def hypotheses_met(self) -> bool:
         return all(h.satisfied for h in self.hypotheses)
+
+    @property
+    def violated(self) -> bool:
+        """Hypotheses held and a bound failed on measured (not NaN, refused) actuals."""
+        return self.hypotheses_met and not self.all_satisfied and not math.isnan(self.diff_actual)
+
+    @property
+    def unchecked(self) -> bool:
+        """Exactly one of the formula and the oracle route ran (lemma31 has neither)."""
+        return (self.formula_result is None) != (self.oracle_result is None)
 
     @property
     def margin_norm(self) -> float:
@@ -211,12 +222,15 @@ class StableReport:
         return self.cond1
 
 
-def _bounds_ok(actual: float, bound: float, scale: float = 1.0) -> bool:
-    # Multiplicative slack for honest comparisons plus an absolute floor so
-    # a zero bound (zero perturbation) tolerates cross-route rounding noise.
-    if math.isnan(bound):
-        return False
-    return actual <= bound * (1.0 + BOUND_SLACK) + BOUND_SLACK * scale
+def _satisfied(hyps: tuple[HypothesisStatus, ...], scale: float, *checks) -> bool:
+    """Every hypothesis holds and every ``(actual, bound)`` pair meets its bound.
+
+    The absolute floor ``BOUND_SLACK * scale`` lets a zero bound (zero
+    perturbation) tolerate cross-route rounding noise; NaN fails.
+    """
+    return all(h.satisfied for h in hyps) and all(
+        actual <= bound * (1.0 + BOUND_SLACK) + BOUND_SLACK * scale for actual, bound in checks
+    )
 
 
 def _relerr(formula: np.ndarray | None, oracle: np.ndarray | None, norm_oracle: float) -> float:
@@ -414,13 +428,6 @@ def stable_bounds(
     norm_bound = norm_ap / (1.0 - product) if product < 1.0 else math.nan
     diff_bound = GOLDEN_RATIO * norm_actual * norm_ap * norm_da
 
-    hyp_ok = all(h.satisfied for h in hyps)
-    scale = 1.0 + norm_ap
-    satisfied = (
-        hyp_ok
-        and _bounds_ok(norm_actual, norm_bound, scale)
-        and _bounds_ok(diff_actual, diff_bound, scale)
-    )
     return BoundReport(
         theorem=_LEMMA21.id,
         formula_result=formula,
@@ -431,7 +438,9 @@ def stable_bounds(
         diff_bound=diff_bound,
         diff_actual=diff_actual,
         hypotheses=hyps,
-        all_satisfied=satisfied,
+        all_satisfied=_satisfied(
+            hyps, 1.0 + norm_ap, (norm_actual, norm_bound), (diff_actual, diff_bound)
+        ),
     )
 
 
@@ -460,7 +469,6 @@ def gap_propagation(
     kappa = norm_a * norm_g
     denom = 1.0 - (1.0 + kappa) * gap
     bound = kappa * gap / denom if denom > 0.0 else math.nan
-    hyp_ok = all(h.satisfied for h in hyps)
     return BoundReport(
         theorem=_LEMMA31.id,
         formula_result=None,
@@ -471,7 +479,7 @@ def gap_propagation(
         diff_bound=bound,
         diff_actual=actual,
         hypotheses=hyps,
-        all_satisfied=hyp_ok and _bounds_ok(actual, bound, 1.0 + norm_g),
+        all_satisfied=_satisfied(hyps, 1.0 + norm_g, (actual, bound)),
     )
 
 
@@ -513,12 +521,6 @@ def _check(
         norm_actual = op_norm(oracle)
         diff_actual = op_norm(oracle - prepared.G)
     hyps = spec.hypotheses(scenario)
-    scale = 1.0 + prepared.norm_G
-    satisfied = (
-        all(h.satisfied for h in hyps)
-        and _bounds_ok(norm_actual, norm_bound, scale)
-        and _bounds_ok(diff_actual, diff_bound, scale)
-    )
     return BoundReport(
         theorem=spec.id,
         formula_result=formula,
@@ -530,7 +532,9 @@ def _check(
         diff_bound=diff_bound,
         diff_actual=diff_actual,
         hypotheses=hyps,
-        all_satisfied=satisfied,
+        all_satisfied=_satisfied(
+            hyps, 1.0 + prepared.norm_G, (norm_actual, norm_bound), (diff_actual, diff_bound)
+        ),
         oracle_refusal=refusal,
     )
 

@@ -138,7 +138,7 @@ def test_criterion_5_theorem_suite_default_campaign():
         config = CampaignConfig.default()
         rows, summary = run_campaign(config)
         assert campaign_exit_code(summary) == 0
-        assert summary.total_violations == 0
+        assert summary.total.bounds_violations == 0
         for theorem, t in summary.per_theorem.items():
             assert t.trials_run == 200, theorem
             assert t.hypotheses_met == 200, theorem

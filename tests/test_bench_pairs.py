@@ -52,24 +52,42 @@ def test_a_pair_without_metrics_is_left_out_of_the_summary():
     assert summary["items_per_s"]["change"]["median"] == 12.0
 
 
+def _tree(path: Path, marker: str) -> Path:
+    # A stand-in checkout: the benchmark contract, a git store and run outputs.
+    (path / ".git").mkdir(parents=True)
+    (path / "perfbench" / "out").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(marker)
+    (path / "BENCHMARK.json").write_text((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    return path
+
+
 @pytest.mark.parametrize("bad_side", [None, "parent", "change"])
 def test_exit_code_and_alternation(monkeypatch, tmp_path, bad_side):
-    calls = []
+    checkout = _tree(tmp_path / "checkout", "change")
+    parent = _tree(tmp_path / "a-parent-clone-with-a-longer-path", "parent")
+    calls, trees = [], set()
 
     def fake_run_once(tree, workload, seed, seconds):
-        side = "change" if tree == bench_pairs.ROOT else "parent"
+        side = (tree / "perfbench" / "run.py").read_text()
+        assert not (tree / ".git").exists() and not (tree / "perfbench" / "out").exists()
         calls.append((seed, side))
+        trees.add(tree)
         return _run(10.0 + (side == "change"), 1.0, ok=side != bad_side or seed != 2)
 
+    monkeypatch.setattr(bench_pairs, "ROOT", checkout)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
-    monkeypatch.setattr(bench_pairs, "commit", lambda tree: None)
+    monkeypatch.setattr(bench_pairs, "commit", lambda tree: tree.name)
     out = tmp_path / "pairs.json"
     code = bench_pairs.main(
-        ["--parent", str(tmp_path), "--workload", "campaign_small", "--seeds", "1-3", "--out", str(out)]
+        ["--parent", str(parent), "--workload", "campaign_small", "--seeds", "1-3", "--out", str(out)]
     )
     assert code == (0 if bad_side is None else 1)
     first = [side for seed, side in calls[::2]]
     assert first == ["parent", "change", "parent"]
+    # Both sides run from copies in paths of equal length, never from the checkouts.
+    assert len(trees) == 2 and len({len(str(tree)) for tree in trees}) == 1
+    assert not trees & {checkout, parent}
     doc = json.loads(out.read_text())
+    assert doc["commits"] == {"parent": parent.name, "change": checkout.name}
     assert [p["first"] for p in doc["pairs"]] == first
     assert doc["summary"]["items_per_s"]["wins"] == {"change": 3, "parent": 0}

@@ -23,13 +23,18 @@ must match byte for byte, so a refactor that moves any bit fails it.  Do
 not regenerate the fixtures to make a change pass.
 """
 
+import contextlib
 import csv
 import io
+import json
 import math
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from outerinv import harness_cli, perturbation
 from outerinv.harness_cli import (
     CSV_COLUMNS,
     SWEEP_COLUMNS,
@@ -39,7 +44,9 @@ from outerinv.harness_cli import (
     run_campaign,
     run_sweep,
 )
-from outerinv.instance_gen import THEOREMS, GenConfig
+from outerinv.instance_gen import THEOREMS, GenConfig, GenerationError
+from outerinv.numlin import IllConditionedError, NumericalError
+from outerinv.outer_inverse import ExistenceCertificate, ExistenceError
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-9
@@ -133,3 +140,89 @@ def test_compute_output_matches_golden_bytes(tmp_path):
     out = tmp_path / "result.json"
     assert main(["compute", str(GOLDEN / "problem_40x30.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "compute_40x30.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The stdout summary of a campaign with every kind of fault
+# ---------------------------------------------------------------------------
+
+
+def run_fault_campaign(workdir: Path, monkeypatch) -> tuple[int, str]:
+    """``oil verify`` on a small campaign with one of each fault planted.
+
+    prop31's second trial has its difference bound cut by a factor of 100
+    (a violation), prop32's second and lemma31's third generation give up
+    (skips with reasons), lemma32's third evaluation raises a numerical
+    error, and thm31's oracle refuses its first three trials (ill-conditioned,
+    no existence, ill-conditioned again).  Returns the exit code and stdout.
+    """
+    calls = Counter()
+    generate = harness_cli.generate
+
+    def generate_or_give_up(config, theorem, tol):
+        calls["generate", theorem] += 1
+        if (theorem, calls["generate", theorem]) == ("prop32", 2):
+            raise GenerationError("gave up", {"kernel_meets_T": 0, "direct_sum": 3, "gap_S": 5})
+        if (theorem, calls["generate", theorem]) == ("lemma31", 3):
+            raise GenerationError("gave up", {"kernel_meets_T": 2, "direct_sum": 0})
+        return generate(config, theorem, tol)
+
+    def planted(scenario, tol):
+        calls["prop31"] += 1
+        if calls["prop31"] != 2:
+            return perturbation.perturb_T(scenario, tol)
+        with monkeypatch.context() as patch:
+            patch.setattr(perturbation, "GOLDEN_RATIO", perturbation.GOLDEN_RATIO / 100.0)
+            return perturbation.perturb_T(scenario, tol)
+
+    def flaky(scenario, tol):
+        calls["lemma32"] += 1
+        if calls["lemma32"] == 3:
+            raise NumericalError("singular system")
+        return perturbation.perturb_A(scenario, tol)
+
+    refusals = [
+        IllConditionedError("refused", 4.5e13),
+        ExistenceError("outer inverse does not exist", ExistenceCertificate(False, 0, False)),
+        IllConditionedError("refused", 2.5e14),
+    ]
+
+    def refusing(scenario, tol):
+        calls["thm31"] += 1
+        if calls["thm31"] > len(refusals):
+            return perturbation.perturb_TS(scenario, tol)
+
+        def refuse(problem, tol):
+            raise refusals[calls["thm31"] - 1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(perturbation, "oracle_compute", refuse)
+            return perturbation.perturb_TS(scenario, tol)
+
+    monkeypatch.setattr(harness_cli, "generate", generate_or_give_up)
+    monkeypatch.setattr(harness_cli, "perturb_T", planted)
+    monkeypatch.setattr(harness_cli, "perturb_A", flaky)
+    monkeypatch.setattr(harness_cli, "perturb_TS", refusing)
+    monkeypatch.chdir(workdir)
+    obj = {
+        "gen": {"seed": 1717},
+        "theorems": ["lemma21", "lemma31", "prop31", "prop32", "thm31", "lemma32"],
+        "trials": 4,
+        "output_path": "faults.csv",
+    }
+    Path("faults.json").write_text(json.dumps(obj), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "faults.json"])
+    return code, out.getvalue()
+
+
+def _mask_wall_time(text: str) -> str:
+    return re.sub(r"(?m)^wall_time=.*$", "wall_time=<masked>", text)
+
+
+def test_fault_campaign_summary_matches_golden_bytes(tmp_path, monkeypatch):
+    code, stdout = run_fault_campaign(tmp_path, monkeypatch)
+    assert code == 3
+    golden = (GOLDEN / "summary_faults.txt").read_text(encoding="utf-8")
+    assert _mask_wall_time(stdout) == _mask_wall_time(golden)

@@ -184,6 +184,14 @@ class TestCmdVerify:
         assert out1.read_bytes() != out2.read_bytes()
         assert b"seed=777" in out2.read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-1", str(2**64)])
+    def test_bad_seed_env_exits_1_naming_the_variable(self, tmp_path, monkeypatch, capsys, value):
+        obj = small_campaign_obj(theorems=["prop31"], trials=1, output_path=str(tmp_path / "r.csv"))
+        monkeypatch.setenv("OIL_SEED", value)
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        assert f"error: OIL_SEED={value!r} " in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_json_report_validates_against_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         from importlib import resources
@@ -261,6 +269,60 @@ class TestConfigTypes:
         assert config.gen.target_gap_T == 0 and type(config.gen.target_gap_T) is int
         assert type(config.tolerances.cond_cap) is int and config.tolerances.rank_rtol is None
         assert config.trials == 2 and config.theorems == ("prop31",)
+
+
+class TestTheoremSummaryAdd:
+    def test_counts_add_and_extremes_skip_the_missing(self):
+        total = TheoremSummary()
+        trials = [
+            TheoremSummary(trials_requested=1, skips=1, skip_reasons=Counter(direct_sum=2, gap_S=0)),
+            TheoremSummary(trials_requested=1, errors=1),
+            TheoremSummary(
+                trials_requested=1, trials_run=1, hypotheses_met=1, max_relerr=3e-15,
+                worst_margin_norm=0.5, worst_margin_diff=0.25,
+            ),
+            # A refused oracle: no relerr (NaN) and no margins (inf).
+            TheoremSummary(
+                trials_requested=1, trials_run=1, unchecked=1, hypotheses_met=1,
+                oracle_refusals=Counter(ill_conditioned=1), max_refusal_condition=2e13,
+            ),
+            TheoremSummary(
+                trials_requested=1, trials_run=1, bounds_violations=1, hypotheses_met=1,
+                max_relerr=1e-15, worst_margin_norm=0.75, worst_margin_diff=-0.125,
+                oracle_refusals=Counter(existence=1),
+            ),
+            TheoremSummary(
+                trials_requested=1, trials_run=1, unchecked=1,
+                oracle_refusals=Counter(ill_conditioned=1), max_refusal_condition=5e12,
+            ),
+        ]
+        for tally in trials:
+            total.add(tally)
+        assert (total.trials_requested, total.trials_run, total.skips, total.errors) == (6, 4, 1, 1)
+        assert (total.unchecked, total.hypotheses_met, total.bounds_violations) == (2, 3, 1)
+        assert total.skip_reasons == Counter(direct_sum=2, gap_S=0)
+        assert total.oracle_refusals == Counter(ill_conditioned=2, existence=1)
+        assert total.max_relerr == 3e-15
+        assert (total.worst_margin_norm, total.worst_margin_diff) == (0.5, -0.125)
+        assert total.max_refusal_condition == 2e13
+
+    def test_an_empty_fold_keeps_the_missing_markers(self):
+        total = TheoremSummary()
+        total.add(TheoremSummary(trials_requested=1, trials_run=1))
+        assert math.isnan(total.max_relerr)
+        assert total.worst_margin_norm == total.worst_margin_diff == math.inf
+        assert total.max_refusal_condition == 0.0
+
+    def test_a_trial_tally_is_a_summary_of_one(self):
+        config = replace(CampaignConfig.default(seed=11), theorems=("prop31",), trials=3)
+        total = TheoremSummary()
+        for trial_id in range(3):
+            row, tally = run_trial(config, "prop31", trial_id)
+            assert isinstance(tally, TheoremSummary) and tally.trials_requested == 1
+            assert tally.max_relerr == row["relerr"] and tally.worst_margin_diff == row["margin_diff"]
+            total.add(tally)
+        _, summary = run_campaign(config)
+        assert summary.per_theorem["prop31"] == total
 
 
 class TestExitCodeGate:
@@ -367,6 +429,50 @@ class TestSweep:
         trials = lines[0].split(",").index("trials")
         assert [row.split(",")[trials] for row in lines[1:]] == ["2", "1"]
 
+    def _sweep(self, tmp_path, capsys):
+        obj = small_campaign_obj(theorems=["prop31"], trials=2, output_path=str(tmp_path / "s.csv"))
+        code = main(["sweep", write_json(tmp_path / "c.json", obj), "--axis", "gap_T", "--points", "2"])
+        return code, capsys.readouterr().out
+
+    def test_planted_violation_is_exit_3(self, tmp_path, monkeypatch, capsys):
+        # At ratio 0 the bound is 0 and nothing moves; at 0.95 the cut bound fails.
+        monkeypatch.setattr(perturbation, "GOLDEN_RATIO", perturbation.GOLDEN_RATIO / 100.0)
+        code, out = self._sweep(tmp_path, capsys)
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[0].startswith("sweep written to ") and "point 0 " not in out
+        at = lines.index("point 1 (ratio 0.95) exits 3:")
+        assert lines[at + 1].split() == [
+            "theorem", "run", "skips", "errors", "unchecked", "hyp_met",
+            "violations", "max_relerr", "margin_norm", "margin_diff",
+        ]
+        prop31 = lines[at + 2].split()
+        assert prop31[0] == "prop31" and int(prop31[6]) > 0
+        assert lines[-1].startswith("wall_time=")
+
+    def test_oracle_that_always_refuses_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise IllConditionedError("refused", 1e20)
+
+        monkeypatch.setattr(perturbation, "oracle_compute", refuse)
+        code, out = self._sweep(tmp_path, capsys)
+        assert code == 1
+        for point in ("point 0 (ratio 0.0) exits 1:", "point 1 (ratio 0.95) exits 1:"):
+            assert point in out.splitlines()
+        refusals = "oracle refusals for prop31: existence=0, ill_conditioned=2 (max condition 1.000e+20)"
+        assert out.splitlines().count(refusals) == 2
+
+    def test_relerr_above_the_gate_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        original = harness_cli.perturb_T
+
+        def disagreeing(*args, **kwargs):
+            return replace(original(*args, **kwargs), formula_vs_oracle_relerr=1e-3)
+
+        monkeypatch.setattr(harness_cli, "perturb_T", disagreeing)
+        code, out = self._sweep(tmp_path, capsys)
+        assert code == 1
+        assert "point 1 (ratio 0.95) exits 1:" in out.splitlines()
+
     def test_requires_single_theorem(self):
         config = CampaignConfig(
             gen=GenConfig(seed=5),
@@ -424,7 +530,7 @@ class TestCampaignInternals:
         assert len(rows) == 6
         for row in rows:
             assert tuple(row) == CSV_COLUMNS
-        assert summary.total_violations == 0
+        assert summary.total.bounds_violations == 0
         for t in summary.per_theorem.values():
             assert t.hypotheses_met == t.trials_run == 2
 
@@ -439,7 +545,7 @@ class TestCampaignInternals:
         (row,) = rows
         assert row["norm_bound"] is None and row["relerr"] is None
         assert row["diff_actual"] is not None
-        assert math.isnan(summary.max_relerr)
+        assert math.isnan(summary.total.max_relerr)
 
     @pytest.mark.parametrize("excess, violated", [(0.5, False), (2.0, True)])
     def test_lemma31_zero_bound_has_the_absolute_floor(self, monkeypatch, excess, violated):
@@ -455,9 +561,9 @@ class TestCampaignInternals:
 
         fake_ss = SimpleNamespace(**{**vars(ss), "gap_hat": gap_hat})
         monkeypatch.setattr(perturbation, "ss", fake_ss)
-        outcome = run_trial(config, "lemma31", 0)
-        assert outcome.row["diff_bound"] == 0.0 and outcome.row["diff_actual"] == noise
-        assert outcome.violation is violated
+        row, tally = run_trial(config, "lemma31", 0)
+        assert row["diff_bound"] == 0.0 and row["diff_actual"] == noise
+        assert tally.bounds_violations == violated
 
     def test_every_evaluator_takes_a_scenario_and_a_tolerance(self):
         # One signature for all seven keeps the dispatch table a plain name table.
@@ -490,8 +596,8 @@ class TestCampaignInternals:
         config = replace(CampaignConfig.default(seed=11), trials=1)
         for theorem_id, name in evaluators.items():
             calls.clear()
-            outcome = run_trial(config, theorem_id, 0)
-            assert outcome.row["theorem"] == theorem_id
+            row, _ = run_trial(config, theorem_id, 0)
+            assert row["theorem"] == theorem_id
             assert calls == {name: 1}, theorem_id
 
     def test_numerical_error_drops_one_row_and_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -535,7 +641,7 @@ class TestCampaignInternals:
         for column in ("relerr", "norm_actual", "diff_actual", "margin_norm", "margin_diff"):
             assert [r[column] for r in refused] == [None] * len(refused), column
         assert all(r["norm_bound"] is not None and r["diff_bound"] is not None for r in refused)
-        assert summary.total_violations == 0
+        assert summary.total.bounds_violations == 0
         assert campaign_exit_code(summary) == 1
 
     def test_oracle_refusal_reasons_are_summed_and_printed(self, tmp_path, monkeypatch, capsys):

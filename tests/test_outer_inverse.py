@@ -337,6 +337,31 @@ class TestClassicalCases:
         assert drazin_index(a) == 2
         assert op_norm(drazin(a).G - expected) <= 1e-8 * (1.0 + op_norm(expected))
 
+    @pytest.mark.parametrize("index", [2, 3])
+    def test_drazin_of_well_conditioned_non_normal_matrices(self, index):
+        # A = X C X^{-1} with C = diag(d, N), N the nilpotent Jordan block of
+        # size index; the Drazin inverse is X diag(1/d, 0, ...) X^{-1}.  For
+        # these seeds cond(X) is at most 47.5 (n = 3) and 110 (n = 4), yet the
+        # rounding in A^k, which scales with ||A||^k, once read as rank.
+        n = index + 1
+        wrong = []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            d = rng.uniform(0.5, 2)
+            core = np.zeros((n, n), dtype=complex)
+            core[0, 0] = d
+            for i in range(1, n - 1):
+                core[i, i + 1] = 1.0
+            x_inv = np.linalg.inv(x)
+            a = x @ core @ x_inv
+            expected = np.outer(x[:, 0], x_inv[0]) / d
+            k = drazin_index(a)
+            err = op_norm(drazin(a).G - expected) / op_norm(expected)
+            if k != index or not err <= 1e-6:
+                wrong.append((seed, k, err))
+        assert wrong == []
+
     def test_bott_duffin_identity_gives_projector(self, rng):
         constraint = random_subspace(4, 2, rng)
         res = bott_duffin(np.eye(4, dtype=complex), constraint)

@@ -410,3 +410,54 @@ def test_oracle_gets_the_ingredients_its_record_limits(monkeypatch, evaluate, th
     assert problem.T is (sc.T_prime if "gap_T" in limits else base.T)
     assert problem.S is (sc.S_prime if "gap_S" in limits else base.S)
     assert np.array_equal(problem.A, base.A + sc.E if "norm_E" in limits else base.A)
+
+
+class TestVerdict:
+    """``BoundReport.violated`` and ``unchecked`` on the rows the harness must not misread."""
+
+    def test_refused_oracle_is_unchecked_and_never_violated(self, monkeypatch):
+        sc = generate(GenConfig(seed=4242), "prop31")
+
+        def refuse(*args, **kwargs):
+            raise perturbation.IllConditionedError("refused", 1e20)
+
+        monkeypatch.setattr(perturbation, "oracle_compute", refuse)
+        # Even with the difference bound cut to a hundredth, a refused oracle
+        # leaves nothing measured to violate it.
+        monkeypatch.setattr(perturbation, "GOLDEN_RATIO", GOLDEN_RATIO / 100.0)
+        report = perturb_T(sc)
+        assert report.hypotheses_met and not report.all_satisfied
+        assert math.isnan(report.diff_actual)
+        assert report.unchecked and not report.violated
+
+    def test_a_failed_bound_on_a_measured_row_is_violated(self, monkeypatch):
+        sc = generate(GenConfig(seed=4242), "prop31")
+        assert not perturb_T(sc).violated
+        monkeypatch.setattr(perturbation, "GOLDEN_RATIO", GOLDEN_RATIO / 100.0)
+        report = perturb_T(sc)
+        assert report.hypotheses_met and report.diff_actual > report.diff_bound
+        assert report.violated and not report.unchecked
+
+    def test_lemma31_has_no_second_route_and_is_not_unchecked(self, monkeypatch):
+        sc = generate(GenConfig(seed=4242), "lemma31")
+        report = gap_propagation(sc)
+        assert report.formula_result is None and report.oracle_result is None
+        assert not report.unchecked and not report.violated
+        # Its difference is measured directly, so a failed bound is a violation.
+        gap_hat = ss.gap_hat
+        monkeypatch.setattr(
+            perturbation.ss, "gap_hat", lambda u, v: 1.0 if u is sc.prepared.AT else gap_hat(u, v)
+        )
+        report = gap_propagation(sc)
+        assert report.hypotheses_met and report.violated and not report.unchecked
+
+    def test_lemma21_without_a_formula_is_unchecked(self, monkeypatch):
+        sc = generate(GenConfig(seed=4242), "lemma21")
+
+        def refuse(*args, **kwargs):
+            raise perturbation.IllConditionedError("refused", 1e20)
+
+        monkeypatch.setattr(perturbation, "solve_square", refuse)
+        report = stable_bounds(sc)
+        assert report.formula_result is None and report.oracle_result is not None
+        assert report.unchecked and not report.violated

@@ -91,7 +91,7 @@ def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
     config = replace(CampaignConfig.default(seed=31), trials=1)
     for theorem in THEOREMS:
         counts.clear()
-        assert run_trial(config, theorem, 0).row is not None
+        assert run_trial(config, theorem, 0)[0] is not None
         assert counts["prepare"] == 1, theorem
         assert counts["compute"] == 0, theorem
         assert counts["existence"] == 1 + counts["oracle_compute"], theorem
@@ -129,7 +129,7 @@ def test_svd_budget_per_trial(monkeypatch):
     counts = {}
     for theorem in THEOREMS:
         calls.clear()
-        assert run_trial(config, theorem, 0).row is not None
+        assert run_trial(config, theorem, 0)[0] is not None
         counts[theorem] = len(calls)
     assert counts == SVD_BUDGET
 
@@ -163,7 +163,7 @@ def test_validation_budget_per_trial(monkeypatch):
     spent = {}
     for theorem in THEOREMS:
         counts.clear()
-        assert run_trial(config, theorem, 0).row is not None
+        assert run_trial(config, theorem, 0)[0] is not None
         spent[theorem] = {"as_matrix": counts["as_matrix"], "Subspace": counts["Subspace"]}
     assert spent == VALIDATION_BUDGET
 
