@@ -19,8 +19,12 @@ and started writing matrices in bulk; it must match byte for byte.
 ``golden/criterion7_exact.csv`` is the seed-1717 campaign again, 20
 trials of each of the 7 theorems at the default 6x5, as commit a2790a4
 wrote it, before the five formula evaluators shared one checker; it too
-must match byte for byte, so a refactor that moves any bit fails it.  Do
-not regenerate the fixtures to make a change pass.
+must match byte for byte, so a refactor that moves any bit fails it.
+``golden/summary_faults.txt`` is the stdout of ``oil verify`` on a small
+campaign with one of each fault planted (:func:`run_fault_campaign`), as
+commit 009c689 printed it, before a trial's outcome became a summary of
+one; it must match byte for byte except the ``wall_time=`` line.  Do not
+regenerate the fixtures to make a change pass.
 """
 
 import contextlib

@@ -9,7 +9,7 @@ import pytest
 from outerinv import outer_inverse
 from outerinv import subspace as ss
 from outerinv.instance_gen import random_matrix_with_rank, random_subspace
-from outerinv.numlin import ToleranceProfile, op_norm, pinv, rank
+from outerinv.numlin import NumericalError, SvdFactors, ToleranceProfile, op_norm, pinv, rank
 from outerinv.outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
@@ -361,6 +361,20 @@ class TestClassicalCases:
             if k != index or not err <= 1e-6:
                 wrong.append((seed, k, err))
         assert wrong == []
+
+    def test_drazin_rank_that_rises_is_a_numerical_error(self, monkeypatch):
+        # Ranks 2, 1, 2 read for A, A^2, A^3: the powers are not resolved, so
+        # no index is reported.
+        values = iter([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        real = outer_inverse.svd
+
+        def fake_svd(m):
+            f = real(m)
+            return SvdFactors(f.left_vectors, np.array(next(values)), f.right_vectors)
+
+        monkeypatch.setattr(outer_inverse, "svd", fake_svd)
+        with pytest.raises(NumericalError, match=r"rank\(A\^3\) = 2 exceeds rank\(A\^2\) = 1"):
+            drazin_index(np.eye(3))
 
     def test_bott_duffin_identity_gives_projector(self, rng):
         constraint = random_subspace(4, 2, rng)
