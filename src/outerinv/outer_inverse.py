@@ -18,10 +18,12 @@ They agree to rounding error whenever the inverse exists, which is what
 the verification harness leans on.  :func:`existence` is the one test
 of the two conditions.  :func:`prepare`, the only constructor of a
 :class:`PreparedProblem`, runs it once and keeps what the harness derives
-from (A, T, S) -- the SVD of A, G, the norms, the projectors and the
-image A·T -- so each trial computes G once and factors A once (twice
-only when the existence test cannot settle ``N(A) ∩ T = {0}`` without
-the null space of A).  The orthogonal complement of S is computed once
+from (A, T, S) -- ``||A||`` and ``||pinv(A)||``, G and ``||G||``, the
+projectors and the image A·T -- so each trial computes G once.  Of A it
+takes only the singular values, a values-only SVD; A's singular vectors
+are computed only when the existence test cannot settle ``N(A) ∩ T =
+{0}`` without the null space of A, or by the one check that reads them,
+:func:`~outerinv.perturbation.stable_bounds`.  The orthogonal complement of S is computed once
 per :class:`~outerinv.subspace.Subspace` and kept there, so the oracle's
 W on an S the pinv route has seen costs no further SVD.  The classical
 special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
@@ -47,6 +49,9 @@ from .numlin import (
     NumericalError,
     SvdFactors,
     ToleranceProfile,
+    _rank_from_values,
+    _singular_values,
+    _thin_svd,
     as_matrix,
     cond,
     matrix_from_obj,
@@ -120,17 +125,17 @@ class PreparedProblem:
     """A problem whose outer inverse exists, with what every check needs of it.
 
     Built once per trial, only by :func:`prepare`, and handed to the
-    perturbation evaluators.  ``factors`` is the SVD of A, and
-    ``norm_A`` and ``norm_pinv_A`` are read off it.  ``G`` is
-    the pinv route's ``pinv(P_S_perp A P_T)``, never the oracle's, and
-    ``norm_G = ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
+    perturbation evaluators.  ``norm_A = ||A||`` and ``norm_pinv_A =
+    ||pinv(A)||`` are read off the singular values of A; the singular
+    vectors of A are not kept.  ``G`` is the pinv route's
+    ``pinv(P_S_perp A P_T)``, never the oracle's, and ``norm_G =
+    ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
     projectors onto T and the orthogonal complement of S.  ``AT`` is the
     image A·T that the existence test read off, as :func:`image_of`
     builds it.
     """
 
     problem: OuterInverseProblem
-    factors: SvdFactors
     norm_A: float
     norm_pinv_A: float
     G: np.ndarray
@@ -209,12 +214,12 @@ def existence(
     """Check the two conditions under which A_{T,S}^(2) exists.
 
     This is the one existence test; :func:`prepare` and the oracle both
-    run it.  ``N(A) ∩ T = {0}`` is settled first from the SVD of ``A
-    B_T``, which A·T is read from anyway (:func:`_kernel_misses`); the
-    null space of A, a full SVD of A, is computed only when that bound
-    cannot decide.
+    run it.  ``N(A) ∩ T = {0}`` is settled first from the thin SVD of
+    ``A B_T``, which A·T is read from anyway (:func:`_kernel_misses`);
+    the null space of A, a full SVD of A, is computed only when that
+    bound cannot decide.
     """
-    image = svd(problem.A @ problem.T.basis)
+    image = _thin_svd(problem.A @ problem.T.basis)
     at = _column_space_from_svd(image, tol)  # A·T, as image_of builds it
     return ExistenceCertificate(
         kernel_meets_T_trivially=_kernel_misses(problem.A, problem.T, image, tol)
@@ -258,36 +263,45 @@ def _require_exists(cert: ExistenceCertificate) -> None:
 
 
 def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
-    """``(P_T, P_S_perp, middle)``, where ``middle`` is the SVD of ``P_S_perp A P_T``.
+    """``(P_T, P_S_perp, G, ||G||)`` with ``G = pinv(P_S_perp A P_T)``.
 
-    G is ``middle.pinv(tol)``: the one pinv route, which both
-    :func:`prepare` and :func:`compute` take.
+    The one pinv route, which both :func:`prepare` and :func:`compute`
+    take.  The pseudoinverse keeps at most dim T singular values, the
+    rank of any outer inverse with range T: when ``||A|| ||G||`` is large
+    the product's rounding, of size ``eps ||A||``, can clear the relative
+    rank threshold, and inverting it would make G wrong by orders of
+    magnitude.
     """
     p_t = ss.projector(problem.T)
     p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
-    return p_t, p_s_perp, svd(p_s_perp @ problem.A @ p_t)
+    middle = svd(p_s_perp @ problem.A @ p_t)
+    r = min(middle.rank(tol), problem.T.dim)
+    s = middle.singular_values[:r]
+    g = (middle.right_vectors[:, :r] / s) @ middle.left_vectors[:, :r].conj().T
+    return p_t, p_s_perp, g, 1.0 / float(s[-1]) if r else 0.0
 
 
 def prepare(
     problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
 ) -> PreparedProblem:
-    """Decide existence once, compute G once by the pinv route, and factor A.
+    """Decide existence once, compute G once by the pinv route, and size A.
 
-    The only constructor of :class:`PreparedProblem`.  Raises
+    The only constructor of :class:`PreparedProblem`.  ``||A||`` and
+    ``||pinv(A)||`` come from the singular values of A alone.  Raises
     :class:`ExistenceError`, naming the failed condition, when the outer
     inverse does not exist.
     """
     cert = existence(problem, tol)
     _require_exists(cert)
-    factors = svd(problem.A)
-    p_t, p_s_perp, middle = _pinv_route(problem, tol)
+    s = _singular_values(problem.A)
+    r = _rank_from_values(s, problem.A.shape, tol)
+    p_t, p_s_perp, g, norm_g = _pinv_route(problem, tol)
     return PreparedProblem(
         problem=problem,
-        factors=factors,
-        norm_A=factors.norm,
-        norm_pinv_A=factors.pinv_norm(tol),
-        G=middle.pinv(tol),
-        norm_G=middle.pinv_norm(tol),
+        norm_A=float(s[0]),
+        norm_pinv_A=1.0 / float(s[r - 1]) if r else 0.0,
+        G=g,
+        norm_G=norm_g,
         P_T=p_t,
         P_S_perp=p_s_perp,
         AT=cert.AT,
@@ -305,8 +319,7 @@ def compute(
     the gaps between range(G) and T and between kernel(G) and S.
     """
     _require_exists(existence(problem, tol))
-    _, _, middle = _pinv_route(problem, tol)
-    g = middle.pinv(tol)
+    g = _pinv_route(problem, tol)[2]
     f = svd(g)
     return OuterInverseResult(
         G=g,

@@ -60,7 +60,6 @@ from .numlin import (
     as_matrix,
     op_norm,
     op_norm_at_most,
-    pinv,
     residual_within,
     solve_square,
     svd,
@@ -393,14 +392,17 @@ def stable_bounds(
 ) -> BoundReport:
     """Norm and difference bounds for pinv(A) under a stable perturbation dA = E.
 
-    Only A matters here, with its SVD, ``||pinv(A)||`` taken from
+    Only A matters here, with ``||pinv(A)||`` taken from
     ``scenario.prepared``; for a bare matrix build the scenario on
-    ``prepare(moore_penrose_problem(A))``.  The formula route projects the
-    resolvent {1,2}-inverse, once cond3 has shown it is one, onto the row
-    space / range of the perturbed matrix, read off the SVD of A + dA that
-    the stability check took (the projection of
+    ``prepare(moore_penrose_problem(A))``.  This is the one check that
+    reads the singular vectors of A, so it factors A itself.  The formula
+    route projects the resolvent {1,2}-inverse, once cond3 has shown it
+    is one, onto the row space / range of the perturbed matrix, read off
+    the SVD of A + dA that the stability check took (the projection of
     :func:`~outerinv.outer_inverse.mp_via_12_inverse`); the oracle route is
-    a direct SVD pseudoinverse of A + dA.  Bounds:
+    the SVD pseudoinverse of A + dA from that same factorization, and
+    ``||pinv(A + dA)||`` its smallest retained singular value's
+    reciprocal.  Bounds:
 
         ||pinv(A+dA)||           <= ||pinv(A)|| / (1 - ||pinv(A)|| ||dA||)
         ||pinv(A+dA) - pinv(A)|| <= golden_ratio * ||pinv(A+dA)||
@@ -408,9 +410,9 @@ def stable_bounds(
     """
     prepared = scenario.prepared
     am, dam, norm_da = prepared.problem.A, scenario.E, scenario.norm_E
-    ap = prepared.factors.pinv(tol)
-    report, bar = _stability(am, prepared.factors, ap, dam, norm_da, tol)
-    abar = am + dam
+    factors = svd(am)
+    ap = factors.pinv(tol)
+    report, bar = _stability(am, factors, ap, dam, norm_da, tol)
     norm_ap = prepared.norm_pinv_A
     product = report.norm_product
 
@@ -422,8 +424,8 @@ def stable_bounds(
     c = report.gi_matrix
     formula = None if c is None else bar.pinv_from_12_inverse(c, tol)
 
-    oracle = pinv(abar, tol)
-    norm_actual = op_norm(oracle)
+    oracle = bar.pinv(tol)
+    norm_actual = bar.pinv_norm(tol)
     diff_actual = op_norm(oracle - ap)
     norm_bound = norm_ap / (1.0 - product) if product < 1.0 else math.nan
     diff_bound = GOLDEN_RATIO * norm_actual * norm_ap * norm_da

@@ -12,8 +12,15 @@ the symmetric gap ``gap_hat(M, N) = max(delta(M, N), delta(N, M))``
 tests.
 
 The directed gap is computed through the exact finite-dimensional
-identity ``delta(M, N) = ||(I - P_N) P_M||``; the sup-over-unit-sphere
-definition is kept only as a Monte-Carlo cross-check in the test suite.
+identity ``delta(M, N) = ||(I - P_N) P_M||``, as the largest singular
+value of the n-by-dim(M) residual ``(I - P_N) B_M``; the
+sup-over-unit-sphere definition is kept only as a Monte-Carlo
+cross-check in the test suite.  For subspaces of equal dimension the two
+directed gaps are equal (both are the sine of the largest principal
+angle), and for unequal dimensions the symmetric gap is 1, so
+:func:`gap_hat` reads one directed gap and never forms an n-by-n
+projector difference (Kato, *Perturbation Theory for Linear Operators*,
+IV §2; Stewart and Sun, *Matrix Perturbation Theory*, I §5).
 
 A basis is validated where it enters: ``Subspace(basis)`` checks that it
 is finite and orthonormal, and :func:`subspace_from_obj` that it is
@@ -170,9 +177,18 @@ def delta(m: Subspace, n: Subspace) -> float:
 
 
 def gap_hat(m: Subspace, n: Subspace) -> float:
-    """Symmetric gap ``||P_M - P_N||`` = max of the two directed gaps."""
+    """Symmetric gap ``||P_M - P_N||`` = max of the two directed gaps.
+
+    Exactly 1.0 when the dimensions differ, exactly 0.0 when the bases are
+    identical arrays (as ``P - P`` is), and otherwise ``delta(M, N)``,
+    which equals ``delta(N, M)`` at equal dimension.
+    """
     _check_same_ambient(m, n)
-    return op_norm(projector(m) - projector(n))
+    if m.dim != n.dim:
+        return 1.0
+    if np.array_equal(m.basis, n.basis):
+        return 0.0
+    return delta(m, n)
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:

@@ -337,30 +337,44 @@ class TestClassicalCases:
         assert drazin_index(a) == 2
         assert op_norm(drazin(a).G - expected) <= 1e-8 * (1.0 + op_norm(expected))
 
+    @staticmethod
+    def non_normal_drazin_case(index, seed):
+        """A = X C X^{-1} with C = diag(d, N), N the nilpotent Jordan block of
+        size index, and its Drazin inverse X diag(1/d, 0, ...) X^{-1}."""
+        n = index + 1
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        d = rng.uniform(0.5, 2)
+        core = np.zeros((n, n), dtype=complex)
+        core[0, 0] = d
+        for i in range(1, n - 1):
+            core[i, i + 1] = 1.0
+        x_inv = np.linalg.inv(x)
+        return x @ core @ x_inv, np.outer(x[:, 0], x_inv[0]) / d
+
     @pytest.mark.parametrize("index", [2, 3])
     def test_drazin_of_well_conditioned_non_normal_matrices(self, index):
-        # A = X C X^{-1} with C = diag(d, N), N the nilpotent Jordan block of
-        # size index; the Drazin inverse is X diag(1/d, 0, ...) X^{-1}.  For
-        # these seeds cond(X) is at most 47.5 (n = 3) and 110 (n = 4), yet the
-        # rounding in A^k, which scales with ||A||^k, once read as rank.
-        n = index + 1
+        # For these seeds cond(X) is at most 47.5 (n = 3) and 110 (n = 4), yet
+        # the rounding in A^k, which scales with ||A||^k, once read as rank.
         wrong = []
         for seed in range(200):
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            d = rng.uniform(0.5, 2)
-            core = np.zeros((n, n), dtype=complex)
-            core[0, 0] = d
-            for i in range(1, n - 1):
-                core[i, i + 1] = 1.0
-            x_inv = np.linalg.inv(x)
-            a = x @ core @ x_inv
-            expected = np.outer(x[:, 0], x_inv[0]) / d
+            a, expected = self.non_normal_drazin_case(index, seed)
             k = drazin_index(a)
             err = op_norm(drazin(a).G - expected) / op_norm(expected)
             if k != index or not err <= 1e-6:
                 wrong.append((seed, k, err))
         assert wrong == []
+
+    @pytest.mark.parametrize("index, seed", [(2, 1164), (3, 672), (3, 773)])
+    def test_pinv_route_keeps_at_most_dim_T_singular_values(self, index, seed):
+        # cond(X) is 78-137 here, and ||A|| ||G|| is large enough that the
+        # rounding of P_S_perp A P_T cleared the rank threshold: inverting it
+        # gave relerr ~1e15 and range and kernel gaps of 1.
+        a, expected = self.non_normal_drazin_case(index, seed)
+        result = drazin(a)
+        assert op_norm(result.G - expected) <= 1e-10 * op_norm(expected)
+        assert result.range_gap < 1e-12
+        assert result.null_gap < 1e-10
 
     def test_drazin_rank_that_rises_is_a_numerical_error(self, monkeypatch):
         # Ranks 2, 1, 2 read for A, A^2, A^3: the powers are not resolved, so

@@ -8,7 +8,7 @@ import pytest
 
 from outerinv import subspace as ss
 from outerinv.numlin import ToleranceProfile, op_norm, rank
-from outerinv.instance_gen import random_subspace
+from outerinv.instance_gen import perturb_subspace_exact_gap, random_subspace
 
 from helpers import complex_gaussian, line
 
@@ -248,6 +248,29 @@ class TestGaps:
             n = random_subspace(6, int(rng.integers(0, 7)), rng)
             assert -1e-12 <= ss.delta(m, n) <= 1.0 + 1e-8
             assert -1e-12 <= ss.gap_hat(m, n) <= 1.0 + 1e-8
+
+    def test_gap_hat_matches_the_projector_difference(self, rng):
+        # The definition ||P_M - P_N|| on pairs of every kind gap_hat tells apart.
+        def definition(m, n):
+            return op_norm(ss.projector(m) - ss.projector(n))
+
+        for _ in range(40):
+            ambient = int(rng.integers(2, 9))
+            d = int(rng.integers(1, ambient))
+            m = random_subspace(ambient, d, rng)
+            near = perturb_subspace_exact_gap(m, float(rng.uniform(0.0, 1e-3)), rng)
+            q, _ = np.linalg.qr(complex_gaussian(rng, (d, d)))
+            rotated = ss.Subspace(m.basis @ q)
+            for n in (random_subspace(ambient, d, rng), near, rotated):
+                assert abs(ss.gap_hat(m, n) - definition(m, n)) <= 1e-14
+                assert abs(ss.gap_hat(n, m) - definition(n, m)) <= 1e-14
+            other = random_subspace(ambient, int(rng.integers(0, ambient + 1)), rng)
+            if other.dim != d:
+                assert ss.gap_hat(m, other) == 1.0
+                assert abs(definition(m, other) - 1.0) <= 1e-14
+            assert ss.gap_hat(m, m) == 0.0
+            assert ss.gap_hat(m, ss.Subspace(m.basis)) == 0.0
+            assert definition(m, m) == 0.0
 
     def test_gap_hat_equals_max_of_directed(self, rng):
         for _ in range(100):
