@@ -23,9 +23,10 @@ projectors and the image A·T -- so each trial computes G once.  Of A it
 takes only the singular values, a values-only SVD; A's singular vectors
 are computed only when the existence test cannot settle ``N(A) ∩ T =
 {0}`` without the null space of A, or by the one check that reads them,
-:func:`~outerinv.perturbation.stable_bounds`.  The orthogonal complement of S is computed once
-per :class:`~outerinv.subspace.Subspace` and kept there, so the oracle's
-W on an S the pinv route has seen costs no further SVD.  The classical
+:func:`~outerinv.perturbation.stable_bounds`.  The orthogonal
+complement of S is computed once per :class:`~outerinv.subspace.Subspace`
+and kept there, so the oracle's W on an S the pinv route has seen costs
+no further SVD.  The classical
 special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
 constructors that pick the right (T, S) pair and delegate.
 
@@ -319,7 +320,7 @@ def compute(
     the gaps between range(G) and T and between kernel(G) and S.
     """
     _require_exists(existence(problem, tol))
-    g = _pinv_route(problem, tol)[2]
+    _, _, g, _ = _pinv_route(problem, tol)
     f = svd(g)
     return OuterInverseResult(
         G=g,

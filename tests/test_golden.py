@@ -14,16 +14,20 @@ nothing else: trial ids, theorems, ``hyp_ok``, the metadata, the header
 and the row order must match exactly, and numeric cells within ``RTOL``
 relative plus ``ATOL`` absolute.  ``golden/compute_40x30.json`` is what
 ``oil compute`` wrote for ``golden/problem_40x30.json`` (a seeded 40x30
-problem, rank 24, dim_T 16) before the library path stopped factoring A
-and started writing matrices in bulk; it must match byte for byte.
+problem, rank 24, dim_T 16); it must match byte for byte.
 ``golden/criterion7_exact.csv`` is the seed-1717 campaign again, 20
-trials of each of the 7 theorems at the default 6x5, as commit a2790a4
-wrote it, before the five formula evaluators shared one checker; it too
-must match byte for byte, so a refactor that moves any bit fails it.
+trials of each of the 7 theorems at the default 6x5; it too must match
+byte for byte, so a refactor that moves any bit fails it.
 ``golden/summary_faults.txt`` is the stdout of ``oil verify`` on a small
-campaign with one of each fault planted (:func:`run_fault_campaign`), as
-commit 009c689 printed it, before a trial's outcome became a summary of
-one; it must match byte for byte except the ``wall_time=`` line.  Do not
+campaign with one of each fault planted (:func:`run_fault_campaign`); it
+must match byte for byte except the ``wall_time=`` line.  These three
+are as commit 54955b3 wrote them, when ``prepare`` began reading only
+the singular values of A and ``gap_hat`` one directed gap.  Before they
+were re-written, its output was shown to match the previous copies
+(``criterion7_exact.csv`` from commit a2790a4, ``summary_faults.txt``
+from 009c689) within ``RTOL`` and ``ATOL``, with identical trial ids,
+theorems, ``hyp_ok``, skip, refusal and violation counts and exit
+codes; G in ``compute_40x30.json`` did not move a bit.  Do not
 regenerate the fixtures to make a change pass.
 """
 
