@@ -136,8 +136,10 @@ class CampaignConfig:
             raise ValueError("trials must be at least 1")
         if not self.theorems:
             raise ValueError("theorem set must be nonempty")
-        for theorem_id in self.theorems:
+        for i, theorem_id in enumerate(self.theorems):
             theorem(theorem_id)  # ValueError for an unknown identifier
+            if theorem_id in self.theorems[:i]:
+                raise ValueError(f"theorem {theorem_id!r} is listed twice")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
@@ -259,6 +261,9 @@ def tolerances_from_obj(obj: dict) -> ToleranceProfile:
 
 def campaign_config_from_obj(obj: dict) -> CampaignConfig:
     _wire_object(obj, "the top level")
+    unknown = set(obj) - {f.name for f in fields(CampaignConfig)}
+    if unknown:
+        raise ValueError(f"unknown campaign config keys: {sorted(unknown)}")
     try:
         gen = gen_config_from_obj(obj["gen"])
     except KeyError:

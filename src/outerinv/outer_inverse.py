@@ -58,8 +58,6 @@ from .numlin import (
     matrix_from_obj,
     matrix_to_obj,
     op_norm,
-    op_norm_at_most,
-    residual_within,
     svd,
 )
 from .subspace import Subspace
@@ -79,7 +77,6 @@ __all__ = [
     "prepare",
     "compute",
     "oracle_compute",
-    "mp_via_12_inverse",
     "moore_penrose",
     "moore_penrose_problem",
     "group_inverse",
@@ -353,31 +350,6 @@ def oracle_compute(
             f"oracle middle matrix has condition number {c:.3e}", condition=c
         )
     return u @ np.linalg.solve(middle, w.conj().T)
-
-
-def mp_via_12_inverse(a, z, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse recovered from any {1,2}-inverse Z.
-
-    Z must satisfy AZA = A and ZAZ = Z; then projecting it between the
-    row space of A and the range of A yields exactly pinv(A):
-    ``P_{N(A)_perp} Z P_{R(A)}``.
-    """
-    am = as_matrix(a)
-    zm = as_matrix(z)
-    if zm.shape != (am.shape[1], am.shape[0]):
-        raise ValueError(f"Z has shape {zm.shape}, expected {(am.shape[1], am.shape[0])}")
-    f = svd(am)
-    aza = am @ zm @ am - am
-    zaz = zm @ am @ zm - zm
-    if not (
-        op_norm_at_most(aza, tol.verify_atol * (1.0 + f.norm))
-        and residual_within(zaz, zm, tol.verify_atol)
-    ):
-        raise ValueError(
-            "Z is not a {1,2}-inverse: residuals "
-            f"||AZA-A||={op_norm(aza):.3e}, ||ZAZ-Z||={op_norm(zaz):.3e}"
-        )
-    return f.pinv_from_12_inverse(zm, tol)
 
 
 # ---------------------------------------------------------------------------

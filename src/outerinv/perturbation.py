@@ -203,18 +203,26 @@ class StableReport:
     cond1: range(A + dA) meets range(A)-perp only at zero.
     cond2: the row space of A + dA meets kernel(A) only at zero.
     cond3: the resolvent formula ``pinv(A) (I + dA pinv(A))^{-1}`` is a
-           {1,2}-inverse of A + dA.
+           {1,2}-inverse of A + dA; ``gi_matrix`` holds it then, and is
+           None otherwise.
 
-    Under ``||pinv(A)|| ||dA|| < 1`` the three agree; outside that regime
-    ``hypothesis_met`` is false and no equivalence is claimed.
+    ``norm_product`` is ``||pinv(A)|| ||dA||``.  Under ``norm_product < 1``
+    the three agree; outside that regime ``hypothesis_met`` is false and
+    no equivalence is claimed.
     """
 
     cond1: bool
     cond2: bool
-    cond3_formula_valid: bool
     gi_matrix: np.ndarray | None
-    hypothesis_met: bool
     norm_product: float
+
+    @property
+    def cond3_formula_valid(self) -> bool:
+        return self.gi_matrix is not None
+
+    @property
+    def hypothesis_met(self) -> bool:
+        return self.norm_product < 1.0
 
     @property
     def stable(self) -> bool:
@@ -344,19 +352,21 @@ def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     if dam.shape != am.shape:
         raise ValueError(f"dA has shape {dam.shape}, expected {am.shape}")
     factors = svd(am)
-    return _stability(am, factors, factors.pinv(tol), dam, op_norm(dam), tol)[0]
+    return _stability(
+        am, factors, factors.pinv(tol), factors.pinv_norm(tol), dam, op_norm(dam), tol
+    )[0]
 
 
 def _stability(
-    a, factors: SvdFactors, ap, da, norm_da: float, tol: ToleranceProfile
+    a, factors: SvdFactors, ap, norm_ap: float, da, norm_da: float, tol: ToleranceProfile
 ) -> tuple[StableReport, SvdFactors]:
-    """:func:`is_stable` on checked same-shape A and dA, given SVD(A), pinv(A) and ``||dA||``.
+    """:func:`is_stable` on checked same-shape A and dA.
 
-    Also returns the SVD of A + dA that the report was read from.
+    Given SVD(A), pinv(A), ``||pinv(A)||`` and ``||dA||``; also returns the
+    SVD of A + dA that the report was read from.
     """
     abar = a + da
     c = _resolvent_gi(ap, da, tol)
-    product = factors.pinv_norm(tol) * norm_da
 
     # Range, its complement, row space and kernel, from the two SVDs.
     r = factors.rank(tol)
@@ -377,12 +387,7 @@ def _stability(
     )
 
     report = StableReport(
-        cond1=cond1,
-        cond2=cond2,
-        cond3_formula_valid=cond3,
-        gi_matrix=c if cond3 else None,
-        hypothesis_met=product < 1.0,
-        norm_product=product,
+        cond1=cond1, cond2=cond2, gi_matrix=c if cond3 else None, norm_product=norm_ap * norm_da
     )
     return report, bar
 
@@ -393,14 +398,16 @@ def stable_bounds(
     """Norm and difference bounds for pinv(A) under a stable perturbation dA = E.
 
     Only A matters here, with ``||pinv(A)||`` taken from
-    ``scenario.prepared``; for a bare matrix build the scenario on
-    ``prepare(moore_penrose_problem(A))``.  This is the one check that
-    reads the singular vectors of A, so it factors A itself.  The formula
-    route projects the resolvent {1,2}-inverse, once cond3 has shown it
-    is one, onto the row space / range of the perturbed matrix, read off
-    the SVD of A + dA that the stability check took (the projection of
-    :func:`~outerinv.outer_inverse.mp_via_12_inverse`); the oracle route is
-    the SVD pseudoinverse of A + dA from that same factorization, and
+    ``scenario.prepared``: the hypothesis, the stability report's
+    ``norm_product`` and both bounds read that one number.  For a bare
+    matrix build the scenario on ``prepare(moore_penrose_problem(A))``.
+    This is the one check that reads the singular vectors of A, so it
+    factors A itself.  The formula route projects the resolvent
+    {1,2}-inverse, once cond3 has shown it is one, onto the row space /
+    range of the perturbed matrix
+    (:meth:`~outerinv.numlin.SvdFactors.pinv_from_12_inverse` of the SVD
+    of A + dA that the stability check took); the oracle route is the SVD
+    pseudoinverse of A + dA from that same factorization, and
     ``||pinv(A + dA)||`` its smallest retained singular value's
     reciprocal.  Bounds:
 
@@ -410,11 +417,10 @@ def stable_bounds(
     """
     prepared = scenario.prepared
     am, dam, norm_da = prepared.problem.A, scenario.E, scenario.norm_E
+    norm_ap = prepared.norm_pinv_A
     factors = svd(am)
     ap = factors.pinv(tol)
-    report, bar = _stability(am, factors, ap, dam, norm_da, tol)
-    norm_ap = prepared.norm_pinv_A
-    product = report.norm_product
+    report, bar = _stability(am, factors, ap, norm_ap, dam, norm_da, tol)
 
     hyps = _LEMMA21.hypotheses(scenario) + (
         # Stability itself, encoded as 0 (stable) vs 1 (unstable).
@@ -427,7 +433,7 @@ def stable_bounds(
     oracle = bar.pinv(tol)
     norm_actual = bar.pinv_norm(tol)
     diff_actual = op_norm(oracle - ap)
-    norm_bound = norm_ap / (1.0 - product) if product < 1.0 else math.nan
+    norm_bound = norm_ap / (1.0 - report.norm_product) if report.hypothesis_met else math.nan
     diff_bound = GOLDEN_RATIO * norm_actual * norm_ap * norm_da
 
     return BoundReport(

@@ -80,10 +80,6 @@ ENTRY_POINTS = {
     "outer_inverse.row_space": (oi.row_space, lambda: [_rect()]),
     "outer_inverse.image_of": (lambda a: oi.image_of(a, _problem().T), lambda: [_problem().A]),
     "outer_inverse.moore_penrose_problem": (oi.moore_penrose_problem, lambda: [_rect()]),
-    "outer_inverse.mp_via_12_inverse": (
-        oi.mp_via_12_inverse,
-        lambda: [_rect(), numlin.pinv(_rect())],
-    ),
     "perturbation.is_stable": (perturbation.is_stable, lambda: [_rect(), 1e-3 * _rect()]),
     "perturbation.PerturbationScenario": (_scenario_with, lambda: [1e-3 * _problem().A]),
 }

@@ -260,6 +260,26 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"top level is {top!r}, not an object" in err
 
+    # A misspelt key would otherwise fall back to its default (1 trial of
+    # every theorem), and a repeated id would run its trials twice.
+    BAD_CONFIGS = [
+        ({"gen": {"seed": 1}, "trails": 500, "theorem": ["prop31"]}, "'theorem', 'trails'"),
+        ({"gen": {"seed": 1}, "trials": 2, "theorems": ["prop31", "prop31"]}, "'prop31'"),
+    ]
+
+    @pytest.mark.parametrize("obj, named", BAD_CONFIGS, ids=["unknown_key", "repeated_id"])
+    def test_config_is_rejected_naming_the_culprit(self, obj, named):
+        with pytest.raises(ValueError, match=named):
+            campaign_config_from_obj(obj)
+
+    @pytest.mark.parametrize("obj, named", BAD_CONFIGS, ids=["unknown_key", "repeated_id"])
+    def test_config_exits_1_naming_the_culprit(self, tmp_path, capsys, obj, named):
+        obj = dict(obj, output_path=str(tmp_path / "r.csv"))
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_valid_values_keep_their_types(self):
         obj = small_campaign_obj(
             theorems=["prop31"], tolerances={"rank_rtol": None, "cond_cap": 10**12}

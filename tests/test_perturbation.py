@@ -9,12 +9,13 @@ from outerinv import perturbation
 from outerinv import subspace as ss
 from outerinv.instance_gen import (
     GenConfig,
+    derive_trial_seed,
     generate,
     perturb_subspace_exact_gap,
     random_matrix_with_rank,
     random_subspace,
 )
-from outerinv.numlin import op_norm, pinv
+from outerinv.numlin import op_norm, pinv, svd
 from outerinv.outer_inverse import OuterInverseProblem, compute, moore_penrose_problem, prepare
 from outerinv.perturbation import (
     GOLDEN_RATIO,
@@ -32,6 +33,9 @@ from outerinv.perturbation import (
 )
 
 from helpers import complex_gaussian, line, random_feasible_problem, scenario
+
+
+CAMPAIGN_SEED = 20260801  # CampaignConfig.default()
 
 
 def diag_problem():
@@ -173,6 +177,73 @@ class TestStableBounds:
         report = stable_bounds(scenario(moore_penrose_problem(a), E=da))
         assert not report.all_satisfied
 
+
+
+def stored_flags(a, da):
+    """(cond3, hypothesis) of is_stable(a, da), computed afresh with numpy alone.
+
+    What ``StableReport`` stored before the two became properties: cond3
+    is whether the resolvent ``pinv(A) (I + dA pinv(A))^{-1}`` is a
+    {1,2}-inverse of A + dA, the hypothesis ``||pinv(A)|| ||dA|| < 1``.
+    """
+
+    def norm(x):
+        return np.linalg.norm(x, 2)
+
+    ap = np.linalg.pinv(a)
+    abar = a + da
+    c = ap @ np.linalg.inv(np.eye(a.shape[0]) + da @ ap)
+    aza, zaz = abar @ c @ abar - abar, c @ abar @ c - c
+    cond3 = norm(aza) <= 1e-8 * (1.0 + norm(abar)) and norm(zaz) <= 1e-8 * (1.0 + norm(c))
+    return cond3, norm(ap) * norm(da) < 1.0
+
+
+def rank_jump():
+    return np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1e-3]).astype(complex)
+
+
+# The pairs TestStableEquivalence builds, and one outside the hypothesis.
+STABLE_CASES = {
+    "zero": lambda rng: (complex_gaussian(rng, (4, 3)), np.zeros((4, 3), dtype=complex)),
+    "full": lambda rng: stable_pair(rng, "full"),
+    "range": lambda rng: stable_pair(rng, "range"),
+    "jump": lambda rng: stable_pair(rng, "jump"),
+    "rank_jump": lambda rng: rank_jump(),
+    "beyond_hypothesis": lambda rng: (np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)),
+}
+
+
+class TestOneNormPinvPerReport:
+    """Each stability report reads ||pinv(A)|| from one place."""
+
+    @staticmethod
+    def default_campaign_lemma21():
+        # Trial 0 of lemma21 in the default campaign: the values-only SVD of
+        # ``prepare`` and the full SVD of A give ||pinv(A)|| different last bits.
+        seed = derive_trial_seed(CAMPAIGN_SEED, "lemma21", 0)
+        sc = generate(GenConfig(seed=seed), "lemma21")
+        assert svd(sc.prepared.problem.A).pinv_norm() != sc.prepared.norm_pinv_A
+        return sc
+
+    def test_stable_bounds_reads_the_prepared_norm(self):
+        sc = self.default_campaign_lemma21()
+        norm_ap = sc.prepared.norm_pinv_A
+        report = stable_bounds(sc)
+        assert report.hypotheses[0].threshold == 1.0 / norm_ap
+        assert report.norm_bound == norm_ap / (1.0 - norm_ap * sc.norm_E)
+
+    def test_is_stable_reads_its_own_svd(self):
+        sc = self.default_campaign_lemma21()
+        a, e = sc.prepared.problem.A, sc.E
+        assert is_stable(a, e).norm_product == svd(a).pinv_norm() * op_norm(e)
+
+    @pytest.mark.parametrize("case", sorted(STABLE_CASES))
+    def test_derived_flags_match_the_stored_ones(self, rng, case):
+        for _ in range(1 if case in ("zero", "rank_jump", "beyond_hypothesis") else 20):
+            a, da = STABLE_CASES[case](rng)
+            report = is_stable(a, da)
+            assert (report.cond3_formula_valid, report.hypothesis_met) == stored_flags(a, da)
+            assert report.hypothesis_met == (case != "beyond_hypothesis")
 
 class TestGapPropagation:
     def test_identical_subspace(self, rng):
