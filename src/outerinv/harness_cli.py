@@ -21,9 +21,11 @@ numerically under satisfied hypotheses; this should never happen and is
 the highest-severity signal).  A sweep is judged per grid point by the
 same campaign rule and exits with its worst point's code.
 
-Output files are deterministic given the seed: metadata embeds the
-config hash, seed, RNG identifier, tolerance profile and library
-version, but never wall-clock times (those go to stdout only).
+Output files are deterministic given the seed, the numpy/BLAS build
+and the BLAS thread count (at large shapes the generated instance
+depends on the thread count; see :mod:`outerinv.instance_gen`): metadata
+embeds the config hash, seed, RNG identifier, tolerance profile and
+library version, but never wall-clock times (those go to stdout only).
 """
 
 from __future__ import annotations

@@ -15,9 +15,13 @@ rejecting any draw whose hypotheses sit within
 hypothesis statuses asks the theorem's record for them.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so a
-seed determines an instance byte-for-byte.  Parallel trials derive their
-seeds by the documented splitting rule implemented in
-:func:`derive_trial_seed`.
+seed determines an instance byte-for-byte on one numpy/BLAS build run
+with one BLAS thread count.  The thread count matters at large shapes:
+:func:`perturb_subspace_exact_gap` draws its direction in the
+coordinates of an orthogonal complement's SVD basis, which LAPACK may
+pick differently per thread count.
+Parallel trials derive their seeds by the documented splitting rule
+implemented in :func:`derive_trial_seed`.
 """
 
 from __future__ import annotations
@@ -239,8 +243,9 @@ def generate(
 ) -> PerturbationScenario:
     """One feasible, hypothesis-satisfying scenario for the given theorem.
 
-    Deterministic in ``config``: the same seed always yields the same
-    instance, byte-for-byte after serialization.  Raises
+    Deterministic in ``config``: the same seed yields the same instance,
+    byte-for-byte after serialization, on the same numpy/BLAS build and
+    BLAS thread count.  Raises
     :class:`GenerationError` with per-condition failure counts if
     ``max_retries`` draws never produce a feasible instance.
     """

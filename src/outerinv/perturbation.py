@@ -8,7 +8,9 @@ or the operator A itself moves a little:
   inverse under an operator perturbation that does not tilt the range
   into its old orthogonal complement (the "stable perturbation" regime),
   including the resolvent representation of the perturbed inverse and the
-  classical norm/difference bounds with the golden-ratio constant.
+  classical norm/difference bounds with the golden-ratio constant.  A
+  report reads ``||pinv(A)||`` from one place: :func:`stable_bounds` from
+  the prepared problem, :func:`is_stable` from its own SVD of A.
 * :func:`gap_propagation` bounds the gap between A·T and A·T' in terms of
   the gap between T and T'.
 * :func:`perturb_T`, :func:`perturb_S`, :func:`perturb_TS`,
