@@ -20,15 +20,22 @@ trials of each of the 7 theorems at the default 6x5; it too must match
 byte for byte, so a refactor that moves any bit fails it.
 ``golden/summary_faults.txt`` is the stdout of ``oil verify`` on a small
 campaign with one of each fault planted (:func:`run_fault_campaign`); it
-must match byte for byte except the ``wall_time=`` line.  These three
-are as commit 54955b3 wrote them, when ``prepare`` began reading only
-the singular values of A and ``gap_hat`` one directed gap.  Before they
-were re-written, its output was shown to match the previous copies
-(``criterion7_exact.csv`` from commit a2790a4, ``summary_faults.txt``
-from 009c689) within ``RTOL`` and ``ATOL``, with identical trial ids,
-theorems, ``hyp_ok``, skip, refusal and violation counts and exit
-codes; G in ``compute_40x30.json`` did not move a bit.  Do not
-regenerate the fixtures to make a change pass.
+must match byte for byte except the ``wall_time=`` line.
+``compute_40x30.json`` and ``summary_faults.txt`` are as commit 54955b3
+wrote them, when ``prepare`` began reading only the singular values of
+A and ``gap_hat`` one directed gap; before they were re-written, its
+output was shown to match the previous copies (``summary_faults.txt``
+from 009c689) within ``RTOL`` and ``ATOL``, with identical skip,
+refusal and violation counts and exit codes, and G in
+``compute_40x30.json`` did not move a bit.  ``criterion7_exact.csv`` is
+as commit 1544a06 wrote it, when lemma21 began reading ``||pinv(A)||``
+from the prepared problem alone; before it was re-written, that
+commit's output was shown to match the copy from 54955b3 within
+``RTOL`` and ``ATOL``, with identical trial ids, theorems, ``hyp_ok``,
+skip, refusal and violation counts and exit code, and only lemma21's
+``norm_bound`` and ``margin_norm`` cells moved (26 cells, at most
+1.35e-15 relative).  Do not regenerate the fixtures to make a change
+pass.
 """
 
 import contextlib

@@ -1,11 +1,13 @@
 """Perturbation representations and bounds, checked against oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from outerinv import perturbation
+from outerinv.harness_cli import CampaignConfig
 from outerinv import subspace as ss
 from outerinv.instance_gen import (
     GenConfig,
@@ -33,9 +35,6 @@ from outerinv.perturbation import (
 )
 
 from helpers import complex_gaussian, line, random_feasible_problem, scenario
-
-
-CAMPAIGN_SEED = 20260801  # CampaignConfig.default()
 
 
 def diag_problem():
@@ -178,7 +177,6 @@ class TestStableBounds:
         assert not report.all_satisfied
 
 
-
 def stored_flags(a, da):
     """(cond3, hypothesis) of is_stable(a, da), computed afresh with numpy alone.
 
@@ -198,17 +196,13 @@ def stored_flags(a, da):
     return cond3, norm(ap) * norm(da) < 1.0
 
 
-def rank_jump():
-    return np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1e-3]).astype(complex)
-
-
 # The pairs TestStableEquivalence builds, and one outside the hypothesis.
 STABLE_CASES = {
     "zero": lambda rng: (complex_gaussian(rng, (4, 3)), np.zeros((4, 3), dtype=complex)),
     "full": lambda rng: stable_pair(rng, "full"),
     "range": lambda rng: stable_pair(rng, "range"),
     "jump": lambda rng: stable_pair(rng, "jump"),
-    "rank_jump": lambda rng: rank_jump(),
+    "rank_jump": lambda rng: (np.diag([1.0, 0.0]) + 0j, np.diag([0.0, 1e-3]) + 0j),
     "beyond_hypothesis": lambda rng: (np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)),
 }
 
@@ -220,8 +214,8 @@ class TestOneNormPinvPerReport:
     def default_campaign_lemma21():
         # Trial 0 of lemma21 in the default campaign: the values-only SVD of
         # ``prepare`` and the full SVD of A give ||pinv(A)|| different last bits.
-        seed = derive_trial_seed(CAMPAIGN_SEED, "lemma21", 0)
-        sc = generate(GenConfig(seed=seed), "lemma21")
+        gen = CampaignConfig.default().gen
+        sc = generate(replace(gen, seed=derive_trial_seed(gen.seed, "lemma21", 0)), "lemma21")
         assert svd(sc.prepared.problem.A).pinv_norm() != sc.prepared.norm_pinv_A
         return sc
 
