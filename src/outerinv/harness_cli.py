@@ -40,7 +40,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import __version__
@@ -402,7 +401,14 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
     ]
     rows = []
     per_theorem = {t: TheoremSummary() for t in config.theorems}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    workers = contextlib.nullcontext()
+    if jobs > 1:
+        # Imported here: concurrent.futures.process costs every `oil` call
+        # tens of milliseconds of start-up, and only --jobs > 1 needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
+        workers = ProcessPoolExecutor(max_workers=jobs)
+    with workers as pool:
         results = pool.map(_trial_worker, tasks, chunksize=8) if pool else map(_trial_worker, tasks)
         for (_, theorem_id, _), (row, tally) in zip(tasks, results):
             per_theorem[theorem_id].add(tally)

@@ -16,7 +16,9 @@ which exists precisely when ``N(A) ∩ T = {0}`` and ``A T ∔ S = C^m``
 
 They agree to rounding error whenever the inverse exists, which is what
 the verification harness leans on.  :func:`existence` is the one test
-of the two conditions.  :func:`prepare`, the only constructor of a
+of the two conditions, and a problem, which owns a read-only A, keeps
+its certificate, so :func:`compute` and the oracle on one problem decide
+existence once.  :func:`prepare`, the only constructor of a
 :class:`PreparedProblem`, runs it once and keeps what the harness derives
 from (A, T, S) -- ``||A||`` and ``||pinv(A)||``, G and ``||G||``, the
 projectors and the image A·T -- so each trial computes G once.  Of A it
@@ -34,7 +36,10 @@ The subspaces read off an SVD (kernel, column space, row space, A·T)
 own copies of their columns, so none of them keeps a full
 singular-vector matrix alive.  Problems and results travel as plain
 dicts (:func:`problem_to_obj`, :func:`problem_from_obj`,
-:func:`result_to_obj`); callers do their own JSON encoding.
+:func:`result_to_obj`) whose matrix entries are ``(re, im)`` tuples,
+which the cycle collector stops tracking (see
+:func:`~outerinv.numlin.matrix_to_obj`); callers do their own JSON
+encoding, which writes each tuple as an array.
 """
 
 from __future__ import annotations
@@ -99,14 +104,22 @@ class ExistenceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class OuterInverseProblem:
-    """The data (A, T, S): T lives in the domain, S in the codomain."""
+    """The data (A, T, S): T lives in the domain, S in the codomain.
+
+    The problem owns A, as a :class:`~outerinv.subspace.Subspace` owns its
+    basis: it stores a read-only copy and leaves the caller's array as it
+    was.  So (A, T, S) cannot change under the existence certificates
+    the problem keeps, one per tolerance profile (see :func:`existence`).
+    """
 
     A: np.ndarray
     T: Subspace
     S: Subspace
+    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        a = as_matrix(self.A)
+        a = as_matrix(self.A).copy()
+        a.flags.writeable = False
         if self.T.ambient_dim != a.shape[1]:
             raise ValueError(
                 f"T sits in C^{self.T.ambient_dim} but A has {a.shape[1]} columns"
@@ -211,21 +224,28 @@ def existence(
 ) -> ExistenceCertificate:
     """Check the two conditions under which A_{T,S}^(2) exists.
 
-    This is the one existence test; :func:`prepare` and the oracle both
-    run it.  ``N(A) ∩ T = {0}`` is settled first from the thin SVD of
-    ``A B_T``, which A·T is read from anyway (:func:`_kernel_misses`);
-    the null space of A, a full SVD of A, is computed only when that
-    bound cannot decide.
+    This is the one existence test; :func:`prepare`, :func:`compute` and
+    the oracle all run it.  The problem keeps the certificate, one per
+    tolerance profile, so a second call with an equal profile returns
+    the same certificate and factors nothing: :func:`compute` followed
+    by :func:`oracle_compute` decides existence once.  ``N(A) ∩ T =
+    {0}`` is settled first from the thin SVD of ``A B_T``, which A·T is
+    read from anyway (:func:`_kernel_misses`); the null space of A, a
+    full SVD of A, is computed only when that bound cannot decide.
     """
+    cert = problem._certificates.get(tol)
+    if cert is not None:
+        return cert
     image = _thin_svd(problem.A @ problem.T.basis)
     at = _column_space_from_svd(image, tol)  # A·T, as image_of builds it
-    return ExistenceCertificate(
+    cert = problem._certificates[tol] = ExistenceCertificate(
         kernel_meets_T_trivially=_kernel_misses(problem.A, problem.T, image, tol)
         or ss.intersection_trivial(kernel(problem.A, tol), problem.T, tol),
         AT_dim=at.dim,
         direct_sum_holds=ss.direct_sum_is_whole(at, problem.S, tol),
         AT=at,
     )
+    return cert
 
 
 def _kernel_misses(a: np.ndarray, t: Subspace, image: SvdFactors, tol: ToleranceProfile) -> bool:
@@ -336,7 +356,10 @@ def oracle_compute(
     the middle matrix is square and invertible exactly when the inverse
     exists.  Used as the brute-force reference for every perturbation
     identity the harness checks, so it takes nothing from a
-    :class:`PreparedProblem` and checks existence itself.
+    :class:`PreparedProblem` and checks existence itself, through
+    :func:`existence`: on a problem that :func:`compute` has seen, that
+    is the certificate the problem keeps, and the oracle's one SVD is
+    ``cond`` of its middle matrix.
     """
     _require_exists(existence(problem, tol))
     u = problem.T.basis

@@ -3,6 +3,9 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import outerinv
 from outerinv import harness_cli, perturbation
 from outerinv import subspace as ss
 from outerinv.harness_cli import (
@@ -106,6 +110,14 @@ class TestCmdCompute:
         g = matrix_from_obj(json.loads(out_file.read_text())["G"])
         expected = pinv(a)
         assert op_norm(g - expected) <= 1e-8 * (1.0 + op_norm(expected))
+
+    def test_integer_entry_too_large_for_a_double_exits_1(self, tmp_path, capsys):
+        text = json.dumps(identity_problem_obj()).replace("[1.0, 0.0]", "[1" + "0" * 400 + ", 0.0]", 1)
+        prob_file = tmp_path / "p.json"
+        prob_file.write_text(text)
+        assert main(["compute", str(prob_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed matrix object: entry 0 is ")
 
     def test_malformed_json_exit_1_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -729,5 +741,17 @@ class TestCampaignInternals:
 
     def test_matrix_obj_helper_available_for_configs(self):
         # Problem files are hand-writable; keep the entry layout stable.
-        obj = matrix_to_obj(np.eye(2))
+        # The pairs are tuples in Python, so the layout is read from the JSON text.
+        obj = json.loads(json.dumps(matrix_to_obj(np.eye(2))))
         assert obj["entries"][1] == [0.0, 0.0]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only --jobs > 1 needs concurrent.futures.process; importing it costs
+    # every `oil` call tens of milliseconds.  A fresh interpreter, because
+    # this one may have imported it already.
+    src = os.path.dirname(os.path.dirname(outerinv.__file__))
+    code = "import sys, outerinv.harness_cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

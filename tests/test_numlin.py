@@ -333,6 +333,12 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="malformed matrix object: entry 1 "):
             matrix_from_obj(json.loads(json.dumps(obj)))
 
+    def test_integer_too_large_for_a_double_names_its_index(self):
+        # complex() raises OverflowError on such an integer.
+        text = '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1' + "0" * 400 + ", 0]]}"
+        with pytest.raises(ValueError, match="malformed matrix object: entry 1 is "):
+            matrix_from_obj(json.loads(text))
+
     @pytest.mark.parametrize("field", ["rows", "cols"])
     @pytest.mark.parametrize("value", [1.9, 1.0, True, "1", None], ids=repr)
     def test_size_that_is_not_an_integer_names_its_field(self, field, value):

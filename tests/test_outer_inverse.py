@@ -1,7 +1,9 @@
 """Outer inverse computation, oracle agreement, classical special cases."""
 
+import gc
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,14 @@ class TestExistence:
         cert = existence(prob)
         assert cert.kernel_meets_T_trivially
         assert not cert.direct_sum_holds
+
+    def test_certificate_is_kept_per_tolerance_profile(self, rng):
+        prob = random_feasible_problem(rng)
+        cert = existence(prob)
+        assert existence(prob, ToleranceProfile()) is cert  # equal, not the same object
+        other = existence(prob, ToleranceProfile(rank_rtol=1e-3))
+        assert other is not cert and other.exists
+        assert existence(prob, ToleranceProfile(rank_rtol=1e-3)) is other
 
     def test_compute_raises_with_named_condition(self):
         prob = OuterInverseProblem(np.diag([1.0, 0.0]).astype(complex), line(0, 1), line(0, 1))
@@ -423,11 +433,34 @@ class TestSerialization:
         assert ss.gap_hat(back.T, prob.T) < 1e-12
         assert ss.gap_hat(back.S, prob.S) < 1e-12
 
+    def test_serialized_problems_leave_the_collector_little_to_track(self):
+        # Each (re, im) pair is a tuple of floats, which the cycle collector
+        # stops tracking at its first collection; one list per pair stayed
+        # tracked, about 2,650 objects per 40x30 problem.
+        golden = Path(__file__).parent / "golden" / "problem_40x30.json"
+        prob = problem_from_obj(json.loads(golden.read_text()))
+        gc.collect()
+        before = len(gc.get_objects())
+        held = [problem_to_obj(prob) for _ in range(20)]
+        gc.collect()
+        assert len(gc.get_objects()) - before < 20 * len(held)
+
     def test_result_object_shape(self, rng):
         prob = random_feasible_problem(rng, m=4, n=4)
         obj = result_to_obj(compute(prob))
         assert set(obj) == {"G", "residuals"}
         assert set(obj["residuals"]) == {"residual_gag", "range_gap", "null_gap"}
+
+
+def test_problem_owns_a_read_only_A(rng):
+    base = random_feasible_problem(rng)
+    a = base.A.copy()
+    prob = OuterInverseProblem(a, base.T, base.S)
+    assert not prob.A.flags.writeable
+    with pytest.raises(ValueError):
+        prob.A[0, 0] = 1.0
+    a[0, 0] += 1.0  # the caller's array stays writeable, and apart
+    assert np.array_equal(prob.A, base.A)
 
 
 def test_kernel_dimension(rng):

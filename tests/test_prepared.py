@@ -194,8 +194,9 @@ def test_validation_budget_per_trial(monkeypatch):
 
 def test_svd_budget_of_the_library_path(monkeypatch):
     # Load, compute, cross-check with the oracle and serialize one 40x30
-    # problem: 2 SVDs to load T and S, 8 in compute (none of A) and 3 in
-    # the oracle, which reuses the complement of S that compute took.
+    # problem: 2 SVDs to load T and S, 8 in compute (none of A) and 1 in
+    # the oracle, its cond: it reuses the existence certificate the problem
+    # keeps and the complement of S that compute took.
     obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
     calls = count_svds(monkeypatch)
     problem = problem_from_obj(obj)
@@ -204,7 +205,19 @@ def test_svd_budget_of_the_library_path(monkeypatch):
     assert len(calls) == 10
     oracle_compute(problem)
     result_to_obj(result)
-    assert len(calls) == 13
+    assert len(calls) == 11
+
+
+def test_oracle_after_compute_takes_one_svd_its_cond(monkeypatch):
+    # The problem keeps compute's existence certificate and S keeps its
+    # complement, so the oracle factors only its middle matrix, for cond.
+    obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
+    problem = problem_from_obj(obj)
+    compute(problem)
+    calls = count_svds(monkeypatch)
+    conds = count_calls(monkeypatch, ["cond"])
+    oracle_compute(problem)
+    assert len(calls) == 1 and conds["cond"] == 1
 
 
 def test_prepared_image_is_the_one_image_of_builds(rng):
