@@ -316,7 +316,16 @@ class TestJsonRoundTrip:
             matrix_from_obj({"rows": 1, "cols": 1, "entries": [[math.inf, 0.0]]})
 
     @pytest.mark.parametrize(
-        "entry", [["1", 0.0], [None, 0.0], 2.5, [1.0], [1.0, 2.0, 3.0]], ids=repr
+        "entry",
+        [
+            ["1", 0.0],
+            [None, 0.0],
+            2.5,
+            [1.0],
+            [1.0, 2.0, 3.0],
+            pytest.param([10**400, 0], id="[10**400, 0]"),  # too large for a double
+        ],
+        ids=repr,
     )
     def test_malformed_entry_names_its_index(self, entry):
         obj = {"rows": 1, "cols": 2, "entries": [[0.0, 0.0], entry]}
@@ -332,12 +341,6 @@ class TestJsonRoundTrip:
         obj = {"rows": 1, "cols": 2, "entries": [[0.0, 0.0], entry]}
         with pytest.raises(ValueError, match="malformed matrix object: entry 1 "):
             matrix_from_obj(json.loads(json.dumps(obj)))
-
-    def test_integer_too_large_for_a_double_names_its_index(self):
-        # complex() raises OverflowError on such an integer.
-        text = '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1' + "0" * 400 + ", 0]]}"
-        with pytest.raises(ValueError, match="malformed matrix object: entry 1 is "):
-            matrix_from_obj(json.loads(text))
 
     @pytest.mark.parametrize("field", ["rows", "cols"])
     @pytest.mark.parametrize("value", [1.9, 1.0, True, "1", None], ids=repr)
