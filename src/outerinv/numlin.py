@@ -304,7 +304,11 @@ def cond(a) -> float:
         raise ValueError("condition number is defined here for square matrices only")
     if m.shape[0] == 0:
         return 1.0
-    s = _singular_values(m)
+    return _cond_from_values(_singular_values(m))
+
+
+def _cond_from_values(s: np.ndarray) -> float:
+    """``s[0] / s[-1]`` of nonincreasing singular values; ``inf`` when the last is 0."""
     if s[-1] == 0.0:
         return math.inf
     return float(s[0] / s[-1])
@@ -414,22 +418,31 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
         )
-    values: list[complex] = []
-    append = values.append
+    flat: list[float] = []
+    append = flat.append
     for entry in entries:
-        # The unpacking rejects anything that is not a pair, complex()
-        # rejects strings and None and an integer too large for a double,
-        # and a boolean (which complex() reads as 0 or 1) is refused by its
-        # class; the failing entry's index is len(values).
+        # A pair of plain floats, what json and matrix_to_obj give, goes in
+        # as it is.  Anything else goes through complex(): the unpacking
+        # rejects anything that is not a pair, complex() rejects strings
+        # and None and an integer too large for a double, and a boolean
+        # (which complex() reads as 0 or 1) is refused by its class; the
+        # failing entry's index is len(flat) // 2.
         try:
             re, im = entry
+            if re.__class__ is float and im.__class__ is float:
+                append(re)
+                append(im)
+                continue
             if re.__class__ is bool or im.__class__ is bool:
                 raise TypeError
-            append(complex(re, im))
+            z = complex(re, im)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(
-                f"malformed matrix object: entry {len(values)} is {entry!r}, "
+                f"malformed matrix object: entry {len(flat) // 2} is {entry!r}, "
                 "not a pair [re, im] of numbers"
             ) from None
-    data = np.array(values, dtype=np.complex128)
+        append(z.real)
+        append(z.imag)
+    # float64 pairs viewed as complex128 are the (re, im) of each entry.
+    data = np.array(flat, dtype=np.float64).view(np.complex128)
     return as_matrix(data.reshape(rows, cols))

@@ -15,20 +15,25 @@ which exists precisely when ``N(A) ∩ T = {0}`` and ``A T ∔ S = C^m``
   and W of the orthogonal complement of S.
 
 They agree to rounding error whenever the inverse exists, which is what
-the verification harness leans on.  :func:`existence` is the one test
-of the two conditions, and a problem, which owns a read-only A, keeps
-its certificate, so :func:`compute` and the oracle on one problem decide
-existence once.  :func:`prepare`, the only constructor of a
-:class:`PreparedProblem`, runs it once and keeps what the harness derives
-from (A, T, S) -- ``||A||`` and ``||pinv(A)||``, G and ``||G||``, the
-projectors and the image A·T -- so each trial computes G once.  Of A it
-takes only the singular values, a values-only SVD; A's singular vectors
-are computed only when the existence test cannot settle ``N(A) ∩ T =
-{0}`` without the null space of A, or by the one check that reads them,
+the verification harness leans on.  The outer inverse exists exactly
+when the middle matrix ``W* A U`` is invertible, and each route factors
+that matrix anyway, so each decides existence from its own
+factorization first (:func:`_middle_certifies`, a certificate that can
+only say yes).  :func:`existence` is the one SVD test of the two
+conditions; it runs only when that certificate cannot decide, and a
+problem, which owns a read-only A, keeps its certificate.
+:func:`prepare`, the only constructor of a :class:`PreparedProblem`,
+keeps what the harness derives from (A, T, S) -- ``||A||`` and
+``||pinv(A)||``, G and ``||G||``, the projectors and, on first use, the
+image A·T -- so each trial computes G once.  Of A it takes only the
+singular values, a values-only SVD; A's singular vectors are computed
+only when the existence test cannot settle ``N(A) ∩ T = {0}`` without
+the null space of A, or by the one check that reads them,
 :func:`~outerinv.perturbation.stable_bounds`.  The orthogonal
 complement of S is computed once per :class:`~outerinv.subspace.Subspace`
-and kept there, so the oracle's W on an S the pinv route has seen costs
-no further SVD.  The classical
+and kept there (a loaded S carries it from the SVD that loaded it), so
+the oracle's W on an S the pinv route has seen costs no further SVD.
+The classical
 special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
 constructors that pick the right (T, S) pair and delegate.
 
@@ -44,17 +49,21 @@ encoding, which writes each tuple as an array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import subspace as ss
 from .numlin import (
+    CERT_MARGIN,
     DEFAULT_TOL,
     IllConditionedError,
     NumericalError,
     SvdFactors,
     ToleranceProfile,
+    _cond_from_values,
     _rank_from_values,
     _singular_values,
     _thin_svd,
@@ -130,6 +139,18 @@ class OuterInverseProblem:
             )
         object.__setattr__(self, "A", a)
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray, t: Subspace, s: Subspace) -> "OuterInverseProblem":
+        """(A, T, S) where ``a`` is the A of another problem, so already a
+        read-only, finite complex128 matrix the package owns, and T and S
+        fit its shape; nothing is copied or checked.  For the package's
+        own use only.
+        """
+        problem = object.__new__(cls)
+        for name, value in (("A", a), ("T", t), ("S", s), ("_certificates", {})):
+            object.__setattr__(problem, name, value)
+        return problem
+
 
 @dataclass(frozen=True, eq=False)
 class PreparedProblem:
@@ -141,9 +162,8 @@ class PreparedProblem:
     vectors of A are not kept.  ``G`` is the pinv route's
     ``pinv(P_S_perp A P_T)``, never the oracle's, and ``norm_G =
     ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
-    projectors onto T and the orthogonal complement of S.  ``AT`` is the
-    image A·T that the existence test read off, as :func:`image_of`
-    builds it.
+    projectors onto T and the orthogonal complement of S.  ``tol`` is
+    the profile the problem was prepared under.
     """
 
     problem: OuterInverseProblem
@@ -153,7 +173,13 @@ class PreparedProblem:
     norm_G: float
     P_T: np.ndarray
     P_S_perp: np.ndarray
-    AT: Subspace
+    tol: ToleranceProfile
+
+    @cached_property
+    def AT(self) -> Subspace:
+        """The image A·T, built on first use as :func:`existence` builds it
+        (and as :func:`image_of` does); only gap propagation reads it."""
+        return _image_of_T(self.problem, self.tol)[1]
 
 
 @dataclass(frozen=True)
@@ -161,15 +187,12 @@ class ExistenceCertificate:
     """Outcome of the two existence conditions.
 
     ``exists`` holds iff the kernel of A meets T trivially and the image
-    A T together with S splits the codomain as a direct sum.  ``AT`` is
-    that image, kept for :func:`prepare` (None on a hand-built
-    certificate); it takes no part in comparisons.
+    A T together with S splits the codomain as a direct sum.
     """
 
     kernel_meets_T_trivially: bool
     AT_dim: int
     direct_sum_holds: bool
-    AT: Subspace | None = field(default=None, compare=False, repr=False)
 
     @property
     def exists(self) -> bool:
@@ -224,11 +247,12 @@ def existence(
 ) -> ExistenceCertificate:
     """Check the two conditions under which A_{T,S}^(2) exists.
 
-    This is the one existence test; :func:`prepare`, :func:`compute` and
-    the oracle all run it.  The problem keeps the certificate, one per
-    tolerance profile, so a second call with an equal profile returns
-    the same certificate and factors nothing: :func:`compute` followed
-    by :func:`oracle_compute` decides existence once.  ``N(A) ∩ T =
+    This is the one existence test, and it alone ever answers "no".
+    :func:`prepare`, :func:`compute` and the oracle run it only when
+    their middle matrix cannot certify existence
+    (:func:`_middle_certifies`).  The problem keeps the certificate, one
+    per tolerance profile, so a second call with an equal profile
+    returns the same certificate and factors nothing.  ``N(A) ∩ T =
     {0}`` is settled first from the thin SVD of ``A B_T``, which A·T is
     read from anyway (:func:`_kernel_misses`); the null space of A, a
     full SVD of A, is computed only when that bound cannot decide.
@@ -236,16 +260,20 @@ def existence(
     cert = problem._certificates.get(tol)
     if cert is not None:
         return cert
-    image = _thin_svd(problem.A @ problem.T.basis)
-    at = _column_space_from_svd(image, tol)  # A·T, as image_of builds it
+    image, at = _image_of_T(problem, tol)
     cert = problem._certificates[tol] = ExistenceCertificate(
         kernel_meets_T_trivially=_kernel_misses(problem.A, problem.T, image, tol)
         or ss.intersection_trivial(kernel(problem.A, tol), problem.T, tol),
         AT_dim=at.dim,
         direct_sum_holds=ss.direct_sum_is_whole(at, problem.S, tol),
-        AT=at,
     )
     return cert
+
+
+def _image_of_T(problem: OuterInverseProblem, tol: ToleranceProfile) -> tuple[SvdFactors, Subspace]:
+    """The thin SVD of ``A B_T`` and the image A·T read off it, as :func:`image_of` builds it."""
+    image = _thin_svd(problem.A @ problem.T.basis)
+    return image, _column_space_from_svd(image, tol)
 
 
 def _kernel_misses(a: np.ndarray, t: Subspace, image: SvdFactors, tol: ToleranceProfile) -> bool:
@@ -270,6 +298,58 @@ def _kernel_misses(a: np.ndarray, t: Subspace, image: SvdFactors, tol: Tolerance
     return sep > 0.0 and ss.trivial_at_cosine(1.0 - sep * sep / 2.0, tol.effective_rank_rtol((n, n)))
 
 
+def _middle_certifies(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -> bool:
+    """Whether ``sigma``, the d-th singular value of the middle matrix, proves
+    that :func:`existence` answers yes; d = dim T.
+
+    Let U = B_T and W be an orthonormal basis of the complement of S.  The
+    oracle's middle matrix W* A U and the pinv route's ``P_S_perp A P_T =
+    W (W* A U) U*`` have the same nonzero singular values, so either
+    factorization gives sigma.  The certificate applies when d > 0 and
+    d + dim S = m, where W* A U is square.  Let ``rho = sigma (1 -
+    CERT_MARGIN) / ||A||_F``; the margin covers the rounding of sigma.
+    Two facts hold:
+
+    (a) ``sigma_d(A B_T) >= sigma``, because ``||W*|| = 1``;
+    (b) every unit x = A U y / ||A U y|| in A·T has ``||P_S_perp x|| =
+        ||W* A U y|| / ||A U y|| >= sigma / ||A|| >= rho``, so its cosine
+        with S, ``||P_S x||``, is at most ``sqrt(1 - rho^2)``.
+
+    So when this returns True, the SVD test's three answers are known
+    before it runs:
+
+    1. :func:`_kernel_misses` returns True: by (a) its separation is at
+       least ``sep = rho - rtol_A - 1e-12``, and this checks
+       :func:`~outerinv.subspace.trivial_at_cosine` at that ``sep``,
+       whose cosine bound ``1 - sep^2 / 2`` falls as ``sep`` grows.
+    2. ``AT_dim == d``: the thin SVD of A B_T keeps the singular values
+       above ``rtol_(m,d) sigma_1(A B_T)``, and ``sigma_1(A B_T) <= ||A||_F``,
+       so by (a) the ratio ``sigma_d / sigma_1 >= rho > rtol_A + 1e-12``
+       clears ``rtol_(m,d) <= rtol_A``.
+    3. ``direct_sum_holds``: dim A·T + dim S = d + dim S = m, and by (b)
+       the largest principal cosine between A·T and S is at most ``sqrt(1
+       - rho^2)``, which ``trivial_at_cosine`` accepts at the threshold
+       of the m-by-m stack that :func:`~outerinv.subspace.intersection_trivial`
+       would test.
+
+    False means only that the bound cannot tell; the caller then runs
+    :func:`existence`, so the SVD test alone ever answers "no".
+    """
+    a = problem.A
+    m, n = a.shape
+    d = problem.T.dim
+    norm_f = np.linalg.norm(a)
+    if d == 0 or d + problem.S.dim != m or norm_f == 0.0:
+        return False
+    rho = sigma * (1.0 - CERT_MARGIN) / norm_f
+    sep = rho - tol.effective_rank_rtol(a.shape) - 1e-12
+    return (
+        sep > 0.0
+        and ss.trivial_at_cosine(1.0 - sep * sep / 2.0, tol.effective_rank_rtol((n, n)))
+        and ss.trivial_at_cosine(math.sqrt(1.0 - rho * rho), tol.effective_rank_rtol((m, m)))
+    )
+
+
 def _require_exists(cert: ExistenceCertificate) -> None:
     if not cert.exists:
         reasons = []
@@ -284,17 +364,24 @@ def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
     """``(P_T, P_S_perp, G, ||G||)`` with ``G = pinv(P_S_perp A P_T)``.
 
     The one pinv route, which both :func:`prepare` and :func:`compute`
-    take.  The pseudoinverse keeps at most dim T singular values, the
-    rank of any outer inverse with range T: when ``||A|| ||G||`` is large
-    the product's rounding, of size ``eps ||A||``, can clear the relative
-    rank threshold, and inverting it would make G wrong by orders of
-    magnitude.
+    take.  It decides existence first, from the d-th singular value of
+    the product it factors (:func:`_middle_certifies`), and runs
+    :func:`existence` only when that cannot; :class:`ExistenceError`
+    names the failed condition.  The pseudoinverse keeps at most dim T
+    singular values, the rank of any outer inverse with range T: when
+    ``||A|| ||G||`` is large the product's rounding, of size ``eps
+    ||A||``, can clear the relative rank threshold, and inverting it
+    would make G wrong by orders of magnitude.
     """
     p_t = ss.projector(problem.T)
     p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
     middle = svd(p_s_perp @ problem.A @ p_t)
-    r = min(middle.rank(tol), problem.T.dim)
-    s = middle.singular_values[:r]
+    d = problem.T.dim
+    sv = middle.singular_values
+    if not _middle_certifies(problem, float(sv[d - 1]) if 0 < d <= sv.size else 0.0, tol):
+        _require_exists(existence(problem, tol))
+    r = min(middle.rank(tol), d)
+    s = sv[:r]
     g = (middle.right_vectors[:, :r] / s) @ middle.left_vectors[:, :r].conj().T
     return p_t, p_s_perp, g, 1.0 / float(s[-1]) if r else 0.0
 
@@ -309,11 +396,9 @@ def prepare(
     :class:`ExistenceError`, naming the failed condition, when the outer
     inverse does not exist.
     """
-    cert = existence(problem, tol)
-    _require_exists(cert)
+    p_t, p_s_perp, g, norm_g = _pinv_route(problem, tol)
     s = _singular_values(problem.A)
     r = _rank_from_values(s, problem.A.shape, tol)
-    p_t, p_s_perp, g, norm_g = _pinv_route(problem, tol)
     return PreparedProblem(
         problem=problem,
         norm_A=float(s[0]),
@@ -322,7 +407,7 @@ def prepare(
         norm_G=norm_g,
         P_T=p_t,
         P_S_perp=p_s_perp,
-        AT=cert.AT,
+        tol=tol,
     )
 
 
@@ -331,12 +416,11 @@ def compute(
 ) -> OuterInverseResult:
     """Outer inverse via ``pinv(P_{S_perp} A P_T)``, with residual report.
 
-    Runs :func:`existence` and the pinv route that :func:`prepare` takes,
-    so G is the same to the bit, but reads nothing else of a prepared
-    problem and never factors A.  The report measures ``||GAG - G||`` and
-    the gaps between range(G) and T and between kernel(G) and S.
+    Takes the pinv route that :func:`prepare` takes, existence decision
+    included, so G is the same to the bit, but reads nothing else of a
+    prepared problem and never factors A.  The report measures ``||GAG -
+    G||`` and the gaps between range(G) and T and between kernel(G) and S.
     """
-    _require_exists(existence(problem, tol))
     _, _, g, _ = _pinv_route(problem, tol)
     f = svd(g)
     return OuterInverseResult(
@@ -356,18 +440,21 @@ def oracle_compute(
     the middle matrix is square and invertible exactly when the inverse
     exists.  Used as the brute-force reference for every perturbation
     identity the harness checks, so it takes nothing from a
-    :class:`PreparedProblem` and checks existence itself, through
-    :func:`existence`: on a problem that :func:`compute` has seen, that
-    is the certificate the problem keeps, and the oracle's one SVD is
-    ``cond`` of its middle matrix.
+    :class:`PreparedProblem` and checks existence itself: the singular
+    values of its middle matrix, its one SVD, give both ``cond`` and the
+    certificate of :func:`_middle_certifies`, and :func:`existence` runs
+    only when that certificate cannot decide (or T is trivial, or the
+    middle matrix is not square).
     """
-    _require_exists(existence(problem, tol))
     u = problem.T.basis
-    if u.shape[1] == 0:
-        return np.zeros((problem.A.shape[1], problem.A.shape[0]), dtype=np.complex128)
     w = ss.orthogonal_complement(problem.S).basis
     middle = w.conj().T @ problem.A @ u
-    c = cond(middle)
+    s = _singular_values(middle) if u.shape[1] == w.shape[1] > 0 else None
+    if s is None or not _middle_certifies(problem, float(s[-1]), tol):
+        _require_exists(existence(problem, tol))
+    if u.shape[1] == 0:
+        return np.zeros((problem.A.shape[1], problem.A.shape[0]), dtype=np.complex128)
+    c = cond(middle) if s is None else _cond_from_values(s)
     if not c <= tol.cond_cap:
         raise IllConditionedError(
             f"oracle middle matrix has condition number {c:.3e}", condition=c

@@ -514,15 +514,14 @@ def _check(
     prepared = scenario.prepared
     base = prepared.problem
     limits = spec.limits
+    t = scenario.T_prime if "gap_T" in limits else base.T
+    s = scenario.S_prime if "gap_S" in limits else base.S
+    if "norm_E" in limits:
+        problem = OuterInverseProblem(base.A + scenario.E, t, s)
+    else:  # the base problem's A, already owned, read-only and checked
+        problem = OuterInverseProblem._trusted(base.A, t, s)
     try:
-        oracle = oracle_compute(
-            OuterInverseProblem(
-                base.A + scenario.E if "norm_E" in limits else base.A,
-                scenario.T_prime if "gap_T" in limits else base.T,
-                scenario.S_prime if "gap_S" in limits else base.S,
-            ),
-            tol,
-        )
+        oracle = oracle_compute(problem, tol)
     except (ExistenceError, IllConditionedError) as exc:
         oracle, refusal = None, exc
         norm_actual = diff_actual = math.nan

@@ -129,7 +129,8 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> "Subspace":
-        # Computed on the first orthogonal_complement() call and kept.
+        # Computed on the first orthogonal_complement() call and kept;
+        # from_spanning_set stores its own instead.
         d = self.dim
         if d == 0:
             return Subspace._trusted(np.eye(self.ambient_dim, dtype=np.complex128))
@@ -140,10 +141,18 @@ def from_spanning_set(vectors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Column span of ``vectors`` as a Subspace.
 
     The basis comes from the SVD of the input, truncated at the shared
-    rank threshold, so dependent or zero columns are dropped.
+    rank threshold, so dependent or zero columns are dropped.  The
+    trailing left singular vectors of the same SVD, an orthonormal basis
+    of what the kept ones leave out, are stored as the subspace's
+    orthogonal complement, so :func:`orthogonal_complement` of a span
+    factors nothing more.
     """
     f = svd(vectors)
-    return Subspace._trusted(f.left_vectors[:, : f.rank(tol)])
+    r = f.rank(tol)
+    span = Subspace._trusted(f.left_vectors[:, :r])
+    # Where the cached property _complement would store its value.
+    span.__dict__["_complement"] = Subspace._trusted(f.left_vectors[:, r:])
+    return span
 
 
 def projector(v: Subspace) -> np.ndarray:
@@ -194,8 +203,10 @@ def gap_hat(m: Subspace, n: Subspace) -> float:
 def orthogonal_complement(v: Subspace) -> Subspace:
     """Orthogonal complement; dims add up to the ambient dimension.
 
-    Its basis is the trailing left singular vectors of ``v.basis``.  The
-    SVD runs on the first call for ``v``; every later call returns the
+    Its basis is trailing left singular vectors.  A subspace from
+    :func:`from_spanning_set` (a loaded one too) carries those of the SVD
+    that built it.  Any other subspace takes those of ``v.basis``, whose
+    SVD runs on the first call for ``v``.  Every later call returns the
     same subspace, whose basis is read-only.
     """
     return v._complement

@@ -21,13 +21,18 @@ byte for byte, so a refactor that moves any bit fails it.
 ``golden/summary_faults.txt`` is the stdout of ``oil verify`` on a small
 campaign with one of each fault planted (:func:`run_fault_campaign`); it
 must match byte for byte except the ``wall_time=`` line.
-``compute_40x30.json`` and ``summary_faults.txt`` are as commit 54955b3
-wrote them, when ``prepare`` began reading only the singular values of
-A and ``gap_hat`` one directed gap; before they were re-written, its
-output was shown to match the previous copies (``summary_faults.txt``
-from 009c689) within ``RTOL`` and ``ATOL``, with identical skip,
-refusal and violation counts and exit codes, and G in
-``compute_40x30.json`` did not move a bit.  ``criterion7_exact.csv`` is
+``summary_faults.txt`` is as commit 54955b3 wrote it, when ``prepare``
+began reading only the singular values of A and ``gap_hat`` one
+directed gap; before it was re-written, its output was shown to match
+the copy from 009c689 within ``RTOL`` and ``ATOL``, with identical skip,
+refusal and violation counts and exit codes.  ``compute_40x30.json`` is
+as it was written when a loaded subspace began to keep its orthogonal
+complement from the SVD that loaded it, which gives the pinv route
+another basis of the complement of S; before it was re-written, that
+output was shown to match the copy from 4726dde with the same keys and
+shape, every entry of G within ``RTOL`` and ``ATOL`` (2,387 of 2,400
+real and imaginary parts moved, by at most 4.0e-11 relative) and
+finite residuals within ``ATOL`` of the old ones.  ``criterion7_exact.csv`` is
 as commit 1544a06 wrote it, when lemma21 began reading ``||pinv(A)||``
 from the prepared problem alone; before it was re-written, that
 commit's output was shown to match the copy from 54955b3 within

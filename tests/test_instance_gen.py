@@ -2,11 +2,12 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from outerinv import instance_gen
+from outerinv import instance_gen, outer_inverse
 from outerinv import subspace as ss
 from outerinv.instance_gen import (
     THEOREMS,
@@ -18,7 +19,7 @@ from outerinv.instance_gen import (
     random_matrix_with_rank,
     random_subspace,
 )
-from outerinv.numlin import op_norm, rank
+from outerinv.numlin import ToleranceProfile, op_norm, rank
 from outerinv.outer_inverse import (
     ExistenceCertificate,
     ExistenceError,
@@ -188,6 +189,56 @@ class TestGenerate:
             ("kernel_meets_T", "AT_dim_collapsed", "direct_sum", "hypothesis_band"), 0
         )
         assert info.value.failure_counts == {**expected, key: 4}
+
+
+# Draws at a loose rank threshold, where many are infeasible: per
+# (rank_rtol, shape, seed), the feasible draws out of 200 and the failure
+# counts, as the existence test alone decided them at commit 4726dde.
+INFEASIBLE_DRAWS = {
+    (0.05, (6, 5, 4, 3), 7): (187, {"direct_sum": 13}),
+    (0.3, (6, 5, 4, 3), 7): (3, {"AT_dim_collapsed": 1, "direct_sum": 116, "kernel_meets_T": 80}),
+}
+
+
+@pytest.mark.parametrize("certificate_on", [True, False])
+@pytest.mark.parametrize("key", sorted(INFEASIBLE_DRAWS))
+def test_infeasible_draws_count_as_the_existence_test_decides(monkeypatch, key, certificate_on):
+    # prepare decides from the pinv route's middle matrix first; switching
+    # that certificate off leaves existence() to decide every draw.
+    rank_rtol, (m, n, rank_a, dim_t), seed = key
+    decisions = Counter()
+    certifies = outer_inverse._middle_certifies
+
+    def counted(*args):
+        certified = certificate_on and certifies(*args)
+        decisions[certified] += 1
+        return certified
+
+    monkeypatch.setattr(outer_inverse, "_middle_certifies", counted)
+    config = GenConfig(seed=seed, m=m, n=n, rank_A=rank_a, dim_T=dim_t)
+    rng = np.random.default_rng(seed)
+    failures = Counter()
+    tol = ToleranceProfile(rank_rtol=rank_rtol)
+    feasible = sum(
+        instance_gen._draw_feasible_problem(config, rng, tol, failures) is not None
+        for _ in range(200)
+    )
+    assert (feasible, dict(failures)) == INFEASIBLE_DRAWS[key]
+    assert bool(decisions[True]) == (certificate_on and rank_rtol == 0.05)
+
+
+def test_generation_failure_counts_are_unchanged():
+    # At rank_rtol 0.3 no 12x10 draw of seed 7 is feasible; the counts are
+    # those of commit 4726dde, where the existence test alone decided.
+    config = GenConfig(seed=7, m=12, n=10, rank_A=8, dim_T=5, max_retries=200)
+    with pytest.raises(GenerationError) as info:
+        generate(config, "prop31", ToleranceProfile(rank_rtol=0.3))
+    assert info.value.failure_counts == {
+        "kernel_meets_T": 116,
+        "AT_dim_collapsed": 1,
+        "direct_sum": 83,
+        "hypothesis_band": 0,
+    }
 
 
 class TestSeedDerivation:

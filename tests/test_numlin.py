@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,6 +357,47 @@ class TestJsonRoundTrip:
     def test_null_entries_rejected(self):
         with pytest.raises(ValueError, match="malformed matrix object"):
             matrix_from_obj({"rows": 1, "cols": 1, "entries": None})
+
+
+def _one_complex_per_entry(entries) -> np.ndarray:
+    """The loader's rule before float pairs were taken as they are: complex() per entry."""
+    return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+
+
+LOADED_ENTRIES = {
+    "floats": [[1.5, -2.25], (0.1, 1e-300), [-0.0, 5e-324]],
+    "ints": [[1, 2], (-3, 0), [2**53 + 1, -(2**60)]],
+    "mixed": [[1, 2.5], [0.5, -7], (3, 0.25)],
+    "negative_zero_imag": [[1.0, -0.0], [-0.0, -0.0], [3, -0.0]],
+    "fractions": [[Fraction(1, 3), Fraction(-2, 7)], [Fraction(5), 0.5]],
+    "numpy_scalars": [
+        [np.float64(0.1), np.float32(0.1)],
+        [np.int64(3), np.float16(2.5)],
+        (np.int32(-4), np.complex128(0.5)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADED_ENTRIES))
+def test_entries_load_as_one_complex_per_entry_would(name):
+    entries = LOADED_ENTRIES[name]
+    loaded = matrix_from_obj({"rows": 1, "cols": len(entries), "entries": entries})
+    assert loaded.tobytes() == _one_complex_per_entry(entries).tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [[True, 0.0], [0.0, False], ["1", 0.0], [None, 0.0], [1.0], [1.0, 2.0, 3.0], 2.5, [10**400, 0]],
+    ids=repr,
+)
+def test_rejected_entry_keeps_its_message(entry):
+    # The entries before it take the float-pair and the complex() paths.
+    obj = {"rows": 1, "cols": 3, "entries": [[0.5, 0.0], [1, 2], entry]}
+    with pytest.raises(ValueError) as info:
+        matrix_from_obj(obj)
+    assert str(info.value) == (
+        f"malformed matrix object: entry 2 is {entry!r}, not a pair [re, im] of numbers"
+    )
 
 
 def _entrywise_obj(a) -> dict:

@@ -191,6 +191,130 @@ class TestExistenceCertificate:
         assert len(kernel_calls) < draws or rank_rtol is not None
 
 
+def middle_sigmas(problem):
+    """The d-th singular value of each route's middle matrix, d = dim T.
+
+    The pinv route's ``P_S_perp A P_T`` always; the oracle's ``W* A U`` too
+    when it is square.
+    """
+    d = problem.T.dim
+    comp = ss.orthogonal_complement(problem.S)
+    product = ss.projector(comp) @ problem.A @ ss.projector(problem.T)
+    sigmas = [float(np.linalg.svd(product, compute_uv=False)[d - 1])]
+    if comp.dim == d:
+        middle = comp.basis.conj().T @ problem.A @ problem.T.basis
+        sigmas.append(float(np.linalg.svd(middle, compute_uv=False)[-1]))
+    return sigmas
+
+
+def tilted_toward(v, target, theta):
+    """``v`` with its first basis vector turned to within ``theta`` of the unit vector ``target``."""
+    basis = v.basis.copy()
+    basis[:, 0] = math.cos(theta) * target + math.sin(theta) * basis[:, 0]
+    return ss.from_spanning_set(basis)
+
+
+def draw_for_certificate(rng, m, n):
+    """A random (A, T, S) that is often infeasible or close to it.
+
+    rank A may fall below dim T (then N(A) meets T); S, mostly of
+    dimension m - dim T, may be tilted toward A·T by an angle down to
+    1e-12 or have any other dimension.
+    """
+    d = int(rng.integers(1, min(m, n) + 1))
+    r = int(rng.integers(max(1, d - 2), min(m, n) + 1))
+    a = random_matrix_with_rank(m, n, r, rng)
+    t = random_subspace(n, d, rng)
+    k = m - d if rng.random() < 0.9 else int(rng.integers(0, m + 1))
+    s = random_subspace(m, k, rng)
+    if 0 < k < m and rng.random() < 0.5:
+        image = a @ t.basis[:, 0]
+        if np.linalg.norm(image) > 0.0:
+            s = tilted_toward(s, image / np.linalg.norm(image), 10.0 ** rng.uniform(-12, 0))
+    return OuterInverseProblem(a, t, s)
+
+
+def with_middle_ratio(rng, m, n, d, ratio):
+    """A full-rank (A, T, S) with ``sigma_min(W* A U) / ||A||_F`` close to ``ratio``."""
+    a = complex_gaussian(rng, (m, n))
+    t = random_subspace(n, d, rng)
+    s = random_subspace(m, m - d, rng)
+    u, w = t.basis, ss.orthogonal_complement(s).basis
+    left, sv, right = np.linalg.svd(w.conj().T @ a @ u)
+    sv[-1] = ratio * np.linalg.norm(a)
+    a = a + w @ ((left * sv) @ right - w.conj().T @ a @ u) @ u.conj().T
+    return OuterInverseProblem(a, t, s)
+
+
+class TestMiddleCertificate:
+    """The certificate from the middle matrix only ever confirms what existence() says."""
+
+    @pytest.mark.parametrize("shape, draws", [((6, 5), 700), ((40, 30), 250), ((120, 100), 50)])
+    def test_yes_only_where_existence_says_yes(self, rng, shape, draws):
+        seen = {"certified": 0, "declined_but_exists": 0, "absent": 0}
+        for _ in range(draws):
+            prob = draw_for_certificate(rng, *shape)
+            exists = existence(prob).exists
+            for sigma in middle_sigmas(prob):
+                certified = outer_inverse._middle_certifies(prob, sigma, ToleranceProfile())
+                assert exists or not certified
+                seen["certified"] += certified
+                seen["declined_but_exists"] += exists and not certified
+            seen["absent"] += not exists
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (120, 100)])
+    def test_sweep_of_the_middle_ratio(self, rng, shape):
+        m, n = shape
+        verdicts = {}
+        for exponent in np.arange(-2.0, -8.5, -0.5):
+            prob = with_middle_ratio(rng, m, n, n // 2, 10.0**exponent)
+            assert existence(prob).exists
+            verdicts[exponent] = [
+                outer_inverse._middle_certifies(prob, sigma, ToleranceProfile())
+                for sigma in middle_sigmas(prob)
+            ]
+        # Certified where the ratio is large, declined where it is tiny.
+        assert verdicts[-2.0] == [True, True] and verdicts[-8.0] == [False, False]
+
+    def test_declines_outside_its_reach(self, rng):
+        prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
+        sigma = middle_sigmas(prob)[0]
+        assert outer_inverse._middle_certifies(prob, sigma, ToleranceProfile())
+        other_s = OuterInverseProblem(prob.A, prob.T, random_subspace(6, 2, rng))
+        assert not outer_inverse._middle_certifies(other_s, sigma, ToleranceProfile())
+        trivial_t = OuterInverseProblem(prob.A, random_subspace(5, 0, rng), random_subspace(6, 6, rng))
+        assert not outer_inverse._middle_certifies(trivial_t, sigma, ToleranceProfile())
+
+
+def planted_failures(rng):
+    """One infeasible (A, T, S) per way existence can fail, at 6x5."""
+    a = random_matrix_with_rank(6, 5, 4, rng)
+    null = kernel(a).basis[:, 0]
+    t = random_subspace(5, 3, rng)
+    image = a @ t.basis[:, 0]
+    return {
+        "kernel_meets_T": (a, tilted_toward(t, null, 0.0), random_subspace(6, 3, rng)),
+        "AT_meets_S": (a, t, tilted_toward(random_subspace(6, 3, rng), image / np.linalg.norm(image), 0.0)),
+        "dims_do_not_add": (a, t, random_subspace(6, 4, rng)),
+        "trivial_T": (a, random_subspace(5, 0, rng), random_subspace(6, 4, rng)),
+    }
+
+
+@pytest.mark.parametrize("case", ["kernel_meets_T", "AT_meets_S", "dims_do_not_add", "trivial_T"])
+def test_planted_failures_raise_the_existence_test_error(rng, case):
+    data = planted_failures(rng)[case]
+    cert = existence(OuterInverseProblem(*data))
+    assert not cert.exists
+    with pytest.raises(ExistenceError) as expected:
+        outer_inverse._require_exists(cert)
+    for route in (compute, outer_inverse.prepare, oracle_compute):
+        with pytest.raises(ExistenceError) as raised:
+            route(OuterInverseProblem(*data))
+        assert raised.value.certificate == cert
+        assert str(raised.value) == str(expected.value)
+
+
 class TestCompute:
     def test_identity_base_case(self):
         prob = OuterInverseProblem(np.eye(2, dtype=complex), line(1, 0), line(0, 1))

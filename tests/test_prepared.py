@@ -82,19 +82,37 @@ class TestPrepare:
         assert prepared.norm_G == again.norm_G
 
 
+def count_declines(monkeypatch) -> Counter:
+    """Count the calls of the middle-matrix certificate and the ones it declines."""
+    counts = Counter()
+    original = outer_inverse._middle_certifies
+
+    def counted(*args, **kwargs):
+        certified = original(*args, **kwargs)
+        counts["calls"] += 1
+        counts["declined"] += not certified
+        return certified
+
+    monkeypatch.setattr(outer_inverse, "_middle_certifies", counted)
+    return counts
+
+
 def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
-    # prepare is the only constructor of a prepared problem and runs the
-    # base problem's one existence test; every other existence() call is
-    # the oracle's own.
+    # prepare is the only constructor of a prepared problem.  It and the
+    # oracle each decide existence from the middle matrix they factor, so
+    # existence() runs only when a certificate declines.
     names = ("prepare", "compute", "existence", "oracle_compute")
     counts = count_calls(monkeypatch, names)
+    certificates = count_declines(monkeypatch)
     config = replace(CampaignConfig.default(seed=31), trials=1)
     for theorem in THEOREMS:
         counts.clear()
+        certificates.clear()
         assert run_trial(config, theorem, 0)[0] is not None
         assert counts["prepare"] == 1, theorem
         assert counts["compute"] == 0, theorem
-        assert counts["existence"] == 1 + counts["oracle_compute"], theorem
+        assert certificates["calls"] == 1 + counts["oracle_compute"], theorem
+        assert counts["existence"] == certificates["declined"], theorem
 
 
 def count_svds(monkeypatch) -> list:
@@ -113,13 +131,13 @@ def count_svds(monkeypatch) -> list:
 # campaign seed, trial 0).  The counts are deterministic; a change that adds
 # an SVD to a trial fails here and must say why before it moves a number.
 SVD_BUDGET = {
-    "lemma21": 13,
-    "lemma31": 9,
-    "prop31": 14,
-    "prop32": 14,
-    "thm31": 15,
-    "lemma32": 13,
-    "thm32": 17,
+    "lemma21": 11,
+    "lemma31": 8,
+    "prop31": 10,
+    "prop32": 10,
+    "thm31": 11,
+    "lemma32": 9,
+    "thm32": 13,
 }
 
 
@@ -161,14 +179,15 @@ def test_svd_of_the_full_shape_per_trial(monkeypatch):
 # Full finiteness scans (numlin.as_matrix) and validated Subspace
 # constructions in the same trials.  A trial checks only the data that
 # enters it: the drawn A (as an OuterInverseProblem), the scenario's E, and
-# the problem handed to the oracle (lemma31: the A of image_of).  Bases made
-# from QR or SVD columns are trusted, so no Subspace is validated.
+# the oracle's A + E (lemma31: the A of image_of).  An oracle problem on
+# the base A shares the base problem's checked array, and bases made from
+# QR or SVD columns are trusted, so no Subspace is validated.
 VALIDATION_BUDGET = {
     "lemma21": {"as_matrix": 2, "Subspace": 0},
     "lemma31": {"as_matrix": 3, "Subspace": 0},
-    "prop31": {"as_matrix": 3, "Subspace": 0},
-    "prop32": {"as_matrix": 3, "Subspace": 0},
-    "thm31": {"as_matrix": 3, "Subspace": 0},
+    "prop31": {"as_matrix": 2, "Subspace": 0},
+    "prop32": {"as_matrix": 2, "Subspace": 0},
+    "thm31": {"as_matrix": 2, "Subspace": 0},
     "lemma32": {"as_matrix": 3, "Subspace": 0},
     "thm32": {"as_matrix": 3, "Subspace": 0},
 }
@@ -194,30 +213,36 @@ def test_validation_budget_per_trial(monkeypatch):
 
 def test_svd_budget_of_the_library_path(monkeypatch):
     # Load, compute, cross-check with the oracle and serialize one 40x30
-    # problem: 2 SVDs to load T and S, 8 in compute (none of A) and 1 in
-    # the oracle, its cond: it reuses the existence certificate the problem
-    # keeps and the complement of S that compute took.
+    # problem: 2 SVDs to load T and S, which keep their complements, 5 in
+    # compute (the pinv route's product, which also decides existence, and
+    # the four residual checks; none of A) and 1 in the oracle, its middle
+    # matrix.  The existence test does not run.
     obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
     calls = count_svds(monkeypatch)
+    existence = count_calls(monkeypatch, ["existence"])
     problem = problem_from_obj(obj)
     assert len(calls) == 2
     result = compute(problem)
-    assert len(calls) == 10
+    assert len(calls) == 7
     oracle_compute(problem)
     result_to_obj(result)
-    assert len(calls) == 11
+    assert len(calls) == 8
+    assert existence["existence"] == 0
 
 
 def test_oracle_after_compute_takes_one_svd_its_cond(monkeypatch):
-    # The problem keeps compute's existence certificate and S keeps its
-    # complement, so the oracle factors only its middle matrix, for cond.
+    # S keeps the complement it was loaded with, and the oracle's one SVD,
+    # of its middle matrix, gives both cond and its existence certificate.
     obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
     problem = problem_from_obj(obj)
     compute(problem)
     calls = count_svds(monkeypatch)
-    conds = count_calls(monkeypatch, ["cond"])
+    counts = count_calls(monkeypatch, ["existence"])
+    certificates = count_declines(monkeypatch)
     oracle_compute(problem)
-    assert len(calls) == 1 and conds["cond"] == 1
+    assert len(calls) == 1
+    assert certificates == {"calls": 1, "declined": 0}
+    assert counts["existence"] == 0
 
 
 def test_prepared_image_is_the_one_image_of_builds(rng):
