@@ -212,13 +212,8 @@ def _draw_feasible_problem(
     try:
         return prepare(OuterInverseProblem(a, t, s), tol)
     except ExistenceError as exc:
-        cert = exc.certificate
-        if not cert.kernel_meets_T_trivially:
-            failures["kernel_meets_T"] += 1
-        elif cert.AT_dim != config.dim_T:
-            failures["AT_dim_collapsed"] += 1
-        else:
-            failures["direct_sum"] += 1
+        kernel_ok = exc.certificate.kernel_meets_T_trivially
+        failures["direct_sum" if kernel_ok else "kernel_meets_T"] += 1
         return None
 
 
@@ -253,7 +248,6 @@ def generate(
     rng = np.random.default_rng(config.seed)
     failures: dict[str, int] = {
         "kernel_meets_T": 0,
-        "AT_dim_collapsed": 0,
         "direct_sum": 0,
         "hypothesis_band": 0,
     }

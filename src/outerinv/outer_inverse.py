@@ -16,19 +16,19 @@ which exists precisely when ``N(A) ∩ T = {0}`` and ``A T ∔ S = C^m``
 
 They agree to rounding error whenever the inverse exists, which is what
 the verification harness leans on.  The outer inverse exists exactly
-when the middle matrix ``W* A U`` is invertible, and each route factors
-that matrix anyway, so each decides existence from its own
-factorization first (:func:`_middle_certifies`, a certificate that can
-only say yes).  :func:`existence` is the one SVD test of the two
-conditions; it runs only when that certificate cannot decide, and a
-problem, which owns a read-only A, keeps its certificate.
+when dim T + dim S = m and the middle matrix ``W* A U`` is nonsingular,
+and each route factors a matrix with that middle matrix's singular
+values anyway, so each decides existence from its own factorization,
+by one test (:func:`_decide`): the d-th singular value (d = dim T)
+against ``rtol ||A||_F``.  :func:`existence` runs the same test on its
+own values-only SVD, and a problem, which owns a read-only A, keeps
+its certificate.
 :func:`prepare`, the only constructor of a :class:`PreparedProblem`,
 keeps what the harness derives from (A, T, S) -- ``||A||`` and
 ``||pinv(A)||``, G and ``||G||``, the projectors and, on first use, the
 image A·T -- so each trial computes G once.  Of A it takes only the
 singular values, a values-only SVD; A's singular vectors are computed
-only when the existence test cannot settle ``N(A) ∩ T = {0}`` without
-the null space of A, or by the one check that reads them,
+only by the one check that reads them,
 :func:`~outerinv.perturbation.stable_bounds`.  The orthogonal
 complement of S is computed once per :class:`~outerinv.subspace.Subspace`
 and kept there (a loaded S carries it from the SVD that loaded it), so
@@ -49,7 +49,6 @@ encoding, which writes each tuple as an array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,7 +56,6 @@ import numpy as np
 
 from . import subspace as ss
 from .numlin import (
-    CERT_MARGIN,
     DEFAULT_TOL,
     IllConditionedError,
     NumericalError,
@@ -68,7 +66,6 @@ from .numlin import (
     _singular_values,
     _thin_svd,
     as_matrix,
-    cond,
     matrix_from_obj,
     matrix_to_obj,
     op_norm,
@@ -177,21 +174,23 @@ class PreparedProblem:
 
     @cached_property
     def AT(self) -> Subspace:
-        """The image A·T, built on first use as :func:`existence` builds it
-        (and as :func:`image_of` does); only gap propagation reads it."""
-        return _image_of_T(self.problem, self.tol)[1]
+        """The image A·T, built on first use from the thin SVD of ``A B_T``
+        (the same basis :func:`image_of` builds); only gap propagation reads it."""
+        image = _thin_svd(self.problem.A @ self.problem.T.basis)
+        return _column_space_from_svd(image, self.tol)
 
 
 @dataclass(frozen=True)
 class ExistenceCertificate:
-    """Outcome of the two existence conditions.
+    """Outcome of the existence test (see :func:`_decide`).
 
     ``exists`` holds iff the kernel of A meets T trivially and the image
-    A T together with S splits the codomain as a direct sum.
+    A·T, of dimension dim T, together with S splits the codomain as a
+    direct sum.  On a "no" ``direct_sum_holds`` is False, and
+    ``kernel_meets_T_trivially`` names whether N(A) meets T as well.
     """
 
     kernel_meets_T_trivially: bool
-    AT_dim: int
     direct_sum_holds: bool
 
     @property
@@ -245,109 +244,57 @@ def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
 def existence(
     problem: OuterInverseProblem, tol: ToleranceProfile = DEFAULT_TOL
 ) -> ExistenceCertificate:
-    """Check the two conditions under which A_{T,S}^(2) exists.
+    """Whether A_{T,S}^(2) exists, and if not, which condition fails.
 
-    This is the one existence test, and it alone ever answers "no".
-    :func:`prepare`, :func:`compute` and the oracle run it only when
-    their middle matrix cannot certify existence
-    (:func:`_middle_certifies`).  The problem keeps the certificate, one
-    per tolerance profile, so a second call with an equal profile
-    returns the same certificate and factors nothing.  ``N(A) ∩ T =
-    {0}`` is settled first from the thin SVD of ``A B_T``, which A·T is
-    read from anyway (:func:`_kernel_misses`); the null space of A, a
-    full SVD of A, is computed only when that bound cannot decide.
+    Decided as both routes decide it (:func:`_decide`), from the d-th
+    singular value of ``(I - P_S) A B_T`` (d = dim T), an m-by-d matrix
+    with the nonzero singular values of the middle matrix ``W* A U``; a
+    values-only SVD gives it, and no basis of the complement of S is
+    needed.  The problem keeps the certificate, one per tolerance
+    profile, so a second call with an equal profile, or a call after a
+    route decided, returns the same certificate and factors nothing.
     """
     cert = problem._certificates.get(tol)
     if cert is not None:
         return cert
-    image, at = _image_of_T(problem, tol)
-    cert = problem._certificates[tol] = ExistenceCertificate(
-        kernel_meets_T_trivially=_kernel_misses(problem.A, problem.T, image, tol)
-        or ss.intersection_trivial(kernel(problem.A, tol), problem.T, tol),
-        AT_dim=at.dim,
-        direct_sum_holds=ss.direct_sum_is_whole(at, problem.S, tol),
-    )
+    a, t, s = problem.A, problem.T.basis, problem.S.basis
+    d = t.shape[1]
+    sigma = 0.0
+    if 0 < d == a.shape[0] - s.shape[1]:
+        image = a @ t
+        sigma = float(_singular_values(image - s @ (s.conj().T @ image))[d - 1])
+    return _decide(problem, sigma, tol)
+
+
+def _decide(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -> ExistenceCertificate:
+    """The one existence test, given ``sigma``, the d-th singular value of
+    the middle matrix (d = dim T); the problem keeps its answer per profile.
+
+    With U = B_T and W an orthonormal basis of the complement of S, the
+    outer inverse exists exactly when d + dim S = m and ``W* A U`` is
+    nonsingular (Ben-Israel and Greville, *Generalized Inverses*, ch. 2).
+    The pinv route's ``P_S_perp A P_T = W (W* A U) U*`` and
+    :func:`existence`'s ``(I - P_S) A B_T = W (W* A U)`` have the same
+    nonzero singular values, so each caller passes the sigma of the
+    matrix it factors.  It counts as nonzero above ``rtol ||A||_F``; a
+    trivial T needs only dim S = m.  A "no" names its reason from the
+    values of ``A B_T``: a d-th singular value at most that threshold
+    means N(A) meets T (A·T collapses); otherwise A·T and S do not split
+    the codomain.
+    """
+    cert = problem._certificates.get(tol)
+    if cert is not None:
+        return cert
+    a, d = problem.A, problem.T.dim
+    threshold = float(tol.effective_rank_rtol(a.shape) * np.linalg.norm(a))
+    if d + problem.S.dim == a.shape[0] and (d == 0 or sigma > threshold):
+        cert = ExistenceCertificate(kernel_meets_T_trivially=True, direct_sum_holds=True)
+    else:
+        image = _singular_values(a @ problem.T.basis) if d else None
+        kernel_ok = d == 0 or (image.size >= d and float(image[d - 1]) > threshold)
+        cert = ExistenceCertificate(kernel_meets_T_trivially=kernel_ok, direct_sum_holds=False)
+    problem._certificates[tol] = cert
     return cert
-
-
-def _image_of_T(problem: OuterInverseProblem, tol: ToleranceProfile) -> tuple[SvdFactors, Subspace]:
-    """The thin SVD of ``A B_T`` and the image A·T read off it, as :func:`image_of` builds it."""
-    image = _thin_svd(problem.A @ problem.T.basis)
-    return image, _column_space_from_svd(image, tol)
-
-
-def _kernel_misses(a: np.ndarray, t: Subspace, image: SvdFactors, tol: ToleranceProfile) -> bool:
-    """Whether ``image``, the SVD of ``A B_T``, proves ``N(A) ∩ T = {0}``.
-
-    :func:`kernel` keeps the right singular vectors on which A has gain
-    at most ``rtol_A ||A||``.  A unit x in T has ``||A x|| >= sigma_min(A
-    B_T)``, so it lies at distance at least ``s = sigma_min(A B_T) /
-    ||A||_F - rtol_A`` from that kernel (``||A|| <= ||A||_F``; 1e-12 more
-    is taken off for rounding), and the largest principal cosine between
-    T and the kernel is at most ``sqrt(1 - s^2) <= 1 - s^2 / 2``.  False
-    means only that the bound cannot tell.
-    """
-    sv = image.singular_values
-    norm_f = np.linalg.norm(a)
-    if not 0 < t.dim <= sv.size or norm_f == 0.0:
-        return False
-    sep = sv[t.dim - 1] / norm_f - tol.effective_rank_rtol(a.shape) - 1e-12
-    # When the rank test runs, the stacked kernel-and-T basis has n rows
-    # and at most n columns, so its threshold is that of an n-by-n matrix.
-    n = a.shape[1]
-    return sep > 0.0 and ss.trivial_at_cosine(1.0 - sep * sep / 2.0, tol.effective_rank_rtol((n, n)))
-
-
-def _middle_certifies(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -> bool:
-    """Whether ``sigma``, the d-th singular value of the middle matrix, proves
-    that :func:`existence` answers yes; d = dim T.
-
-    Let U = B_T and W be an orthonormal basis of the complement of S.  The
-    oracle's middle matrix W* A U and the pinv route's ``P_S_perp A P_T =
-    W (W* A U) U*`` have the same nonzero singular values, so either
-    factorization gives sigma.  The certificate applies when d > 0 and
-    d + dim S = m, where W* A U is square.  Let ``rho = sigma (1 -
-    CERT_MARGIN) / ||A||_F``; the margin covers the rounding of sigma.
-    Two facts hold:
-
-    (a) ``sigma_d(A B_T) >= sigma``, because ``||W*|| = 1``;
-    (b) every unit x = A U y / ||A U y|| in A·T has ``||P_S_perp x|| =
-        ||W* A U y|| / ||A U y|| >= sigma / ||A|| >= rho``, so its cosine
-        with S, ``||P_S x||``, is at most ``sqrt(1 - rho^2)``.
-
-    So when this returns True, the SVD test's three answers are known
-    before it runs:
-
-    1. :func:`_kernel_misses` returns True: by (a) its separation is at
-       least ``sep = rho - rtol_A - 1e-12``, and this checks
-       :func:`~outerinv.subspace.trivial_at_cosine` at that ``sep``,
-       whose cosine bound ``1 - sep^2 / 2`` falls as ``sep`` grows.
-    2. ``AT_dim == d``: the thin SVD of A B_T keeps the singular values
-       above ``rtol_(m,d) sigma_1(A B_T)``, and ``sigma_1(A B_T) <= ||A||_F``,
-       so by (a) the ratio ``sigma_d / sigma_1 >= rho > rtol_A + 1e-12``
-       clears ``rtol_(m,d) <= rtol_A``.
-    3. ``direct_sum_holds``: dim A·T + dim S = d + dim S = m, and by (b)
-       the largest principal cosine between A·T and S is at most ``sqrt(1
-       - rho^2)``, which ``trivial_at_cosine`` accepts at the threshold
-       of the m-by-m stack that :func:`~outerinv.subspace.intersection_trivial`
-       would test.
-
-    False means only that the bound cannot tell; the caller then runs
-    :func:`existence`, so the SVD test alone ever answers "no".
-    """
-    a = problem.A
-    m, n = a.shape
-    d = problem.T.dim
-    norm_f = np.linalg.norm(a)
-    if d == 0 or d + problem.S.dim != m or norm_f == 0.0:
-        return False
-    rho = sigma * (1.0 - CERT_MARGIN) / norm_f
-    sep = rho - tol.effective_rank_rtol(a.shape) - 1e-12
-    return (
-        sep > 0.0
-        and ss.trivial_at_cosine(1.0 - sep * sep / 2.0, tol.effective_rank_rtol((n, n)))
-        and ss.trivial_at_cosine(math.sqrt(1.0 - rho * rho), tol.effective_rank_rtol((m, m)))
-    )
 
 
 def _require_exists(cert: ExistenceCertificate) -> None:
@@ -365,8 +312,7 @@ def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
 
     The one pinv route, which both :func:`prepare` and :func:`compute`
     take.  It decides existence first, from the d-th singular value of
-    the product it factors (:func:`_middle_certifies`), and runs
-    :func:`existence` only when that cannot; :class:`ExistenceError`
+    the product it factors (:func:`_decide`); :class:`ExistenceError`
     names the failed condition.  The pseudoinverse keeps at most dim T
     singular values, the rank of any outer inverse with range T: when
     ``||A|| ||G||`` is large the product's rounding, of size ``eps
@@ -378,8 +324,7 @@ def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
     middle = svd(p_s_perp @ problem.A @ p_t)
     d = problem.T.dim
     sv = middle.singular_values
-    if not _middle_certifies(problem, float(sv[d - 1]) if 0 < d <= sv.size else 0.0, tol):
-        _require_exists(existence(problem, tol))
+    _require_exists(_decide(problem, float(sv[d - 1]) if 0 < d <= sv.size else 0.0, tol))
     r = min(middle.rank(tol), d)
     s = sv[:r]
     g = (middle.right_vectors[:, :r] / s) @ middle.left_vectors[:, :r].conj().T
@@ -442,19 +387,19 @@ def oracle_compute(
     identity the harness checks, so it takes nothing from a
     :class:`PreparedProblem` and checks existence itself: the singular
     values of its middle matrix, its one SVD, give both ``cond`` and the
-    certificate of :func:`_middle_certifies`, and :func:`existence` runs
-    only when that certificate cannot decide (or T is trivial, or the
-    middle matrix is not square).
+    sigma that :func:`_decide` tests (no SVD when T is trivial or the
+    middle matrix is not square, where the dimensions decide).
     """
     u = problem.T.basis
     w = ss.orthogonal_complement(problem.S).basis
-    middle = w.conj().T @ problem.A @ u
-    s = _singular_values(middle) if u.shape[1] == w.shape[1] > 0 else None
-    if s is None or not _middle_certifies(problem, float(s[-1]), tol):
-        _require_exists(existence(problem, tol))
+    square = u.shape[1] == w.shape[1] > 0
+    if square:
+        middle = w.conj().T @ problem.A @ u
+        s = _singular_values(middle)
+    _require_exists(_decide(problem, float(s[-1]) if square else 0.0, tol))
     if u.shape[1] == 0:
         return np.zeros((problem.A.shape[1], problem.A.shape[0]), dtype=np.complex128)
-    c = cond(middle) if s is None else _cond_from_values(s)
+    c = _cond_from_values(s)
     if not c <= tol.cond_cap:
         raise IllConditionedError(
             f"oracle middle matrix has condition number {c:.3e}", condition=c

@@ -466,8 +466,8 @@ def gap_propagation(
 
     ``diff_actual`` = gap_hat(A·T, A·T'); ``diff_bound`` is
     ``k * gap / (1 - (1 + k) * gap)`` with ``k = ||A|| ||G||``, valid for
-    ``gap < 1 / (1 + k)``.  A·T is ``prepared.AT``, the image the
-    existence test built; only A·T' is computed here.  There is no
+    ``gap < 1 / (1 + k)``.  A·T is ``prepared.AT``, built once per
+    prepared problem; only A·T' is computed here.  There is no
     formula, oracle or norm bound: those fields are None / NaN.
     """
     prepared = scenario.prepared

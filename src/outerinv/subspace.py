@@ -8,8 +8,8 @@ orthogonal projectors, the directed gap
     delta(M, N) = sup { dist(x, N) : x in M, ||x|| = 1 },
 
 the symmetric gap ``gap_hat(M, N) = max(delta(M, N), delta(N, M))``
-(equal to ``||P_M - P_N||``), orthogonal complements and direct-sum
-tests.
+(equal to ``||P_M - P_N||``), orthogonal complements and an
+intersection test.
 
 The directed gap is computed through the exact finite-dimensional
 identity ``delta(M, N) = ||(I - P_N) P_M||``, as the largest singular
@@ -62,7 +62,6 @@ __all__ = [
     "orthogonal_complement",
     "intersection_trivial",
     "trivial_at_cosine",
-    "direct_sum_is_whole",
     "subspace_to_obj",
     "subspace_from_obj",
 ]
@@ -246,16 +245,6 @@ def trivial_at_cosine(c: float, rtol: float) -> bool:
     """
     slack = _ORTHO_ATOL + CERT_MARGIN
     return 1.0 - c - slack > rtol**2 * (1.0 + c + slack) * (1.0 + 1e-6)
-
-
-def direct_sum_is_whole(
-    m: Subspace, n: Subspace, tol: ToleranceProfile = DEFAULT_TOL
-) -> bool:
-    """True iff M + N is the whole space with trivial intersection."""
-    _check_same_ambient(m, n)
-    if m.dim + n.dim != m.ambient_dim:
-        return False
-    return intersection_trivial(m, n, tol)
 
 
 # ---------------------------------------------------------------------------

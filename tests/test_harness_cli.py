@@ -682,7 +682,7 @@ class TestCampaignInternals:
         def refuse(problem, tol):
             calls["oracle"] += 1
             if calls["oracle"] % 3 == 0:
-                cert = ExistenceCertificate(False, 0, False)
+                cert = ExistenceCertificate(False, False)
                 raise ExistenceError("outer inverse does not exist", cert)
             raise IllConditionedError("refused", 1e13 * calls["oracle"])
 

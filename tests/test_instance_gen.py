@@ -167,15 +167,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown"):
             generate(GenConfig(seed=1), "thm99")
 
-    # GenConfig's default dim_T is 3.  A failed kernel condition is named
-    # first, whatever A·T's dimension; a collapsed A·T before the direct sum.
+    # A failed kernel condition is named first; the direct sum otherwise.
     @pytest.mark.parametrize(
         "certificate, key",
         [
-            (ExistenceCertificate(False, 3, True), "kernel_meets_T"),
-            (ExistenceCertificate(False, 2, False), "kernel_meets_T"),
-            (ExistenceCertificate(True, 2, False), "AT_dim_collapsed"),
-            (ExistenceCertificate(True, 3, False), "direct_sum"),
+            (ExistenceCertificate(False, True), "kernel_meets_T"),
+            (ExistenceCertificate(False, False), "kernel_meets_T"),
+            (ExistenceCertificate(True, False), "direct_sum"),
         ],
     )
     def test_existence_failure_is_counted_by_condition(self, monkeypatch, certificate, key):
@@ -185,36 +183,37 @@ class TestGenerate:
         monkeypatch.setattr(instance_gen, "prepare", refuse)
         with pytest.raises(GenerationError) as info:
             generate(GenConfig(seed=3, max_retries=4), "prop31")
-        expected = dict.fromkeys(
-            ("kernel_meets_T", "AT_dim_collapsed", "direct_sum", "hypothesis_band"), 0
-        )
+        expected = dict.fromkeys(("kernel_meets_T", "direct_sum", "hypothesis_band"), 0)
         assert info.value.failure_counts == {**expected, key: 4}
 
 
 # Draws at a loose rank threshold, where many are infeasible: per
 # (rank_rtol, shape, seed), the feasible draws out of 200 and the failure
-# counts, as the existence test alone decided them at commit 4726dde.
+# counts, as the one existence test decides them (sigma_d of the middle
+# matrix against rank_rtol ||A||_F; see outer_inverse._decide).
 INFEASIBLE_DRAWS = {
-    (0.05, (6, 5, 4, 3), 7): (187, {"direct_sum": 13}),
-    (0.3, (6, 5, 4, 3), 7): (3, {"AT_dim_collapsed": 1, "direct_sum": 116, "kernel_meets_T": 80}),
+    (0.05, (6, 5, 4, 3), 7): (168, {"direct_sum": 32}),
+    (0.3, (6, 5, 4, 3), 7): (0, {"direct_sum": 52, "kernel_meets_T": 148}),
 }
 
 
-@pytest.mark.parametrize("certificate_on", [True, False])
+@pytest.mark.parametrize("route_decides", [True, False])
 @pytest.mark.parametrize("key", sorted(INFEASIBLE_DRAWS))
-def test_infeasible_draws_count_as_the_existence_test_decides(monkeypatch, key, certificate_on):
-    # prepare decides from the pinv route's middle matrix first; switching
-    # that certificate off leaves existence() to decide every draw.
+def test_infeasible_draws_count_as_the_existence_test_decides(monkeypatch, key, route_decides):
+    # prepare decides from the pinv route's middle matrix; with
+    # route_decides off, existence() decides each draw first, from its own
+    # SVD, and prepare reads the certificate it left on the problem.
     rank_rtol, (m, n, rank_a, dim_t), seed = key
-    decisions = Counter()
-    certifies = outer_inverse._middle_certifies
+    calls = Counter()
+    existence_test, prepare = outer_inverse.existence, instance_gen.prepare
 
-    def counted(*args):
-        certified = certificate_on and certifies(*args)
-        decisions[certified] += 1
-        return certified
+    def existence_first(problem, tol):
+        calls["existence"] += 1
+        existence_test(problem, tol)
+        return prepare(problem, tol)
 
-    monkeypatch.setattr(outer_inverse, "_middle_certifies", counted)
+    if not route_decides:
+        monkeypatch.setattr(instance_gen, "prepare", existence_first)
     config = GenConfig(seed=seed, m=m, n=n, rank_A=rank_a, dim_T=dim_t)
     rng = np.random.default_rng(seed)
     failures = Counter()
@@ -224,19 +223,19 @@ def test_infeasible_draws_count_as_the_existence_test_decides(monkeypatch, key, 
         for _ in range(200)
     )
     assert (feasible, dict(failures)) == INFEASIBLE_DRAWS[key]
-    assert bool(decisions[True]) == (certificate_on and rank_rtol == 0.05)
+    assert calls["existence"] == (0 if route_decides else 200)
 
 
 def test_generation_failure_counts_are_unchanged():
-    # At rank_rtol 0.3 no 12x10 draw of seed 7 is feasible; the counts are
-    # those of commit 4726dde, where the existence test alone decided.
+    # At rank_rtol 0.3 no 12x10 draw of seed 7 is feasible: with rank A = 8
+    # and dim T = 5, sigma_5(A B_T) stays under 0.3 ||A||_F, so N(A) meets T
+    # by that threshold on every draw.
     config = GenConfig(seed=7, m=12, n=10, rank_A=8, dim_T=5, max_retries=200)
     with pytest.raises(GenerationError) as info:
         generate(config, "prop31", ToleranceProfile(rank_rtol=0.3))
     assert info.value.failure_counts == {
-        "kernel_meets_T": 116,
-        "AT_dim_collapsed": 1,
-        "direct_sum": 83,
+        "kernel_meets_T": 200,
+        "direct_sum": 0,
         "hypothesis_band": 0,
     }
 

@@ -3,10 +3,13 @@
 import gc
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from outerinv import outer_inverse
 from outerinv import subspace as ss
@@ -75,8 +78,7 @@ def random_12_inverse(a, rng, max_draws=50):
 class TestExistence:
     def test_identity_problem(self):
         prob = OuterInverseProblem(np.eye(2, dtype=complex), line(1, 0), line(0, 1))
-        cert = existence(prob)
-        assert cert.exists and cert.AT_dim == 1
+        assert existence(prob).exists
 
     def test_kernel_overlap_detected(self):
         # T sits inside N(A).
@@ -107,7 +109,13 @@ class TestExistence:
 
 
 def exact_existence(problem, tol):
-    """Both conditions from the null space of A (a full SVD) and rank tests alone."""
+    """Both conditions from the null space of A (a full SVD) and rank tests alone.
+
+    The direct sum counts only where A maps T one to one, as in the one
+    test: when N(A) meets T, A·T is smaller than T.  (The rank of A·T's
+    own spanning set cannot show that: it is relative to its largest
+    singular value, so a T inside N(A) images to rounding of full rank.)
+    """
 
     def independent(x, y):
         if x.dim == 0 or y.dim == 0:
@@ -116,62 +124,78 @@ def exact_existence(problem, tol):
             return False
         return rank(np.hstack([x.basis, y.basis]), tol) == x.dim + y.dim
 
-    at = image_of(problem.A, problem.T, tol)
-    m = problem.A.shape[0]
+    at = image_of(problem.A, problem.T, tol) if problem.T.dim else problem.T
+    kernel_ok = independent(kernel(problem.A, tol), problem.T)
     return (
-        independent(kernel(problem.A, tol), problem.T),
-        at.dim,
-        at.dim + problem.S.dim == m and independent(at, problem.S),
+        kernel_ok,
+        kernel_ok and at.dim + problem.S.dim == problem.A.shape[0] and independent(at, problem.S),
     )
 
 
+def middle_existence(problem, tol):
+    """Both conditions from the oracle's square middle matrix W* A U and from A B_T."""
+    a, d = problem.A, problem.T.dim
+    threshold = tol.effective_rank_rtol(a.shape) * np.linalg.norm(a)
+    if d == 0:
+        return True, problem.S.dim == a.shape[0]
+    image = np.linalg.svd(a @ problem.T.basis, compute_uv=False)
+    kernel_ok = image.size >= d and image[d - 1] > threshold
+    if d + problem.S.dim != a.shape[0]:
+        return kernel_ok, False
+    w = ss.orthogonal_complement(problem.S).basis
+    sigma = np.linalg.svd(w.conj().T @ a @ problem.T.basis, compute_uv=False)[-1]
+    return kernel_ok, bool(sigma > threshold)
+
+
 def decided(cert):
-    return (cert.kernel_meets_T_trivially, cert.AT_dim, cert.direct_sum_holds)
+    return (cert.kernel_meets_T_trivially, cert.direct_sum_holds)
 
 
 class TestExistenceCertificate:
-    """The bound from sigma_min(A B_T) answers as the kernel-based test does."""
+    """existence() answers as the kernel-and-rank tests do at the default threshold."""
 
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        calls = []
+    def test_generic_problem_needs_no_kernel(self, rng, monkeypatch):
+        # existence() reads singular values only: no SVD with vectors, so no
+        # null space of A and no basis of the complement of S.
+        drawn = random_feasible_problem(rng, m=8, n=7, rank_a=5, dim_t=3)
+        prob = OuterInverseProblem(drawn.A, drawn.T, drawn.S)  # keeps no certificate yet
+        with_vectors = []
+        original = np.linalg.svd
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def recorded(a, *args, **kwargs):
+            with_vectors.append(kwargs.get("compute_uv", True))
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(outer_inverse, "kernel", counted)
-        return calls
-
-    def test_generic_problem_needs_no_kernel(self, rng, kernel_calls):
-        prob = random_feasible_problem(rng, m=8, n=7, rank_a=5, dim_t=3)
+        monkeypatch.setattr(np.linalg, "svd", recorded)
         cert = existence(prob)
+        monkeypatch.undo()
         assert cert.exists
         assert decided(cert) == exact_existence(prob, ToleranceProfile())
-        assert not kernel_calls
+        assert with_vectors == [False]
 
-    def test_kernel_inside_T_defers(self, rng, kernel_calls):
+    def test_kernel_inside_T_defers(self, rng):
         a = np.diag([1.0, 2.0, 0.0, 0.0]).astype(complex)
         t = ss.from_spanning_set(np.column_stack([[0, 0, 1, 0], complex_gaussian(rng, (4,))]))
         s = random_subspace(4, 2, rng)
-        cert = existence(OuterInverseProblem(a, t, s))
-        assert not cert.kernel_meets_T_trivially
-        assert kernel_calls == [1]
+        prob = OuterInverseProblem(a, t, s)
+        assert not existence(prob).kernel_meets_T_trivially
+        assert decided(existence(prob)) == exact_existence(prob, ToleranceProfile())
 
     @pytest.mark.parametrize("direction, expected", [((1, 0), True), ((0, 1), False)])
-    def test_loose_rank_threshold_defers(self, kernel_calls, direction, expected):
+    def test_loose_rank_threshold_defers(self, direction, expected):
         # With rank_rtol = 0.5 the singular value 0.4 counts as zero: N(A) = span{e2}.
         tol = ToleranceProfile(rank_rtol=0.5)
         prob = OuterInverseProblem(np.diag([1.0, 0.4]).astype(complex), line(*direction), line(0, 1))
         assert existence(prob, tol).kernel_meets_T_trivially is expected
         assert decided(existence(prob, tol)) == exact_existence(prob, tol)
-        assert kernel_calls
 
     @pytest.mark.parametrize("rank_rtol", [None, 0.5])
-    def test_random_decisions_match_the_kernel_test(self, rng, kernel_calls, rank_rtol):
+    def test_random_decisions_match_the_kernel_test(self, rng, rank_rtol):
+        # At rank_rtol 0.5 the rank tests and the middle matrix part ways
+        # (the definition is the middle matrix's); there existence() answers
+        # as the oracle's W* A U does.
         tol = ToleranceProfile(rank_rtol=rank_rtol)
-        draws = 300
-        for _ in range(draws):
+        for _ in range(300):
             m, n = (int(k) for k in rng.integers(2, 9, size=2))
             r = int(rng.integers(1, min(m, n) + 1))
             a = random_matrix_with_rank(m, n, r, rng)
@@ -185,10 +209,10 @@ class TestExistenceCertificate:
                 t = ss.from_spanning_set(basis)
             s = random_subspace(m, int(rng.integers(0, m + 1)), rng)
             prob = OuterInverseProblem(a, t, s)
-            assert decided(existence(prob, tol)) == exact_existence(prob, tol)
-        # existence computed the null space only where its bound could not decide.
-        assert 0 < len(kernel_calls) <= draws
-        assert len(kernel_calls) < draws or rank_rtol is not None
+            cert = existence(prob, tol)
+            assert decided(cert) == middle_existence(prob, tol)
+            if rank_rtol is None:
+                assert decided(cert) == exact_existence(prob, tol)
 
 
 def middle_sigmas(problem):
@@ -205,6 +229,14 @@ def middle_sigmas(problem):
         middle = comp.basis.conj().T @ problem.A @ problem.T.basis
         sigmas.append(float(np.linalg.svd(middle, compute_uv=False)[-1]))
     return sigmas
+
+
+def route_decisions(problem, tol=ToleranceProfile()):
+    """The certificate each route's sigma gives, each on a copy that keeps none yet."""
+    return [
+        outer_inverse._decide(OuterInverseProblem(problem.A, problem.T, problem.S), sigma, tol)
+        for sigma in middle_sigmas(problem)
+    ]
 
 
 def tilted_toward(v, target, theta):
@@ -247,44 +279,47 @@ def with_middle_ratio(rng, m, n, d, ratio):
 
 
 class TestMiddleCertificate:
-    """The certificate from the middle matrix only ever confirms what existence() says."""
+    """The one test, fed the sigma of either route's middle matrix, answers
+    as existence() does, reason included."""
 
     @pytest.mark.parametrize("shape, draws", [((6, 5), 700), ((40, 30), 250), ((120, 100), 50)])
     def test_yes_only_where_existence_says_yes(self, rng, shape, draws):
-        seen = {"certified": 0, "declined_but_exists": 0, "absent": 0}
+        seen = Counter()
         for _ in range(draws):
             prob = draw_for_certificate(rng, *shape)
-            exists = existence(prob).exists
-            for sigma in middle_sigmas(prob):
-                certified = outer_inverse._middle_certifies(prob, sigma, ToleranceProfile())
-                assert exists or not certified
-                seen["certified"] += certified
-                seen["declined_but_exists"] += exists and not certified
-            seen["absent"] += not exists
-        assert all(seen.values()), seen
+            cert = existence(prob)
+            for decision in route_decisions(prob):
+                assert decision == cert
+            seen[decided(cert)] += 1
+        # Every verdict occurs: yes, a failed direct sum, and N(A) meeting T.
+        assert set(seen) == {(True, True), (True, False), (False, False)}, seen
 
     @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (120, 100)])
     def test_sweep_of_the_middle_ratio(self, rng, shape):
         m, n = shape
-        verdicts = {}
-        for exponent in np.arange(-2.0, -8.5, -0.5):
-            prob = with_middle_ratio(rng, m, n, n // 2, 10.0**exponent)
-            assert existence(prob).exists
-            verdicts[exponent] = [
-                outer_inverse._middle_certifies(prob, sigma, ToleranceProfile())
-                for sigma in middle_sigmas(prob)
-            ]
-        # Certified where the ratio is large, declined where it is tiny.
-        assert verdicts[-2.0] == [True, True] and verdicts[-8.0] == [False, False]
+        rtol = ToleranceProfile().effective_rank_rtol(shape)
+        for exponent in range(-2, -19, -1):
+            ratio = 10.0**exponent
+            if rtol / 16 < ratio < rtol * 16:
+                continue  # rounding of the construction decides here
+            prob = with_middle_ratio(rng, m, n, n // 2, ratio)
+            verdicts = [cert.exists for cert in route_decisions(prob)]
+            # Yes where sigma_d clears rtol ||A||_F, no well below it.
+            assert verdicts == [ratio > rtol] * 2, exponent
+            assert existence(prob).exists == (ratio > rtol)
 
     def test_declines_outside_its_reach(self, rng):
+        # Where the middle matrix is not square the dimensions decide, and
+        # sigma is never read.
         prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
-        sigma = middle_sigmas(prob)[0]
-        assert outer_inverse._middle_certifies(prob, sigma, ToleranceProfile())
+        tol = ToleranceProfile()
+        assert outer_inverse._decide(prob, middle_sigmas(prob)[0], tol).exists
         other_s = OuterInverseProblem(prob.A, prob.T, random_subspace(6, 2, rng))
-        assert not outer_inverse._middle_certifies(other_s, sigma, ToleranceProfile())
-        trivial_t = OuterInverseProblem(prob.A, random_subspace(5, 0, rng), random_subspace(6, 6, rng))
-        assert not outer_inverse._middle_certifies(trivial_t, sigma, ToleranceProfile())
+        assert decided(outer_inverse._decide(other_s, 1.0, tol)) == (True, False)
+        trivial_t = OuterInverseProblem(prob.A, random_subspace(5, 0, rng), random_subspace(6, 4, rng))
+        assert decided(outer_inverse._decide(trivial_t, 1.0, tol)) == (True, False)
+        whole_s = OuterInverseProblem(prob.A, random_subspace(5, 0, rng), random_subspace(6, 6, rng))
+        assert outer_inverse._decide(whole_s, 0.0, tol).exists
 
 
 def planted_failures(rng):
@@ -313,6 +348,41 @@ def test_planted_failures_raise_the_existence_test_error(rng, case):
             route(OuterInverseProblem(*data))
         assert raised.value.certificate == cert
         assert str(raised.value) == str(expected.value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_existence_matches_the_rank_tests_and_every_route(data):
+    # Any shape in 2..9, any rank, dim T from 0 to n, dim S either m - dim T
+    # or anything, and at times an exact N(A) ∩ T or A·T ∩ S planted.
+    m = data.draw(st.integers(2, 9), label="m")
+    n = data.draw(st.integers(2, 9), label="n")
+    r = data.draw(st.integers(0, min(m, n)), label="rank")
+    d = data.draw(st.integers(0, n), label="dim_T")
+    dims_add = d <= m and data.draw(st.booleans(), label="dims_add")
+    k = m - d if dims_add else data.draw(st.integers(0, m), label="dim_S")
+    plant = data.draw(st.sampled_from(["none", "kernel_meets_T", "AT_meets_S"]), label="plant")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = random_matrix_with_rank(m, n, r, rng)
+    t = random_subspace(n, d, rng)
+    s = random_subspace(m, k, rng)
+    if plant == "kernel_meets_T" and d > 0 and r < n:
+        t = tilted_toward(t, kernel(a).basis[:, 0], 0.0)
+    image = a @ t.basis[:, 0] if d > 0 else np.zeros(m)
+    if plant == "AT_meets_S" and k > 0 and np.linalg.norm(image) > 0.0:
+        s = tilted_toward(s, image / np.linalg.norm(image), 0.0)
+
+    tol = ToleranceProfile()
+    cert = existence(OuterInverseProblem(a, t, s))
+    event(f"planted {plant}: {decided(cert)}")
+    assert decided(cert) == exact_existence(OuterInverseProblem(a, t, s), tol)
+    for route in (compute, outer_inverse.prepare, oracle_compute):
+        if cert.exists:
+            route(OuterInverseProblem(a, t, s))
+            continue
+        with pytest.raises(ExistenceError) as raised:
+            route(OuterInverseProblem(a, t, s))
+        assert raised.value.certificate == cert
 
 
 class TestCompute:

@@ -82,37 +82,20 @@ class TestPrepare:
         assert prepared.norm_G == again.norm_G
 
 
-def count_declines(monkeypatch) -> Counter:
-    """Count the calls of the middle-matrix certificate and the ones it declines."""
-    counts = Counter()
-    original = outer_inverse._middle_certifies
-
-    def counted(*args, **kwargs):
-        certified = original(*args, **kwargs)
-        counts["calls"] += 1
-        counts["declined"] += not certified
-        return certified
-
-    monkeypatch.setattr(outer_inverse, "_middle_certifies", counted)
-    return counts
-
-
 def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
     # prepare is the only constructor of a prepared problem.  It and the
-    # oracle each decide existence from the middle matrix they factor, so
-    # existence() runs only when a certificate declines.
-    names = ("prepare", "compute", "existence", "oracle_compute")
+    # oracle each decide existence once, from the middle matrix they
+    # factor, so existence() itself never runs.
+    names = ("prepare", "compute", "existence", "oracle_compute", "_decide")
     counts = count_calls(monkeypatch, names)
-    certificates = count_declines(monkeypatch)
     config = replace(CampaignConfig.default(seed=31), trials=1)
     for theorem in THEOREMS:
         counts.clear()
-        certificates.clear()
         assert run_trial(config, theorem, 0)[0] is not None
         assert counts["prepare"] == 1, theorem
         assert counts["compute"] == 0, theorem
-        assert certificates["calls"] == 1 + counts["oracle_compute"], theorem
-        assert counts["existence"] == certificates["declined"], theorem
+        assert counts["_decide"] == 1 + counts["oracle_compute"], theorem
+        assert counts["existence"] == 0, theorem
 
 
 def count_svds(monkeypatch) -> list:
@@ -232,17 +215,18 @@ def test_svd_budget_of_the_library_path(monkeypatch):
 
 def test_oracle_after_compute_takes_one_svd_its_cond(monkeypatch):
     # S keeps the complement it was loaded with, and the oracle's one SVD,
-    # of its middle matrix, gives both cond and its existence certificate.
+    # of its middle matrix, gives cond; the existence certificate is the
+    # one compute's decision left on the problem.
     obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
     problem = problem_from_obj(obj)
     compute(problem)
+    (cert,) = problem._certificates.values()
     calls = count_svds(monkeypatch)
-    counts = count_calls(monkeypatch, ["existence"])
-    certificates = count_declines(monkeypatch)
+    counts = count_calls(monkeypatch, ["existence", "_decide"])
     oracle_compute(problem)
     assert len(calls) == 1
-    assert certificates == {"calls": 1, "declined": 0}
-    assert counts["existence"] == 0
+    assert counts == {"_decide": 1}
+    assert list(problem._certificates.values()) == [cert] and cert.exists
 
 
 def test_prepared_image_is_the_one_image_of_builds(rng):
