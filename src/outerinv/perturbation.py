@@ -161,9 +161,9 @@ class BoundReport:
     norm and the difference inequality are met (within ``BOUND_SLACK``
     relative rounding slack).  Missing quantities (oracle unavailable,
     bound denominator nonpositive) are ``None`` / NaN.  When the oracle
-    refused, ``oracle_refusal`` is its exception and the actuals are NaN:
-    the bounds are checked on the oracle's result only, never on the
-    formula they are meant to check.  :attr:`violated` and
+    refused, ``oracle_refusal`` is its exception and the actuals, and any
+    bound that reads ||G'||, are NaN: the bounds are checked on the
+    oracle's result only, never on the formula they are meant to check.  :attr:`violated` and
     :attr:`unchecked`, the report's verdict, read that convention here.
     """
 
@@ -423,21 +423,18 @@ def _report(
     diff_actual: float,
     extra_hypotheses: tuple[HypothesisStatus, ...] = (),
     refusal: ExistenceError | IllConditionedError | None = None,
-    norm_gp: float | None = None,
 ) -> BoundReport:
     """The one constructor of a :class:`BoundReport`: ``spec``'s record against the actuals.
 
     ``norm_actual`` = ||G'|| and ``diff_actual`` = ||G' - G|| are read from
-    ``oracle`` (NaN when it refused); the bounds read ``norm_gp``, by
-    default ``norm_actual``.
+    ``oracle`` (NaN when it refused), and the bounds read that ||G'||.
     """
-    norm_gp = norm_actual if norm_gp is None else norm_gp
     hyps = spec.hypotheses(scenario) + extra_hypotheses
-    diff_bound = spec.diff_bound(scenario, norm_gp)
+    diff_bound = spec.diff_bound(scenario, norm_actual)
     checks = [(diff_actual, diff_bound)]
     norm_bound = math.nan
     if spec.norm_bound is not None:
-        norm_bound = spec.norm_bound(scenario, norm_gp)
+        norm_bound = spec.norm_bound(scenario, norm_actual)
         checks.insert(0, (norm_actual, norm_bound))
     return BoundReport(
         theorem=spec.id,
@@ -574,7 +571,6 @@ def _check(
     scenario: PerturbationScenario,
     formula: np.ndarray,
     tol: ToleranceProfile,
-    norm_gp: float | None = None,
 ) -> BoundReport:
     """The report of ``spec``: ``formula`` against the oracle, the oracle against the bounds.
 
@@ -593,11 +589,9 @@ def _check(
     try:
         oracle = oracle_compute(problem, tol)
     except (ExistenceError, IllConditionedError) as exc:
-        return _report(
-            spec, scenario, formula, None, math.nan, math.nan, refusal=exc, norm_gp=norm_gp
-        )
+        return _report(spec, scenario, formula, None, math.nan, math.nan, refusal=exc)
     norm_actual, diff_actual = op_norm(oracle), op_norm(oracle - prepared.G)
-    return _report(spec, scenario, formula, oracle, norm_actual, diff_actual, norm_gp=norm_gp)
+    return _report(spec, scenario, formula, oracle, norm_actual, diff_actual)
 
 
 def _range_resolvent(
@@ -620,7 +614,7 @@ def perturb_T(
     """
     p_tp = ss.projector(scenario.T_prime)
     formula = _range_resolvent(scenario, p_tp, tol) @ scenario.prepared.P_S_perp
-    return _check(_PROP31, scenario, formula, tol, norm_gp=op_norm(formula))
+    return _check(_PROP31, scenario, formula, tol)
 
 
 def perturb_S(
@@ -638,7 +632,7 @@ def perturb_S(
     k = g @ (p_sp_perp - prepared.P_S_perp) @ a @ p_t
     resolved = solve_square(np.eye(a.shape[1], dtype=np.complex128) + k, g, tol)
     formula = p_t @ resolved @ p_sp_perp
-    return _check(_PROP32, scenario, formula, tol, norm_gp=op_norm(formula))
+    return _check(_PROP32, scenario, formula, tol)
 
 
 def _ts_formula(scenario: PerturbationScenario, tol: ToleranceProfile) -> np.ndarray:

@@ -39,8 +39,14 @@ commit's output was shown to match the copy from 54955b3 within
 ``RTOL`` and ``ATOL``, with identical trial ids, theorems, ``hyp_ok``,
 skip, refusal and violation counts and exit code, and only lemma21's
 ``norm_bound`` and ``margin_norm`` cells moved (26 cells, at most
-1.35e-15 relative).  Do not regenerate the fixtures to make a change
-pass.
+1.35e-15 relative).  It was re-written again when prop31's and prop32's
+difference bounds began reading ||G'|| from the oracle instead of the
+formula under check; before that, the new output was shown to match the
+copy from commit 2e0836e within ``RTOL`` and ``ATOL``, with identical
+trial ids, theorems, ``hyp_ok``, skip, refusal and violation counts and
+exit code, and only prop31's and prop32's ``diff_bound`` and
+``margin_diff`` cells moved (64 cells, at most 1.04e-14 relative).  Do
+not regenerate the fixtures to make a change pass.
 """
 
 import contextlib

@@ -672,7 +672,11 @@ class TestCampaignInternals:
         refused = [r for r in rows if r["theorem"] not in ("lemma21", "lemma31")]
         for column in ("relerr", "norm_actual", "diff_actual", "margin_norm", "margin_diff"):
             assert [r[column] for r in refused] == [None] * len(refused), column
-        assert all(r["norm_bound"] is not None and r["diff_bound"] is not None for r in refused)
+        # Every bound reads ||G'|| from the oracle, so without it prop31's and
+        # prop32's difference bounds are empty; the others need no ||G'||.
+        assert all(r["norm_bound"] is not None for r in refused)
+        no_diff_bound = [r["theorem"] for r in refused if r["diff_bound"] is None]
+        assert no_diff_bound == ["prop31", "prop31", "prop32", "prop32"]
         assert summary.total.bounds_violations == 0
         assert campaign_exit_code(summary) == 1
 

@@ -116,8 +116,8 @@ def count_svds(monkeypatch) -> list:
 SVD_BUDGET = {
     "lemma21": 11,
     "lemma31": 8,
-    "prop31": 10,
-    "prop32": 10,
+    "prop31": 9,
+    "prop32": 9,
     "thm31": 11,
     "lemma32": 9,
     "thm32": 13,
