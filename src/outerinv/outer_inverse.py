@@ -175,9 +175,10 @@ class PreparedProblem:
     @cached_property
     def AT(self) -> Subspace:
         """The image A·T, built on first use from the thin SVD of ``A B_T``
-        (the same basis :func:`image_of` builds); only gap propagation reads it."""
-        image = _thin_svd(self.problem.A @ self.problem.T.basis)
-        return _column_space_from_svd(image, self.tol)
+        (the basis and rank :func:`image_of` gives); only gap propagation reads it."""
+        a = self.problem.A
+        image = _thin_svd(a @ self.problem.T.basis)
+        return Subspace._trusted(image.left_vectors[:, : _image_rank(a, image, self.tol)])
 
 
 @dataclass(frozen=True)
@@ -234,11 +235,27 @@ def row_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
 
 
 def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """The subspace A·V of the codomain."""
+    """The subspace A·V of the codomain.
+
+    Its dimension counts the singular values of ``A B_V`` above the
+    existence test's threshold ``rtol ||A||_F``, so an image of rounding
+    size (A·N(A), say) is {0}.
+    """
     m = as_matrix(a)
     if v.ambient_dim != m.shape[1]:
         raise ValueError("subspace does not live in the domain of A")
-    return ss.from_spanning_set(m @ v.basis, tol)
+    image = svd(m @ v.basis)
+    return ss._span_from_svd(image, _image_rank(m, image, tol))
+
+
+def _image_rank(a: np.ndarray, image: SvdFactors, tol: ToleranceProfile) -> int:
+    # The dimension of A·V, given the SVD of A B_V.
+    return int(np.count_nonzero(image.singular_values > _rank_threshold(a, tol)))
+
+
+def _rank_threshold(a: np.ndarray, tol: ToleranceProfile) -> float:
+    # A singular value of a matrix made from A (A B_T, a middle matrix) is nonzero above it.
+    return float(tol.effective_rank_rtol(a.shape) * np.linalg.norm(a))
 
 
 def existence(
@@ -286,7 +303,7 @@ def _decide(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -
     if cert is not None:
         return cert
     a, d = problem.A, problem.T.dim
-    threshold = float(tol.effective_rank_rtol(a.shape) * np.linalg.norm(a))
+    threshold = _rank_threshold(a, tol)
     if d + problem.S.dim == a.shape[0] and (d == 0 or sigma > threshold):
         cert = ExistenceCertificate(kernel_meets_T_trivially=True, direct_sum_holds=True)
     else:

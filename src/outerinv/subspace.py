@@ -42,6 +42,7 @@ import numpy as np
 from .numlin import (
     CERT_MARGIN,
     DEFAULT_TOL,
+    SvdFactors,
     ToleranceProfile,
     _wire_size,
     as_matrix,
@@ -147,7 +148,11 @@ def from_spanning_set(vectors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     factors nothing more.
     """
     f = svd(vectors)
-    r = f.rank(tol)
+    return _span_from_svd(f, f.rank(tol))
+
+
+def _span_from_svd(f: SvdFactors, r: int) -> Subspace:
+    """The span of the first ``r`` left singular vectors; the rest are its complement."""
     span = Subspace._trusted(f.left_vectors[:, :r])
     # Where the cached property _complement would store its value.
     span.__dict__["_complement"] = Subspace._trusted(f.left_vectors[:, r:])

@@ -112,9 +112,7 @@ def exact_existence(problem, tol):
     """Both conditions from the null space of A (a full SVD) and rank tests alone.
 
     The direct sum counts only where A maps T one to one, as in the one
-    test: when N(A) meets T, A·T is smaller than T.  (The rank of A·T's
-    own spanning set cannot show that: it is relative to its largest
-    singular value, so a T inside N(A) images to rounding of full rank.)
+    test: when N(A) meets T, A·T is smaller than T.
     """
 
     def independent(x, y):
@@ -655,6 +653,17 @@ def test_problem_owns_a_read_only_A(rng):
         prob.A[0, 0] = 1.0
     a[0, 0] += 1.0  # the caller's array stays writeable, and apart
     assert np.array_equal(prob.A, base.A)
+
+
+def test_image_of_the_kernel_is_trivial():
+    # A B_N is rounding (4.0e-16 here).  Ranked against ||A||_F, as the
+    # existence test ranks, not against its own largest singular value,
+    # it spans nothing.
+    a = random_matrix_with_rank(6, 5, 3, np.random.default_rng(0))
+    n = kernel(a)
+    assert n.dim == 2 and 0.0 < op_norm(a @ n.basis) < 1e-14
+    image = image_of(a, n)
+    assert image.dim == 0 and ss.orthogonal_complement(image).dim == 6
 
 
 def test_kernel_dimension(rng):
