@@ -393,6 +393,8 @@ def run_campaign(config: CampaignConfig, jobs: int = 1):
     Returns ``(rows, summary)``; rows are emitted in (theorem, trial)
     order regardless of how many worker processes computed them.
     """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     start = time.monotonic()
     tasks = [
         (config, theorem, trial_id)

@@ -185,6 +185,14 @@ class TestCmdVerify:
         assert main(["verify", f2, "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exits_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r.csv"
+        campaign = write_json(tmp_path / "c.json", small_campaign_obj(output_path=str(out)))
+        assert main(["verify", campaign, "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_seed_env_override(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = small_campaign_obj(theorems=["prop31"], trials=1)
@@ -397,6 +405,16 @@ class TestSweep:
         assert grid[0] == 0.0
         assert grid[-1] == pytest.approx(0.95)
         assert all(a < b for a, b in zip(grid[1:], grid[2:]))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exits_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "s.csv"
+        obj = small_campaign_obj(theorems=["lemma32"], output_path=str(out))
+        campaign = write_json(tmp_path / "c.json", obj)
+        argv = ["sweep", campaign, "--axis", "norm_E", "--points", "2", "--jobs", jobs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
 
     def test_two_point_sweep_first_row_zero(self, tmp_path):
         obj = small_campaign_obj(theorems=["lemma32"], trials=2, output_path=str(tmp_path / "s.csv"))
