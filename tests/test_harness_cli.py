@@ -1,5 +1,6 @@
 """CLI and campaign harness: exit codes, file formats, determinism."""
 
+import importlib.util
 import inspect
 import json
 import math
@@ -8,16 +9,20 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import outerinv
 from outerinv import harness_cli, perturbation
 from outerinv import subspace as ss
 from outerinv.harness_cli import (
     CSV_COLUMNS,
+    RELERR_GATE,
     CampaignConfig,
     CampaignSummary,
     TheoremSummary,
@@ -622,6 +627,14 @@ class TestCampaignInternals:
             evaluator = getattr(perturbation, name)
             assert getattr(harness_cli, name) is evaluator
             assert tuple(inspect.signature(evaluator).parameters) == ("scenario", "tol")
+        # perfbench's tracer times these names as perturbation.evaluate; a
+        # renamed evaluator would drop out of that figure without an error.
+        path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        names = {f"perturbation.{name}" for name in harness_cli._EVALUATORS.values()}
+        assert tracer.EVALUATORS == names
 
     def test_each_theorem_calls_its_evaluator_once(self, monkeypatch):
         evaluators = {
@@ -766,6 +779,33 @@ class TestCampaignInternals:
         # The pairs are tuples in Python, so the layout is read from the JSON text.
         obj = json.loads(json.dumps(matrix_to_obj(np.eye(2))))
         assert obj["entries"][1] == [0.0, 0.0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_every_theorem_holds_on_any_shape(data):
+    # Shapes up to 9x8 with any rank and dim T the generator accepts, and
+    # the edges the default campaign (6x5, rank 4, dim T 3) never reaches:
+    # m = n, dim T = rank A and dim T = n - 1.
+    edge = data.draw(st.sampled_from(["any", "m = n", "dim T = rank A", "dim T = n - 1"]))
+    n = data.draw(st.integers(2, 8), label="n")
+    m = n if edge == "m = n" else data.draw(st.integers(n if edge == "dim T = n - 1" else 2, 9))
+    low = n - 1 if edge == "dim T = n - 1" else 1
+    rank_a = data.draw(st.integers(low, min(m, n) - (edge == "dim T = rank A")), label="rank_A")
+    if edge == "dim T = rank A":
+        dim_t = rank_a
+    elif edge == "dim T = n - 1":
+        dim_t = n - 1
+    else:
+        dim_t = data.draw(st.integers(1, min(rank_a, n - 1, m - 1)), label="dim_T")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    gen = GenConfig(seed=seed, m=m, n=n, rank_A=rank_a, dim_T=dim_t)
+    config = replace(CampaignConfig.default(), gen=gen, trials=1)
+    for theorem in THEOREMS:
+        row, tally = run_trial(config, theorem, 0)
+        assert row is not None and row["hyp_ok"], theorem
+        assert tally.bounds_violations == 0, theorem
+        assert row["relerr"] is None or row["relerr"] <= RELERR_GATE, theorem
 
 
 def test_import_leaves_the_process_pool_unloaded():
