@@ -129,14 +129,11 @@ CERT_MARGIN = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SvdFactors:
-    """SVD ``A = U @ diag(s) @ V.conj().T``, full or thin.
+    """Full SVD ``A = U @ diag(s) @ V.conj().T``.
 
     ``singular_values`` holds the k = min(m, n) singular values in
-    nonincreasing order.  From :func:`svd`, ``left_vectors`` is m-by-m
-    unitary and ``right_vectors`` n-by-n unitary; from the thin
-    :func:`_thin_svd` they are m-by-k and n-by-k with orthonormal columns,
-    which is all that :meth:`rank`, :meth:`pinv` and the leading columns
-    read.
+    nonincreasing order; ``left_vectors`` is m-by-m unitary and
+    ``right_vectors`` n-by-n unitary.
     """
 
     left_vectors: np.ndarray
@@ -203,22 +200,9 @@ def _finite(m: np.ndarray) -> np.ndarray:
 
 def svd(a) -> SvdFactors:
     """Full singular value decomposition of a dense complex matrix."""
-    return _factor(a, full_matrices=True)
-
-
-def _thin_svd(a) -> SvdFactors:
-    """Thin SVD: only the leading min(m, n) left and right singular vectors.
-
-    LAPACK takes the same path to the singular values as for :func:`svd`,
-    so they, the rank and the pseudoinverse are the full SVD's.
-    """
-    return _factor(a, full_matrices=False)
-
-
-def _factor(a, full_matrices: bool) -> SvdFactors:
     m = _finite(_as_2d(a))  # LAPACK does not return on an infinite entry
     try:
-        u, s, vh = np.linalg.svd(m, full_matrices=full_matrices)
+        u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(
             f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix"

@@ -64,7 +64,6 @@ from .numlin import (
     _cond_from_values,
     _rank_from_values,
     _singular_values,
-    _thin_svd,
     as_matrix,
     matrix_from_obj,
     matrix_to_obj,
@@ -174,11 +173,8 @@ class PreparedProblem:
 
     @cached_property
     def AT(self) -> Subspace:
-        """The image A·T, built on first use from the thin SVD of ``A B_T``
-        (the basis and rank :func:`image_of` gives); only gap propagation reads it."""
-        a = self.problem.A
-        image = _thin_svd(a @ self.problem.T.basis)
-        return Subspace._trusted(image.left_vectors[:, : _image_rank(a, image, self.tol)])
+        """A·T as :func:`image_of` builds it, on first use; only gap propagation reads it."""
+        return _image(self.problem.A, self.problem.T, self.tol)
 
 
 @dataclass(frozen=True)
@@ -244,13 +240,14 @@ def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     m = as_matrix(a)
     if v.ambient_dim != m.shape[1]:
         raise ValueError("subspace does not live in the domain of A")
-    image = svd(m @ v.basis)
-    return ss._span_from_svd(image, _image_rank(m, image, tol))
+    return _image(m, v, tol)
 
 
-def _image_rank(a: np.ndarray, image: SvdFactors, tol: ToleranceProfile) -> int:
-    # The dimension of A·V, given the SVD of A B_V.
-    return int(np.count_nonzero(image.singular_values > _rank_threshold(a, tol)))
+def _image(a: np.ndarray, v: Subspace, tol: ToleranceProfile) -> Subspace:
+    # image_of for an A already checked.
+    image = svd(a @ v.basis)
+    dim = int(np.count_nonzero(image.singular_values > _rank_threshold(a, tol)))
+    return ss._span_from_svd(image, dim)
 
 
 def _rank_threshold(a: np.ndarray, tol: ToleranceProfile) -> float:
