@@ -22,13 +22,10 @@ or the operator A itself moves a little:
 :data:`REGISTRY` is where each verified statement is defined: one
 :class:`Theorem` record per identifier, naming the sizes the statement
 perturbs (``gap_T``, ``gap_S``, ``norm_E``) and the strict upper bound of
-each, and holding its difference bound and (but for Lemma 3.1) its norm
-bound as functions of the scenario and ||G'||.  The evaluators'
-hypotheses and bounds, the ingredients their oracle is given, the
-instance generator's targets and the harness's sweep axes are all read
-from it; :func:`theorem` looks a record up by identifier.  Every
-evaluator ends in one private builder that evaluates the record's
-bounds and writes the :class:`BoundReport`.
+each, and its norm and difference bounds.  The evaluators' hypotheses
+and bounds, the ingredients their oracle is given, the instance
+generator's targets and the harness's sweep axes are all read from it;
+:func:`theorem` looks a record up by identifier.
 
 The seven evaluators take one :class:`PerturbationScenario` and a
 tolerance profile.  The scenario carries the
@@ -163,8 +160,9 @@ class BoundReport:
     bound denominator nonpositive) are ``None`` / NaN.  When the oracle
     refused, ``oracle_refusal`` is its exception and the actuals, and any
     bound that reads ||G'||, are NaN: the bounds are checked on the
-    oracle's result only, never on the formula they are meant to check.  :attr:`violated` and
-    :attr:`unchecked`, the report's verdict, read that convention here.
+    oracle's result only, never on the formula they are meant to check.
+    :attr:`violated` and :attr:`unchecked`, the report's verdict, read
+    that convention here.
     """
 
     theorem: str
@@ -249,9 +247,8 @@ class Theorem:
     which cannot change the rank of A.
 
     ``diff_bound`` bounds ||G' - G|| and ``norm_bound`` (None for Lemma
-    3.1) bounds ||G'||, as functions of the scenario (its sizes and the
-    prepared ||A||, ||G||, ||pinv(A)||) and the oracle's ||G'||; they are
-    NaN where a denominator is not positive.  ``floor_scale`` scales the
+    3.1) ||G'||, as functions of the scenario and the oracle's ||G'||; NaN
+    where a denominator is not positive.  ``floor_scale`` scales the
     absolute slack of the check (:func:`_satisfied`).
     """
 
@@ -298,12 +295,10 @@ def _gap_sum(s: PerturbationScenario) -> float:
 
 
 def _gap_denom(s: PerturbationScenario, gap: float) -> float:
-    # 1 - ||G|| ||A|| gap
     return 1.0 - s.prepared.norm_G * s.prepared.norm_A * gap
 
 
 def _thm32_denom(s: PerturbationScenario) -> float:
-    # 1 - ||G|| (||E|| + ||A|| (gap_T + gap_S))
     return 1.0 - s.prepared.norm_G * (s.norm_E + s.prepared.norm_A * _gap_sum(s))
 
 
@@ -529,9 +524,7 @@ def stable_bounds(
     route is the SVD pseudoinverse of A + dA.  Both use the SVD of A + dA
     that the stability check took.
     """
-    prepared = scenario.prepared
-    am = prepared.problem.A
-    norm_ap = prepared.norm_pinv_A
+    am, norm_ap = scenario.prepared.problem.A, scenario.prepared.norm_pinv_A
     factors = svd(am)
     ap = factors.pinv(tol)
     report, bar = _stability(am, factors, ap, norm_ap, scenario.E, scenario.norm_E, tol)
@@ -626,8 +619,7 @@ def perturb_S(
         G'' = P_T (I + G (P_{S'_perp} - P_{S_perp}) A P_T)^{-1} G P_{S'_perp}
     """
     prepared = scenario.prepared
-    g, a = prepared.G, prepared.problem.A
-    p_t = prepared.P_T
+    g, a, p_t = prepared.G, prepared.problem.A, prepared.P_T
     p_sp_perp = ss.projector(ss.orthogonal_complement(scenario.S_prime))
     k = g @ (p_sp_perp - prepared.P_S_perp) @ a @ p_t
     resolved = solve_square(np.eye(a.shape[1], dtype=np.complex128) + k, g, tol)
