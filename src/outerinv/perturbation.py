@@ -430,7 +430,7 @@ def _report(
     norm_bound = math.nan
     if spec.norm_bound is not None:
         norm_bound = spec.norm_bound(scenario, norm_actual)
-        checks.insert(0, (norm_actual, norm_bound))
+        checks.append((norm_actual, norm_bound))
     return BoundReport(
         theorem=spec.id,
         formula_result=formula,
