@@ -207,10 +207,11 @@ def _draw_feasible_problem(
     condition counted in ``failures``) when the draw is infeasible.
     """
     a = random_matrix_with_rank(config.m, config.n, config.rank_A, rng)
+    a.flags.writeable = False  # finite complex128 by construction; the problem owns it
     t = random_subspace(config.n, config.dim_T, rng)
     s = random_subspace(config.m, config.m - config.dim_T, rng)
     try:
-        return prepare(OuterInverseProblem(a, t, s), tol)
+        return prepare(OuterInverseProblem._trusted(a, t, s), tol)
     except ExistenceError as exc:
         kernel_ok = exc.certificate.kernel_meets_T_trivially
         failures["direct_sum" if kernel_ok else "kernel_meets_T"] += 1

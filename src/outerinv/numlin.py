@@ -6,10 +6,22 @@ Moore-Penrose pseudoinverse, spectral operator norm, numerical rank and
 guarded linear solves.  All matrices are dense ``complex128`` NumPy arrays;
 real input is accepted and embedded with zero imaginary part.
 
-The SVD is the single source of truth for rank decisions: ``pinv``,
-``rank`` and the subspace machinery all truncate singular values at the
-same relative threshold, so no two call sites can disagree about the rank
-of the same matrix.
+Every rank decision counts singular values above ``rank_rtol`` times a
+scale, by one of three rules:
+
+* a matrix's own rank is relative to its own ``sigma_max``:
+  :func:`_rank_from_values`, :func:`pinv`, :func:`rank`,
+  ``outer_inverse.kernel`` and the subspace machinery;
+* a matrix built from A -- the existence test's middle matrix and
+  ``A B_T``, and ``outer_inverse.image_of``'s ``A B_V`` -- is ranked
+  against ``rank_rtol * ||A||_F``, the scale of its rounding;
+* the powers ``A^j`` of the Drazin index are ranked against
+  ``rank_rtol * ||A||^j``.
+
+Call sites under one rule agree about the rank of a matrix; under
+different rules they can disagree near a threshold (at a coarse
+``rank_rtol`` the existence test can find N(A) meeting T while
+``kernel(A)`` meets T trivially; CHANGES.md records it as a finding).
 
 Yes/no checks are certificate-first: a cheap bound (a Frobenius norm, a
 cosine) is tried before the SVD, and it may only *confirm* the answer

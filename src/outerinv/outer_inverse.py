@@ -21,14 +21,14 @@ and each route factors a matrix with that middle matrix's singular
 values anyway, so each decides existence from its own factorization,
 by one test (:func:`_decide`): the d-th singular value (d = dim T)
 against ``rtol ||A||_F``.  :func:`existence` runs the same test on its
-own values-only SVD, and a problem, which owns a read-only A, keeps
-its certificate.
+own values-only SVD.  No verdict is kept on the problem, so the oracle
+never inherits the pinv route's answer.
 :func:`prepare`, the only constructor of a :class:`PreparedProblem`,
 keeps what the harness derives from (A, T, S) -- ``||A||`` and
-``||pinv(A)||``, G and ``||G||``, the projectors and, on first use, the
-image A·T -- so each trial computes G once.  Of A it takes only the
-singular values, a values-only SVD; A's singular vectors are computed
-only by the one check that reads them,
+``||pinv(A)||``, G and ``||G||`` and the projectors -- so each trial
+computes G once.  Of A it takes only the singular values, a
+values-only SVD; A's singular vectors are computed only by the one
+check that reads them,
 :func:`~outerinv.perturbation.stable_bounds`.  The orthogonal
 complement of S is computed once per :class:`~outerinv.subspace.Subspace`
 and kept there (a loaded S carries it from the SVD that loaded it), so
@@ -49,8 +49,7 @@ encoding, which writes each tuple as an array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,14 +112,12 @@ class OuterInverseProblem:
 
     The problem owns A, as a :class:`~outerinv.subspace.Subspace` owns its
     basis: it stores a read-only copy and leaves the caller's array as it
-    was.  So (A, T, S) cannot change under the existence certificates
-    the problem keeps, one per tolerance profile (see :func:`existence`).
+    was.  It holds these three values and nothing derived from them.
     """
 
     A: np.ndarray
     T: Subspace
     S: Subspace
-    _certificates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         a = as_matrix(self.A).copy()
@@ -137,13 +134,13 @@ class OuterInverseProblem:
 
     @classmethod
     def _trusted(cls, a: np.ndarray, t: Subspace, s: Subspace) -> "OuterInverseProblem":
-        """(A, T, S) where ``a`` is the A of another problem, so already a
-        read-only, finite complex128 matrix the package owns, and T and S
-        fit its shape; nothing is copied or checked.  For the package's
-        own use only.
+        """(A, T, S) where ``a`` is already a read-only, finite complex128
+        matrix the package owns -- the A of another problem, or one the
+        package drew itself -- and T and S fit its shape; nothing is
+        copied or checked.  For the package's own use only.
         """
         problem = object.__new__(cls)
-        for name, value in (("A", a), ("T", t), ("S", s), ("_certificates", {})):
+        for name, value in (("A", a), ("T", t), ("S", s)):
             object.__setattr__(problem, name, value)
         return problem
 
@@ -158,8 +155,7 @@ class PreparedProblem:
     vectors of A are not kept.  ``G`` is the pinv route's
     ``pinv(P_S_perp A P_T)``, never the oracle's, and ``norm_G =
     ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
-    projectors onto T and the orthogonal complement of S.  ``tol`` is
-    the profile the problem was prepared under.
+    projectors onto T and the orthogonal complement of S.
     """
 
     problem: OuterInverseProblem
@@ -169,12 +165,6 @@ class PreparedProblem:
     norm_G: float
     P_T: np.ndarray
     P_S_perp: np.ndarray
-    tol: ToleranceProfile
-
-    @cached_property
-    def AT(self) -> Subspace:
-        """A·T as :func:`image_of` builds it, on first use; only gap propagation reads it."""
-        return _image(self.problem.A, self.problem.T, self.tol)
 
 
 @dataclass(frozen=True)
@@ -264,13 +254,8 @@ def existence(
     singular value of ``(I - P_S) A B_T`` (d = dim T), an m-by-d matrix
     with the nonzero singular values of the middle matrix ``W* A U``; a
     values-only SVD gives it, and no basis of the complement of S is
-    needed.  The problem keeps the certificate, one per tolerance
-    profile, so a second call with an equal profile, or a call after a
-    route decided, returns the same certificate and factors nothing.
+    needed.  Each call factors afresh; nothing is kept on the problem.
     """
-    cert = problem._certificates.get(tol)
-    if cert is not None:
-        return cert
     a, t, s = problem.A, problem.T.basis, problem.S.basis
     d = t.shape[1]
     sigma = 0.0
@@ -282,7 +267,7 @@ def existence(
 
 def _decide(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -> ExistenceCertificate:
     """The one existence test, given ``sigma``, the d-th singular value of
-    the middle matrix (d = dim T); the problem keeps its answer per profile.
+    the middle matrix (d = dim T); a pure function of its arguments.
 
     With U = B_T and W an orthonormal basis of the complement of S, the
     outer inverse exists exactly when d + dim S = m and ``W* A U`` is
@@ -296,19 +281,13 @@ def _decide(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -
     means N(A) meets T (A·T collapses); otherwise A·T and S do not split
     the codomain.
     """
-    cert = problem._certificates.get(tol)
-    if cert is not None:
-        return cert
     a, d = problem.A, problem.T.dim
     threshold = _rank_threshold(a, tol)
     if d + problem.S.dim == a.shape[0] and (d == 0 or sigma > threshold):
-        cert = ExistenceCertificate(kernel_meets_T_trivially=True, direct_sum_holds=True)
-    else:
-        image = _singular_values(a @ problem.T.basis) if d else None
-        kernel_ok = d == 0 or (image.size >= d and float(image[d - 1]) > threshold)
-        cert = ExistenceCertificate(kernel_meets_T_trivially=kernel_ok, direct_sum_holds=False)
-    problem._certificates[tol] = cert
-    return cert
+        return ExistenceCertificate(kernel_meets_T_trivially=True, direct_sum_holds=True)
+    image = _singular_values(a @ problem.T.basis) if d else None
+    kernel_ok = d == 0 or (image.size >= d and float(image[d - 1]) > threshold)
+    return ExistenceCertificate(kernel_meets_T_trivially=kernel_ok, direct_sum_holds=False)
 
 
 def _require_exists(cert: ExistenceCertificate) -> None:
@@ -366,7 +345,6 @@ def prepare(
         norm_G=norm_g,
         P_T=p_t,
         P_S_perp=p_s_perp,
-        tol=tol,
     )
 
 

@@ -71,7 +71,7 @@ from .outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
     PreparedProblem,
-    image_of,
+    _image,
     kernel_from_svd,
     oracle_compute,
 )
@@ -550,12 +550,12 @@ def gap_propagation(
     """How far the image A·T can move when T moves to T' by a given gap.
 
     ``diff_actual`` = gap_hat(A·T, A·T'), against the bound of Lemma
-    3.1's :data:`REGISTRY` record.  A·T is ``prepared.AT``, built once
-    per prepared problem; only A·T' is computed here.  There is no
-    formula, oracle or norm bound: those fields are None / NaN.
+    3.1's :data:`REGISTRY` record.  Both images are built here, from the
+    prepared problem's A, which is already owned and checked.  There is
+    no formula, oracle or norm bound: those fields are None / NaN.
     """
-    prepared = scenario.prepared
-    actual = ss.gap_hat(prepared.AT, image_of(prepared.problem.A, scenario.T_prime, tol))
+    base = scenario.prepared.problem
+    actual = ss.gap_hat(_image(base.A, base.T, tol), _image(base.A, scenario.T_prime, tol))
     return _report(_LEMMA31, scenario, None, None, math.nan, actual)
 
 

@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -316,6 +316,40 @@ class TestConfigTypes:
         assert config.trials == 2 and config.theorems == ("prop31",)
 
 
+@st.composite
+def trial_tallies(draw):
+    """One trial's tally as run_trial returns it: a skip, an error or a row.
+
+    A row's oracle may refuse (no relerr, and a condition number when it
+    refused an ill-conditioned matrix); a row with no relerr or margin
+    carries NaN or inf, as run_trial leaves them.
+    """
+    kind = draw(st.sampled_from(["skip", "error", "row"]))
+    if kind == "skip":
+        reasons = st.sampled_from(["kernel_meets_T", "direct_sum", "hypothesis_band"])
+        counts = draw(st.dictionaries(reasons, st.integers(0, 50)))
+        return TheoremSummary(trials_requested=1, skips=1, skip_reasons=Counter(counts))
+    if kind == "error":
+        return TheoremSummary(trials_requested=1, errors=1)
+    refusal = draw(st.sampled_from([None, "existence", "ill_conditioned"]))
+    met = draw(st.booleans())
+    relerr = st.one_of(st.just(math.nan), st.floats(0.0, 1.0))
+    margin = st.one_of(st.just(math.inf), st.floats(allow_nan=False))
+    condition = draw(st.floats(1e12, math.inf)) if refusal == "ill_conditioned" else 0.0
+    return TheoremSummary(
+        trials_requested=1,
+        trials_run=1,
+        unchecked=int(refusal is not None),
+        hypotheses_met=int(met),
+        bounds_violations=draw(st.integers(0, int(met))),
+        max_relerr=math.nan if refusal else draw(relerr),
+        worst_margin_norm=draw(margin),
+        worst_margin_diff=draw(margin),
+        oracle_refusals=Counter([refusal] if refusal else []),
+        max_refusal_condition=condition,
+    )
+
+
 class TestTheoremSummaryAdd:
     def test_counts_add_and_extremes_skip_the_missing(self):
         total = TheoremSummary()
@@ -350,6 +384,26 @@ class TestTheoremSummaryAdd:
         assert total.max_relerr == 3e-15
         assert (total.worst_margin_norm, total.worst_margin_diff) == (0.5, -0.125)
         assert total.max_refusal_condition == 2e13
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_any_fold_order_gives_the_same_summary(self, data):
+        tallies = data.draw(st.lists(trial_tallies(), min_size=1, max_size=8), label="tallies")
+        folded = []
+        for order in (tallies, data.draw(st.permutations(tallies), label="order")):
+            total = TheoremSummary()
+            for tally in order:
+                total.add(tally)
+            folded.append(total)
+        first, second = folded
+        for f in fields(TheoremSummary):
+            x, y = getattr(first, f.name), getattr(second, f.name)
+            assert x == y or (math.isnan(x) and math.isnan(y)), f.name
+        codes = [
+            campaign_exit_code(CampaignSummary(per_theorem={"prop31": t}, wall_time=0.0))
+            for t in folded
+        ]
+        assert codes[0] == codes[1]
 
     def test_an_empty_fold_keeps_the_missing_markers(self):
         total = TheoremSummary()

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from outerinv import numlin
 from outerinv.numlin import (
@@ -307,6 +310,20 @@ class TestJsonRoundTrip:
         a[1, 1] = complex(5e-324, 1e308)
         back = matrix_from_obj(json.loads(json.dumps(matrix_to_obj(a))))
         assert back.tobytes() == a.tobytes()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_any_finite_matrix_round_trips_bit_exactly(self, data):
+        # Empty rows or columns, signed zeros, subnormals and magnitudes up
+        # to the largest double, drawn on purpose beside any finite double.
+        rows = data.draw(st.integers(0, 5), label="rows")
+        cols = data.draw(st.integers(0, 5), label="cols")
+        edges = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1.7976931348623157e308]
+        finite = st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False))
+        parts = data.draw(arrays(np.float64, (rows, 2 * cols), elements=finite))
+        a = parts.view(np.complex128)
+        back = matrix_from_obj(json.loads(json.dumps(matrix_to_obj(a))))
+        assert back.shape == a.shape and back.tobytes() == a.tobytes()
 
     def test_entry_count_validation(self):
         with pytest.raises(ValueError, match="entries"):

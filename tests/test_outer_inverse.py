@@ -94,13 +94,18 @@ class TestExistence:
         assert cert.kernel_meets_T_trivially
         assert not cert.direct_sum_holds
 
-    def test_certificate_is_kept_per_tolerance_profile(self, rng):
-        prob = random_feasible_problem(rng)
+    def test_equal_profiles_give_equal_certificates(self, rng):
+        # Each call decides afresh from its own SVD, so equal profiles
+        # (equal, not the same object) give equal certificates, and a
+        # coarse profile's "no" leaves a later call at the default "yes".
+        prob = with_middle_ratio(rng, 6, 5, 2, 1e-3)
         cert = existence(prob)
-        assert existence(prob, ToleranceProfile()) is cert  # equal, not the same object
-        other = existence(prob, ToleranceProfile(rank_rtol=1e-3))
-        assert other is not cert and other.exists
-        assert existence(prob, ToleranceProfile(rank_rtol=1e-3)) is other
+        again = existence(prob, ToleranceProfile())
+        assert again == cert and again is not cert and cert.exists
+        coarse = ToleranceProfile(rank_rtol=1e-2)
+        assert existence(prob, coarse) == existence(prob, ToleranceProfile(rank_rtol=1e-2))
+        assert not existence(prob, coarse).exists
+        assert existence(prob) == cert
 
     def test_compute_raises_with_named_condition(self):
         prob = OuterInverseProblem(np.diag([1.0, 0.0]).astype(complex), line(0, 1), line(0, 1))
@@ -155,8 +160,7 @@ class TestExistenceCertificate:
     def test_generic_problem_needs_no_kernel(self, rng, monkeypatch):
         # existence() reads singular values only: no SVD with vectors, so no
         # null space of A and no basis of the complement of S.
-        drawn = random_feasible_problem(rng, m=8, n=7, rank_a=5, dim_t=3)
-        prob = OuterInverseProblem(drawn.A, drawn.T, drawn.S)  # keeps no certificate yet
+        prob = random_feasible_problem(rng, m=8, n=7, rank_a=5, dim_t=3)
         with_vectors = []
         original = np.linalg.svd
 
@@ -230,11 +234,8 @@ def middle_sigmas(problem):
 
 
 def route_decisions(problem, tol=ToleranceProfile()):
-    """The certificate each route's sigma gives, each on a copy that keeps none yet."""
-    return [
-        outer_inverse._decide(OuterInverseProblem(problem.A, problem.T, problem.S), sigma, tol)
-        for sigma in middle_sigmas(problem)
-    ]
+    """The certificate each route's sigma gives."""
+    return [outer_inverse._decide(problem, sigma, tol) for sigma in middle_sigmas(problem)]
 
 
 def tilted_toward(v, target, theta):

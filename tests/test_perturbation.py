@@ -509,10 +509,7 @@ class TestVerdict:
         assert report.formula_result is None and report.oracle_result is None
         assert not report.unchecked and not report.violated
         # Its difference is measured directly, so a failed bound is a violation.
-        gap_hat = ss.gap_hat
-        monkeypatch.setattr(
-            perturbation.ss, "gap_hat", lambda u, v: 1.0 if u is sc.prepared.AT else gap_hat(u, v)
-        )
+        monkeypatch.setattr(perturbation.ss, "gap_hat", lambda u, v: 1.0)
         report = gap_propagation(sc)
         assert report.hypotheses_met and report.violated and not report.unchecked
 

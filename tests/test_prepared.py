@@ -3,7 +3,7 @@
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from outerinv.numlin import op_norm, pinv
 from outerinv.outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
+    PreparedProblem,
     compute,
     image_of,
     oracle_compute,
@@ -26,6 +27,7 @@ from outerinv.outer_inverse import (
     result_to_obj,
 )
 from outerinv.perturbation import (
+    gap_propagation,
     is_stable,
     perturb_A,
     perturb_S,
@@ -161,18 +163,19 @@ def test_svd_of_the_full_shape_per_trial(monkeypatch):
 
 # Full finiteness scans (numlin.as_matrix) and validated Subspace
 # constructions in the same trials.  A trial checks only the data that
-# enters it: the drawn A (as an OuterInverseProblem), the scenario's E, and
-# the oracle's A + E (lemma31: the A of image_of).  An oracle problem on
-# the base A shares the base problem's checked array, and bases made from
-# QR or SVD columns are trusted, so no Subspace is validated.
+# enters it from outside the package: the scenario's E and the oracle's
+# A + E.  The drawn A is finite by construction and the problem owns it
+# without a scan, an oracle problem on the base A shares that array, and
+# bases made from QR or SVD columns are trusted, so no Subspace is
+# validated.
 VALIDATION_BUDGET = {
-    "lemma21": {"as_matrix": 2, "Subspace": 0},
-    "lemma31": {"as_matrix": 3, "Subspace": 0},
-    "prop31": {"as_matrix": 2, "Subspace": 0},
-    "prop32": {"as_matrix": 2, "Subspace": 0},
-    "thm31": {"as_matrix": 2, "Subspace": 0},
-    "lemma32": {"as_matrix": 3, "Subspace": 0},
-    "thm32": {"as_matrix": 3, "Subspace": 0},
+    "lemma21": {"as_matrix": 1, "Subspace": 0},
+    "lemma31": {"as_matrix": 1, "Subspace": 0},
+    "prop31": {"as_matrix": 1, "Subspace": 0},
+    "prop32": {"as_matrix": 1, "Subspace": 0},
+    "thm31": {"as_matrix": 1, "Subspace": 0},
+    "lemma32": {"as_matrix": 2, "Subspace": 0},
+    "thm32": {"as_matrix": 2, "Subspace": 0},
 }
 
 
@@ -194,16 +197,20 @@ def test_validation_budget_per_trial(monkeypatch):
     assert spent == VALIDATION_BUDGET
 
 
+def load_golden_problem():
+    obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
+    return problem_from_obj(obj)
+
+
 def test_svd_budget_of_the_library_path(monkeypatch):
     # Load, compute, cross-check with the oracle and serialize one 40x30
     # problem: 2 SVDs to load T and S, which keep their complements, 5 in
     # compute (the pinv route's product, which also decides existence, and
     # the four residual checks; none of A) and 1 in the oracle, its middle
-    # matrix.  The existence test does not run.
-    obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
+    # matrix, which decides existence again.  existence() does not run.
     calls = count_svds(monkeypatch)
     existence = count_calls(monkeypatch, ["existence"])
-    problem = problem_from_obj(obj)
+    problem = load_golden_problem()
     assert len(calls) == 2
     result = compute(problem)
     assert len(calls) == 7
@@ -215,25 +222,63 @@ def test_svd_budget_of_the_library_path(monkeypatch):
 
 def test_oracle_after_compute_takes_one_svd_its_cond(monkeypatch):
     # S keeps the complement it was loaded with, and the oracle's one SVD,
-    # of its middle matrix, gives cond; the existence certificate is the
-    # one compute's decision left on the problem.
-    obj = json.loads((Path(__file__).parent / "golden" / "problem_40x30.json").read_text())
-    problem = problem_from_obj(obj)
+    # of its middle matrix, gives both cond and the sigma it decides
+    # existence from; it reads no verdict of compute's.
+    problem = load_golden_problem()
     compute(problem)
-    (cert,) = problem._certificates.values()
+    middle = ss.orthogonal_complement(problem.S).basis.conj().T @ problem.A @ problem.T.basis
+    own_sigma = float(np.linalg.svd(middle, compute_uv=False)[-1])
     calls = count_svds(monkeypatch)
-    counts = count_calls(monkeypatch, ["existence", "_decide"])
+    counts = count_calls(monkeypatch, ["existence"])
+    sigmas = []
+    decide = outer_inverse._decide
+
+    def recorded(problem, sigma, tol):
+        sigmas.append(sigma)
+        return decide(problem, sigma, tol)
+
+    monkeypatch.setattr(outer_inverse, "_decide", recorded)
     oracle_compute(problem)
     assert len(calls) == 1
-    assert counts == {"_decide": 1}
-    assert list(problem._certificates.values()) == [cert] and cert.exists
+    assert counts == {}
+    assert sigmas == [own_sigma]
 
 
-def test_prepared_image_is_the_one_image_of_builds(rng):
-    for _ in range(10):
-        prob = random_feasible_problem(rng)
-        at = prepare(prob).AT
-        assert at.basis.tobytes() == image_of(prob.A, prob.T).basis.tobytes()
+def test_oracle_after_compute_decides_existence_itself(monkeypatch):
+    # compute's "exists" is not carried over: when the oracle's own middle
+    # matrix reads singular, the oracle says the outer inverse does not
+    # exist rather than refusing an ill-conditioned matrix.
+    problem = load_golden_problem()
+    compute(problem)
+    d = problem.T.dim
+    singular_values = outer_inverse._singular_values
+
+    def singular_middle(m):
+        return np.zeros(d) if m.shape == (d, d) else singular_values(m)
+
+    monkeypatch.setattr(outer_inverse, "_singular_values", singular_middle)
+    with pytest.raises(ExistenceError) as raised:
+        oracle_compute(problem)
+    assert not raised.value.certificate.direct_sum_holds
+
+
+def test_problem_records_hold_values_only():
+    # No verdict, image or profile rides on a problem: each is derived by
+    # the code that reads it.
+    assert [f.name for f in fields(OuterInverseProblem)] == ["A", "T", "S"]
+    prepared = ["problem", "norm_A", "norm_pinv_A", "G", "norm_G", "P_T", "P_S_perp"]
+    assert [f.name for f in fields(PreparedProblem)] == prepared
+    assert not hasattr(PreparedProblem, "AT")
+
+
+def test_lemma31_images_are_the_ones_image_of_builds():
+    # gap_propagation builds A·T and A·T' with image_of's private helper,
+    # on the prepared problem's A, and measures what image_of would.
+    for seed in range(10):
+        sc = generate(GenConfig(seed=seed), "lemma31")
+        a = sc.prepared.problem.A
+        expected = ss.gap_hat(image_of(a, sc.prepared.problem.T), image_of(a, sc.T_prime))
+        assert gap_propagation(sc).diff_actual == expected
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)

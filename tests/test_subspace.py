@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerinv import subspace as ss
 from outerinv.numlin import ToleranceProfile, op_norm, rank
@@ -356,6 +358,16 @@ class TestSerialization:
         trivial = ss.Subspace(np.zeros((4, 0), dtype=complex))
         back = ss.subspace_from_obj(json.loads(json.dumps(ss.subspace_to_obj(trivial))))
         assert back.dim == 0 and back.ambient_dim == 4
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_any_orthonormal_basis_round_trips(self, data):
+        n = data.draw(st.integers(1, 8), label="ambient_dim")
+        d = data.draw(st.integers(0, n), label="dim")
+        sub = random_subspace(n, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        back = ss.subspace_from_obj(json.loads(json.dumps(ss.subspace_to_obj(sub))))
+        assert back.ambient_dim == n and back.dim == d
+        assert ss.gap_hat(sub, back) <= 1e-14
 
     def test_loader_rejects_rank_deficient_basis(self):
         obj = {
