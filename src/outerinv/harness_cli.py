@@ -32,15 +32,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import math
 import os
 import sys
 import time
+import typing
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 
 from . import __version__
 from .instance_gen import (
@@ -126,9 +126,9 @@ SWEEP_COLUMNS = (
 @dataclass(frozen=True)
 class CampaignConfig:
     gen: GenConfig
-    theorems: tuple[str, ...]
-    trials: int
-    tolerances: ToleranceProfile
+    theorems: tuple[str, ...] = THEOREMS
+    trials: int = 1
+    tolerances: ToleranceProfile = ToleranceProfile()
     output_path: str | None = None
     format: str = "csv"
 
@@ -146,12 +146,7 @@ class CampaignConfig:
 
     @classmethod
     def default(cls, seed: int = 20260801) -> "CampaignConfig":
-        return cls(
-            gen=GenConfig(seed=seed),
-            theorems=THEOREMS,
-            trials=200,
-            tolerances=ToleranceProfile(),
-        )
+        return cls(gen=GenConfig(seed=seed), trials=200)
 
 
 @dataclass
@@ -219,74 +214,65 @@ class CampaignSummary:
 # ---------------------------------------------------------------------------
 
 
-def _wire_real(value, what: str, name: str) -> None:
-    """Reject a config value that is not a real number: an int or a float, never a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"malformed {what} object: {name} is {value!r}, not a number")
+# The JSON type of each non-integer field annotation: a test of a wire
+# value and the words that name the type in an error.  Integers go through
+# ``_wire_size`` and config records through ``_read_record``.
+_WIRE_TYPES = {
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple[str, ...]: (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+        "a list of strings",
+    ),
+}
 
 
-def _wire_object(value, name: str) -> None:
-    """Reject a campaign config block that is not a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"malformed campaign config: {name} is {value!r}, not an object")
+def _read_value(hint, value, name: str):
+    """The wire ``value`` of the field ``name``, checked against its annotation ``hint``.
+
+    Values are kept as written (an integer in a float field stays an
+    int), except that a list becomes the tuple its field declares.
+    """
+    if is_dataclass(hint):
+        return _read_record(hint, value, name)
+    if type(None) in typing.get_args(hint):  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if hint is int:
+        return _wire_size(value, "campaign config", name)
+    accepts, expected = _WIRE_TYPES[hint]
+    if not accepts(value):
+        raise ValueError(f"malformed campaign config object: {name} is {value!r}, not {expected}")
+    return tuple(value) if typing.get_origin(hint) is tuple else value
 
 
-def gen_config_from_obj(obj: dict) -> GenConfig:
-    _wire_object(obj, "gen")
-    known = {f.name for f in fields(GenConfig)}
-    unknown = set(obj) - known
+def _read_record(cls, obj, name: str):
+    """The config record ``cls`` from its wire object ``obj``, found at ``name``.
+
+    Each field's JSON type is the type its annotation declares; a field
+    the object leaves out takes its default.  An unknown key, a missing
+    required field and a value of the wrong type are a ``ValueError``
+    naming the key.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed campaign config object: {name} is {obj!r}, not an object")
+    hints = typing.get_type_hints(cls)
+    record_fields = fields(cls)
+    unknown = set(obj) - {f.name for f in record_fields}
     if unknown:
-        raise ValueError(f"unknown gen config keys: {sorted(unknown)}")
-    if "seed" not in obj:
-        raise ValueError("gen config requires a seed")
-    for name, value in obj.items():
-        # The target ratios are reals; every other field is an integer.
-        if name in TARGET_FIELDS.values():
-            _wire_real(value, "gen config", name)
-        else:
-            _wire_size(value, "gen config", name)
-    return GenConfig(**obj)
-
-
-def tolerances_from_obj(obj: dict) -> ToleranceProfile:
-    _wire_object(obj, "tolerances")
-    known = {f.name for f in fields(ToleranceProfile)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    for name, value in obj.items():
-        if not (name == "rank_rtol" and value is None):
-            _wire_real(value, "tolerances", name)
-    return ToleranceProfile(**obj)
+        raise ValueError(f"unknown keys in {name}: {sorted(unknown)}")
+    values = {}
+    for f in record_fields:
+        if f.name in obj:
+            values[f.name] = _read_value(hints[f.name], obj[f.name], f.name)
+        elif f.default is MISSING:
+            raise ValueError(f"malformed campaign config object: {name} has no {f.name!r}")
+    return cls(**values)
 
 
 def campaign_config_from_obj(obj: dict) -> CampaignConfig:
-    _wire_object(obj, "the top level")
-    unknown = set(obj) - {f.name for f in fields(CampaignConfig)}
-    if unknown:
-        raise ValueError(f"unknown campaign config keys: {sorted(unknown)}")
-    try:
-        gen = gen_config_from_obj(obj["gen"])
-    except KeyError:
-        raise ValueError("campaign config requires a 'gen' block") from None
-    theorems = obj.get("theorems", THEOREMS)
-    if not isinstance(theorems, (list, tuple)) or not all(isinstance(t, str) for t in theorems):
-        raise ValueError(
-            f"malformed campaign config object: theorems is {theorems!r}, not a list of strings"
-        )
-    output_path = obj.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ValueError(
-            f"malformed campaign config object: output_path is {output_path!r}, not a string"
-        )
-    return CampaignConfig(
-        gen=gen,
-        theorems=tuple(theorems),
-        trials=_wire_size(obj.get("trials", 1), "campaign config", "trials"),
-        tolerances=tolerances_from_obj(obj.get("tolerances", {})),
-        output_path=output_path,
-        format=obj.get("format", "csv"),
-    )
+    return _read_record(CampaignConfig, obj, "the top level")
 
 
 def campaign_config_to_obj(config: CampaignConfig) -> dict:
@@ -295,6 +281,9 @@ def campaign_config_to_obj(config: CampaignConfig) -> dict:
 
 def config_hash(config: CampaignConfig) -> str:
     """Hash of everything that determines the rows (not where they go)."""
+    # Imported here: hashlib loads OpenSSL, and only a report needs the hash.
+    import hashlib
+
     obj = campaign_config_to_obj(config)
     obj.pop("output_path")
     obj.pop("format")

@@ -27,7 +27,9 @@ from outerinv.harness_cli import (
     CampaignSummary,
     TheoremSummary,
     campaign_config_from_obj,
+    campaign_config_to_obj,
     campaign_exit_code,
+    config_hash,
     main,
     run_campaign,
     run_sweep,
@@ -258,10 +260,51 @@ WRONG_TYPES = [
     ("campaign", "theorems", "lemma31"),
     ("campaign", "theorems", ["lemma31", 7]),
     ("campaign", "output_path", 5),
+    ("campaign", "format", 5),
+    ("gen", "dim_T", "3"),
     ("campaign", "gen", 5),
     ("campaign", "tolerances", 5),
     ("campaign", "tolerances", []),
 ]
+
+
+# Strategies built once: Hypothesis re-validates one built inside a test.
+RATIOS = st.one_of(st.just(0), st.floats(0.0, 1.0, exclude_max=True))
+POSITIVE = st.one_of(st.integers(1, 10**15), st.floats(0.0, 1e300, exclude_min=True))
+RANK_RTOLS = st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+THEOREM_SETS = st.lists(st.sampled_from(THEOREMS), min_size=1, unique=True).map(tuple)
+# A fixed alphabet with the characters JSON escapes: st.text() builds a
+# Unicode table, a second of start-up on every run.
+OUTPUT_PATHS = st.one_of(st.none(), st.text("aZ09._-/ \\\"\n\té中\U0001f600"))
+
+
+@st.composite
+def campaign_configs(draw):
+    """Any valid campaign config; an int may stand in a float field, as JSON allows."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    rank_a = draw(st.integers(1, min(m, n)))
+    gen = GenConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        m=m,
+        n=n,
+        rank_A=rank_a,
+        dim_T=draw(st.integers(1, min(rank_a, n - 1, m - 1))),
+        target_gap_T=draw(RATIOS),
+        target_gap_S=draw(RATIOS),
+        target_norm_E_ratio=draw(RATIOS),
+        max_retries=draw(st.integers(1, 10**6)),
+    )
+    tolerances = ToleranceProfile(
+        rank_rtol=draw(RANK_RTOLS), verify_atol=draw(POSITIVE), cond_cap=draw(POSITIVE)
+    )
+    return CampaignConfig(
+        gen=gen,
+        theorems=draw(THEOREM_SETS),
+        trials=draw(st.integers(1, 10**6)),
+        tolerances=tolerances,
+        output_path=draw(OUTPUT_PATHS),
+        format=draw(st.sampled_from(["csv", "json"])),
+    )
 
 
 class TestConfigTypes:
@@ -290,14 +333,17 @@ class TestConfigTypes:
     BAD_CONFIGS = [
         ({"gen": {"seed": 1}, "trails": 500, "theorem": ["prop31"]}, "'theorem', 'trails'"),
         ({"gen": {"seed": 1}, "trials": 2, "theorems": ["prop31", "prop31"]}, "'prop31'"),
+        ({"trials": 2}, "'gen'"),
+        ({"gen": {"m": 6}}, "'seed'"),
     ]
+    BAD_IDS = ["unknown_key", "repeated_id", "missing_gen", "missing_seed"]
 
-    @pytest.mark.parametrize("obj, named", BAD_CONFIGS, ids=["unknown_key", "repeated_id"])
+    @pytest.mark.parametrize("obj, named", BAD_CONFIGS, ids=BAD_IDS)
     def test_config_is_rejected_naming_the_culprit(self, obj, named):
         with pytest.raises(ValueError, match=named):
             campaign_config_from_obj(obj)
 
-    @pytest.mark.parametrize("obj, named", BAD_CONFIGS, ids=["unknown_key", "repeated_id"])
+    @pytest.mark.parametrize("obj, named", BAD_CONFIGS, ids=BAD_IDS)
     def test_config_exits_1_naming_the_culprit(self, tmp_path, capsys, obj, named):
         obj = dict(obj, output_path=str(tmp_path / "r.csv"))
         assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
@@ -314,6 +360,16 @@ class TestConfigTypes:
         assert config.gen.target_gap_T == 0 and type(config.gen.target_gap_T) is int
         assert type(config.tolerances.cond_cap) is int and config.tolerances.rank_rtol is None
         assert config.trials == 2 and config.theorems == ("prop31",)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(campaign_configs())
+    def test_any_config_round_trips(self, config):
+        # Equal configs can still hash apart: an int read back as a float
+        # compares equal but hashes differently.
+        wire = json.loads(json.dumps(campaign_config_to_obj(config)))
+        loaded = campaign_config_from_obj(wire)
+        assert loaded == config
+        assert config_hash(loaded) == config_hash(config)
 
 
 @st.composite
@@ -862,12 +918,25 @@ def test_every_theorem_holds_on_any_shape(data):
         assert row["relerr"] is None or row["relerr"] <= RELERR_GATE, theorem
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # Only --jobs > 1 needs concurrent.futures.process; importing it costs
-    # every `oil` call tens of milliseconds.  A fresh interpreter, because
-    # this one may have imported it already.
+def loaded_by_import(module: str) -> bool:
+    """Whether importing the harness in a fresh interpreter loads ``module``.
+
+    A fresh interpreter, because this one may have imported it already.
+    """
     src = os.path.dirname(os.path.dirname(outerinv.__file__))
-    code = "import sys, outerinv.harness_cli; print('concurrent.futures.process' in sys.modules)"
+    code = f"import sys, outerinv.harness_cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only --jobs > 1 needs concurrent.futures.process; importing it costs
+    # every `oil` call tens of milliseconds.
+    assert not loaded_by_import("concurrent.futures.process")
+
+
+def test_import_leaves_openssl_unloaded():
+    # Only a report's config hash needs hashlib, whose OpenSSL adds about
+    # 3 MB to the peak memory of `oil compute`.
+    assert not loaded_by_import("_hashlib")
