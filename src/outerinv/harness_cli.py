@@ -13,9 +13,10 @@ Three subcommands on the ``oil`` entry point:
   (:data:`outerinv.perturbation.REGISTRY`) limits that size.
 
 Exit codes are a stable contract: 0 pass, 1 operational error (including
-a campaign with trials that raised a numerical error, more than
-``MAX_SKIP_FRACTION`` of its trials skipped or left without a
-cross-check, or a formula-vs-oracle error above ``RELERR_GATE``), 2
+a command-line usage error, a campaign with trials that raised a
+numerical error, more than ``MAX_SKIP_FRACTION`` of its trials skipped
+or left without a cross-check, or a formula-vs-oracle error above
+``RELERR_GATE``), 2
 infeasible input, 3 bound violation (a checked inequality failed
 numerically under satisfied hypotheses; this should never happen and is
 the highest-severity signal).  A sweep is judged per grid point by the
@@ -626,8 +627,16 @@ def cmd_sweep(args) -> int:
     return max(codes)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 1: 2 means infeasible input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_OPERATIONAL, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oil",
         description="Outer-inverse library: compute inverses and verify perturbation bounds.",
     )

@@ -31,8 +31,9 @@ ever answers "no".
 
 Finiteness is checked where data enters the package, by
 :func:`as_matrix`: the wire format, :class:`~outerinv.outer_inverse.OuterInverseProblem`,
-a scenario's E, the public :class:`~outerinv.subspace.Subspace`
-constructor and the public entry points that take raw matrices.  The
+the public :class:`~outerinv.subspace.Subspace` constructor and the
+public entry points that take raw matrices; a scenario's E by the SVD
+that measures its norm.  Sums of checked matrices are not scanned.  The
 kernels here only coerce their arguments (dtype and ndim), except that
 every array is checked finite right before LAPACK factors it: LAPACK's
 SVD with vectors does not return on an infinite entry, and its

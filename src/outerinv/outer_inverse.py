@@ -134,10 +134,10 @@ class OuterInverseProblem:
 
     @classmethod
     def _trusted(cls, a: np.ndarray, t: Subspace, s: Subspace) -> "OuterInverseProblem":
-        """(A, T, S) where ``a`` is already a read-only, finite complex128
-        matrix the package owns -- the A of another problem, or one the
-        package drew itself -- and T and S fit its shape; nothing is
-        copied or checked.  For the package's own use only.
+        """(A, T, S) where ``a`` is a read-only complex128 matrix the package
+        owns -- another problem's A, one it drew, or the oracle's A + E of two
+        checked matrices, whose overflow the oracle's SVD guard refuses -- and
+        T and S fit its shape; nothing is copied or checked.  Package use only.
         """
         problem = object.__new__(cls)
         for name, value in (("A", a), ("T", t), ("S", s)):
@@ -306,11 +306,11 @@ def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
     The one pinv route, which both :func:`prepare` and :func:`compute`
     take.  It decides existence first, from the d-th singular value of
     the product it factors (:func:`_decide`); :class:`ExistenceError`
-    names the failed condition.  The pseudoinverse keeps at most dim T
-    singular values, the rank of any outer inverse with range T: when
-    ``||A|| ||G||`` is large the product's rounding, of size ``eps
-    ||A||``, can clear the relative rank threshold, and inverting it
-    would make G wrong by orders of magnitude.
+    names the failed condition.  G keeps exactly d = dim T singular
+    values, the rank of any outer inverse with range T: existence has just
+    shown ``sigma_d > rtol ||A||_F >= rtol sigma_max`` of the product, and
+    a further value above that threshold, when ``||A|| ||G||`` is large, is
+    rounding (``eps ||A||``) whose inverse would make G wildly wrong.
     """
     p_t = ss.projector(problem.T)
     p_s_perp = ss.projector(ss.orthogonal_complement(problem.S))
@@ -318,10 +318,8 @@ def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):
     d = problem.T.dim
     sv = middle.singular_values
     _require_exists(_decide(problem, float(sv[d - 1]) if 0 < d <= sv.size else 0.0, tol))
-    r = min(middle.rank(tol), d)
-    s = sv[:r]
-    g = (middle.right_vectors[:, :r] / s) @ middle.left_vectors[:, :r].conj().T
-    return p_t, p_s_perp, g, 1.0 / float(s[-1]) if r else 0.0
+    g = (middle.right_vectors[:, :d] / sv[:d]) @ middle.left_vectors[:, :d].conj().T
+    return p_t, p_s_perp, g, 1.0 / float(sv[d - 1]) if d else 0.0
 
 
 def prepare(

@@ -60,6 +60,7 @@ from .numlin import (
     NumericalError,
     SvdFactors,
     ToleranceProfile,
+    _as_2d,
     as_matrix,
     op_norm,
     op_norm_at_most,
@@ -124,7 +125,8 @@ class PerturbationScenario:
     T -> ``T_prime``, S -> ``S_prime`` and A -> A + ``E`` on
     ``prepared.problem``; an unperturbed ingredient is passed as it is (T,
     S, or a zero E).  The measured gaps and the perturbation norm are
-    computed from the parts here, once, never trusted from input.
+    computed from the parts here, once, never trusted from input; the SVD
+    that measures ``norm_E`` is E's finiteness check.
     """
 
     prepared: PreparedProblem
@@ -137,7 +139,7 @@ class PerturbationScenario:
 
     def __post_init__(self):
         base = self.prepared.problem
-        e = as_matrix(self.E)
+        e = _as_2d(self.E)
         if e.shape != base.A.shape:
             raise ValueError(f"E has shape {e.shape}, expected {base.A.shape}")
         if self.T_prime.ambient_dim != base.T.ambient_dim:
@@ -227,10 +229,6 @@ class StableReport:
     @property
     def hypothesis_met(self) -> bool:
         return self.norm_product < 1.0
-
-    @property
-    def stable(self) -> bool:
-        return self.cond1
 
 
 @dataclass(frozen=True)
@@ -468,44 +466,36 @@ def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     if dam.shape != am.shape:
         raise ValueError(f"dA has shape {dam.shape}, expected {am.shape}")
     factors = svd(am)
-    return _stability(
-        am, factors, factors.pinv(tol), factors.pinv_norm(tol), dam, op_norm(dam), tol
-    )[0]
+    cond1, c, bar = _stability(am, factors, factors.pinv(tol), dam, tol)
+    row_space_bar = Subspace._trusted(bar.right_vectors[:, : bar.rank(tol)])
+    cond2 = ss.intersection_trivial(row_space_bar, kernel_from_svd(factors, tol), tol)
+    norm_product = factors.pinv_norm(tol) * op_norm(dam)
+    return StableReport(cond1=cond1, cond2=cond2, gi_matrix=c, norm_product=norm_product)
 
 
 def _stability(
-    a, factors: SvdFactors, ap, norm_ap: float, da, norm_da: float, tol: ToleranceProfile
-) -> tuple[StableReport, SvdFactors]:
-    """:func:`is_stable` on checked same-shape A and dA.
+    a, factors: SvdFactors, ap, da, tol: ToleranceProfile
+) -> tuple[bool, np.ndarray | None, SvdFactors]:
+    """cond1, the resolvent {1,2}-inverse (None unless cond3 holds) and SVD(A + dA).
 
-    Given SVD(A), pinv(A), ``||pinv(A)||`` and ``||dA||``; also returns the
-    SVD of A + dA that the report was read from.
+    For checked same-shape A and dA, given SVD(A) and pinv(A).
     """
     abar = a + da
     c = _resolvent_gi(ap, da, tol)
 
-    # Range, its complement, row space and kernel, from the two SVDs.
-    r = factors.rank(tol)
+    # The range of A + dA against the complement of the range of A.
     bar = svd(abar)
-    r_bar = bar.rank(tol)
     cond1 = ss.intersection_trivial(
-        Subspace._trusted(bar.left_vectors[:, :r_bar]),
-        Subspace._trusted(factors.left_vectors[:, r:]),
+        Subspace._trusted(bar.left_vectors[:, : bar.rank(tol)]),
+        Subspace._trusted(factors.left_vectors[:, factors.rank(tol) :]),
         tol,
-    )
-    cond2 = ss.intersection_trivial(
-        Subspace._trusted(bar.right_vectors[:, :r_bar]), kernel_from_svd(factors, tol), tol
     )
 
     cond3 = c is not None and (
         op_norm_at_most(abar @ c @ abar - abar, tol.verify_atol * (1.0 + bar.norm))
         and residual_within(c @ abar @ c - c, c, tol.verify_atol)
     )
-
-    report = StableReport(
-        cond1=cond1, cond2=cond2, gi_matrix=c if cond3 else None, norm_product=norm_ap * norm_da
-    )
-    return report, bar
+    return cond1, c if cond3 else None, bar
 
 
 def stable_bounds(
@@ -514,26 +504,25 @@ def stable_bounds(
     """Lemma 2.1: pinv(A) under a stable perturbation dA = E, against its record's bounds.
 
     Only A matters here, with ``||pinv(A)||`` taken from
-    ``scenario.prepared``: the hypothesis, the stability report's
-    ``norm_product`` and both bounds read that one number.  For a bare
+    ``scenario.prepared`` for the hypothesis and both bounds.  For a bare
     matrix build the scenario on ``prepare(moore_penrose_problem(A))``.
     This is the one check that reads the singular vectors of A, so it
-    factors A itself.  The formula route projects the resolvent
-    {1,2}-inverse, once cond3 has shown it is one, onto pinv(A + dA)
+    factors A itself.  It reads cond1 (an extra hypothesis) and cond3's
+    resolvent {1,2}-inverse, and builds no :class:`StableReport`.  The
+    formula route projects that {1,2}-inverse onto pinv(A + dA)
     (:meth:`~outerinv.numlin.SvdFactors.pinv_from_12_inverse`); the oracle
     route is the SVD pseudoinverse of A + dA.  Both use the SVD of A + dA
     that the stability check took.
     """
-    am, norm_ap = scenario.prepared.problem.A, scenario.prepared.norm_pinv_A
+    am = scenario.prepared.problem.A
     factors = svd(am)
     ap = factors.pinv(tol)
-    report, bar = _stability(am, factors, ap, norm_ap, scenario.E, scenario.norm_E, tol)
+    cond1, c, bar = _stability(am, factors, ap, scenario.E, tol)
 
-    c = report.gi_matrix
     formula = None if c is None else bar.pinv_from_12_inverse(c, tol)
     oracle = bar.pinv(tol)
     # Stability itself, encoded as 0 (stable) vs 1 (unstable).
-    stable = HypothesisStatus("stable_perturbation", 1.0, 0.0 if report.stable else 1.0)
+    stable = HypothesisStatus("stable_perturbation", 1.0, 0.0 if cond1 else 1.0)
     return _report(
         _LEMMA21, scenario, formula, oracle, bar.pinv_norm(tol), op_norm(oracle - ap), (stable,)
     )
@@ -569,18 +558,18 @@ def _check(
 
     The oracle is given the perturbed ingredient (A + E, T', S') for each
     size that ``spec.limits`` names, and the base ingredient otherwise.
+    A + E, a sum of two checked matrices, goes in unscanned like the base
+    A; the oracle's SVD guard refuses a sum that overflowed.
     """
     prepared = scenario.prepared
     base = prepared.problem
     limits = spec.limits
     t = scenario.T_prime if "gap_T" in limits else base.T
     s = scenario.S_prime if "gap_S" in limits else base.S
-    if "norm_E" in limits:
-        problem = OuterInverseProblem(base.A + scenario.E, t, s)
-    else:  # the base problem's A, already owned, read-only and checked
-        problem = OuterInverseProblem._trusted(base.A, t, s)
+    a = base.A + scenario.E if "norm_E" in limits else base.A
+    a.flags.writeable = False
     try:
-        oracle = oracle_compute(problem, tol)
+        oracle = oracle_compute(OuterInverseProblem._trusted(a, t, s), tol)
     except (ExistenceError, IllConditionedError) as exc:
         return _report(spec, scenario, formula, None, math.nan, math.nan, refusal=exc)
     norm_actual, diff_actual = op_norm(oracle), op_norm(oracle - prepared.G)

@@ -272,6 +272,8 @@ def subspace_from_obj(obj: dict, tol: ToleranceProfile = DEFAULT_TOL) -> Subspac
         basis = matrix_from_obj(obj["basis"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed subspace object: {exc}") from exc
+    if ambient < 1:  # as Subspace(basis) requires: a basis has at least one row
+        raise ValueError(f"malformed subspace object: ambient_dim is {ambient}, not at least 1")
     if basis.shape[0] != ambient:
         raise ValueError(
             f"basis has {basis.shape[0]} rows, declared ambient_dim is {ambient}"

@@ -105,6 +105,18 @@ def test_entry_point_rejects_a_nonfinite_argument(name, index, kind):
     assert isinstance(err.value, numlin.NumericalError)
 
 
+def test_oracle_refuses_an_overflowed_sum():
+    # A trial's oracle takes A + E unscanned, as the sum of two checked
+    # matrices; one that overflowed is refused before the oracle's SVD.
+    p = _problem()
+    a = p.A.copy()
+    a[1, 1] = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = a + a
+        with pytest.raises(numlin.NonFiniteError):
+            oi.oracle_compute(oi.OuterInverseProblem._trusted(overflowed, p.T, p.S))
+
+
 def test_certificates_need_a_finite_threshold():
     # An infinite b or limit would certify anything under the Frobenius
     # bound; the spectral test decides (and rejects) instead.

@@ -140,10 +140,49 @@ class TestCmdCompute:
         err = capsys.readouterr().err
         assert err.startswith("error: --tol ") and "verify_atol must be positive" in err
 
+    def test_empty_codomain_exits_1_naming_the_field(self, tmp_path, capsys):
+        # A 0x2 A: S would live in C^0, which no subspace does.
+        obj = {
+            "A": {"rows": 0, "cols": 2, "entries": []},
+            "T": {"ambient_dim": 2, "basis": {"rows": 2, "cols": 0, "entries": []}},
+            "S": {"ambient_dim": 0, "basis": {"rows": 0, "cols": 0, "entries": []}},
+        }
+        assert main(["compute", write_json(tmp_path / "p.json", obj)]) == 1
+        assert "ambient_dim is 0" in capsys.readouterr().err
+
     def test_stdout_when_no_out_flag(self, tmp_path, capsys):
         prob_file = write_json(tmp_path / "p.json", identity_problem_obj())
         assert main(["compute", prob_file]) == 0
         assert '"residual_gag"' in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """A command line argparse refuses exits 1 with its usage message: 2 means infeasible."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "c.json", "--axis", "bogus", "--points", "2"], "argument --axis"),
+            (["sweep", "c.json", "--axis", "gap_T", "--points", "x"], "argument --points"),
+            (["verify", "c.json", "--jobs", "x"], "argument --jobs"),
+            (["verify"], "required: campaign"),
+            (["bogus"], "invalid choice"),
+            ([], "required: command"),
+        ],
+        ids=["axis", "points", "jobs", "positional", "subcommand", "no_subcommand"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: oil") and message in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: oil sweep")
 
 
 class TestCmdVerify:

@@ -390,6 +390,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="malformed subspace object: ambient_dim is "):
             ss.subspace_from_obj(json.loads(json.dumps(obj)))
 
+    @pytest.mark.parametrize("ambient", [0, -1])
+    def test_loader_rejects_an_ambient_dim_below_1(self, ambient):
+        # Subspace(basis) refuses a basis with no rows; so does the loader.
+        obj = {"ambient_dim": ambient, "basis": {"rows": 0, "cols": 0, "entries": []}}
+        with pytest.raises(ValueError, match=f"ambient_dim is {ambient}, not at least 1"):
+            ss.subspace_from_obj(obj)
+
     def test_loader_reorthonormalizes(self):
         obj = {
             "ambient_dim": 2,
