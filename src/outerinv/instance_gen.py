@@ -6,8 +6,10 @@ rotate a single basis vector by an angle chosen so the resulting gap is
 analytically ``sin(theta)``, and operator perturbations are scaled
 directly to the requested norm.  That makes hypothesis targeting exact
 and keeps every emitted instance strictly inside its theorem's
-hypothesis region.  Which sizes a theorem perturbs, and the limit each
-target ratio is a fraction of, come from its record in
+hypothesis region.  Which sizes a theorem perturbs, the limit each
+target ratio is a fraction of, and whether its base problem is A's
+Moore-Penrose problem (Lemma 2.1, whose G is then ``pinv(A)`` and
+``||G||`` is ``||pinv(A)||``) come from its record in
 :data:`outerinv.perturbation.REGISTRY`.  :func:`generate` returns the
 :class:`~outerinv.perturbation.PerturbationScenario` itself, after
 rejecting any draw whose hypotheses sit within
@@ -33,7 +35,13 @@ import numpy as np
 
 from . import subspace as ss
 from .numlin import DEFAULT_TOL, ToleranceProfile, op_norm
-from .outer_inverse import ExistenceError, OuterInverseProblem, PreparedProblem, prepare
+from .outer_inverse import (
+    ExistenceError,
+    OuterInverseProblem,
+    PreparedProblem,
+    _moore_penrose_problem,
+    prepare,
+)
 from .perturbation import REGISTRY, PerturbationScenario
 from .perturbation import theorem as theorem_record  # ``theorem`` names generate's argument
 from .subspace import Subspace
@@ -199,19 +207,31 @@ def perturb_subspace_exact_gap(
 
 
 def _draw_feasible_problem(
-    config: GenConfig, rng: np.random.Generator, tol: ToleranceProfile, failures
+    config: GenConfig,
+    rng: np.random.Generator,
+    tol: ToleranceProfile,
+    failures,
+    moore_penrose: bool = False,
 ) -> PreparedProblem | None:
-    """Draw (A, T, S) and prepare it.
+    """Draw (A, T, S), or A's Moore-Penrose problem, and prepare it.
 
     Returns the prepared problem, or None (with the failed existence
     condition counted in ``failures``) when the draw is infeasible.
     """
     a = random_matrix_with_rank(config.m, config.n, config.rank_A, rng)
     a.flags.writeable = False  # finite complex128 by construction; the problem owns it
+    # The Moore-Penrose pair discards T and S.  They are still drawn so
+    # that every theorem keeps the random stream its reference reports
+    # were written from; the generator's planned re-capture (ROADMAP.md,
+    # item 10) removes this draw.
     t = random_subspace(config.n, config.dim_T, rng)
     s = random_subspace(config.m, config.m - config.dim_T, rng)
+    if moore_penrose:
+        problem = _moore_penrose_problem(a, tol)
+    else:
+        problem = OuterInverseProblem._trusted(a, t, s)
     try:
-        return prepare(OuterInverseProblem._trusted(a, t, s), tol)
+        return prepare(problem, tol)
     except ExistenceError as exc:
         kernel_ok = exc.certificate.kernel_meets_T_trivially
         failures["direct_sum" if kernel_ok else "kernel_meets_T"] += 1
@@ -253,7 +273,7 @@ def generate(
         "hypothesis_band": 0,
     }
     for _ in range(config.max_retries):
-        prepared = _draw_feasible_problem(config, rng, tol, failures)
+        prepared = _draw_feasible_problem(config, rng, tol, failures, spec.moore_penrose)
         if prepared is None:
             continue
         problem = prepared.problem
@@ -269,7 +289,7 @@ def generate(
         if target.get("gap_S", 0.0) > 0.0:
             s_prime = perturb_subspace_exact_gap(problem.S, math.asin(target["gap_S"]), rng)
         e = _build_perturbation_E(
-            problem.A, target.get("norm_E", 0.0), spec.rank_preserving_E, rng
+            problem.A, target.get("norm_E", 0.0), spec.moore_penrose, rng
         )
 
         scenario = PerturbationScenario(prepared, t_prime, s_prime, e)

@@ -24,12 +24,14 @@ against ``rtol ||A||_F``.  :func:`existence` runs the same test on its
 own values-only SVD.  No verdict is kept on the problem, so the oracle
 never inherits the pinv route's answer.
 :func:`prepare`, the only constructor of a :class:`PreparedProblem`,
-keeps what the harness derives from (A, T, S) -- ``||A||`` and
-``||pinv(A)||``, G and ``||G||`` and the projectors -- so each trial
-computes G once.  Of A it takes only the singular values, a
-values-only SVD; A's singular vectors are computed only by the one
-check that reads them,
-:func:`~outerinv.perturbation.stable_bounds`.  The orthogonal
+keeps what the harness derives from (A, T, S) -- ``||A||``, G and
+``||G||`` and the projectors -- so each trial computes G once.  Of A it
+takes only ``||A||``, from a values-only SVD.  The Moore-Penrose
+inverse is the outer inverse with T = N(A)_perp and S = R(A)_perp, so
+``pinv(A)`` and ``||pinv(A)||`` are the G and ``||G||`` of
+:func:`moore_penrose_problem`'s problem, one source for every check
+that reads them; that constructor is the one place A's singular
+vectors are computed.  The orthogonal
 complement of S is computed once per :class:`~outerinv.subspace.Subspace`
 and kept there (a loaded S carries it from the SVD that loaded it), so
 the oracle's W on an S the pinv route has seen costs no further SVD.
@@ -61,7 +63,6 @@ from .numlin import (
     SvdFactors,
     ToleranceProfile,
     _cond_from_values,
-    _rank_from_values,
     _singular_values,
     as_matrix,
     matrix_from_obj,
@@ -120,8 +121,7 @@ class OuterInverseProblem:
     S: Subspace
 
     def __post_init__(self):
-        a = as_matrix(self.A).copy()
-        a.flags.writeable = False
+        a = _owned(self.A)
         if self.T.ambient_dim != a.shape[1]:
             raise ValueError(
                 f"T sits in C^{self.T.ambient_dim} but A has {a.shape[1]} columns"
@@ -145,22 +145,28 @@ class OuterInverseProblem:
         return problem
 
 
+def _owned(a) -> np.ndarray:
+    """A checked, read-only complex128 copy of ``a``, which the package owns."""
+    m = as_matrix(a).copy()
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedProblem:
     """A problem whose outer inverse exists, with what every check needs of it.
 
     Built once per trial, only by :func:`prepare`, and handed to the
-    perturbation evaluators.  ``norm_A = ||A||`` and ``norm_pinv_A =
-    ||pinv(A)||`` are read off the singular values of A; the singular
-    vectors of A are not kept.  ``G`` is the pinv route's
-    ``pinv(P_S_perp A P_T)``, never the oracle's, and ``norm_G =
-    ||G||``.  ``P_T`` and ``P_S_perp`` are the orthogonal
-    projectors onto T and the orthogonal complement of S.
+    perturbation evaluators.  ``norm_A = ||A||`` is read off the
+    singular values of A; the singular vectors of A are not kept.  ``G``
+    is the pinv route's ``pinv(P_S_perp A P_T)``, never the oracle's, and
+    ``norm_G = ||G||``; on :func:`moore_penrose_problem`'s problem they
+    are ``pinv(A)`` and ``||pinv(A)||``.  ``P_T`` and ``P_S_perp`` are
+    the orthogonal projectors onto T and the orthogonal complement of S.
     """
 
     problem: OuterInverseProblem
     norm_A: float
-    norm_pinv_A: float
     G: np.ndarray
     norm_G: float
     P_T: np.ndarray
@@ -327,18 +333,15 @@ def prepare(
 ) -> PreparedProblem:
     """Decide existence once, compute G once by the pinv route, and size A.
 
-    The only constructor of :class:`PreparedProblem`.  ``||A||`` and
-    ``||pinv(A)||`` come from the singular values of A alone.  Raises
+    The only constructor of :class:`PreparedProblem`.  ``||A||`` comes
+    from the singular values of A alone.  Raises
     :class:`ExistenceError`, naming the failed condition, when the outer
     inverse does not exist.
     """
     p_t, p_s_perp, g, norm_g = _pinv_route(problem, tol)
-    s = _singular_values(problem.A)
-    r = _rank_from_values(s, problem.A.shape, tol)
     return PreparedProblem(
         problem=problem,
-        norm_A=float(s[0]),
-        norm_pinv_A=1.0 / float(s[r - 1]) if r else 0.0,
+        norm_A=float(_singular_values(problem.A)[0]),
         G=g,
         norm_G=norm_g,
         P_T=p_t,
@@ -404,11 +407,18 @@ def oracle_compute(
 
 def moore_penrose_problem(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseProblem:
     """(A, N(A)_perp, R(A)_perp): the problem whose outer inverse is pinv(A)."""
+    return _moore_penrose_problem(_owned(a), tol)
+
+
+def _moore_penrose_problem(a: np.ndarray, tol: ToleranceProfile) -> OuterInverseProblem:
+    """:func:`moore_penrose_problem` for a read-only complex128 A that the
+    package owns (see :meth:`OuterInverseProblem._trusted`): T and S are
+    read off one full SVD of A, and A is not copied."""
     f = svd(a)
     r = f.rank(tol)
     t = Subspace._trusted(f.right_vectors[:, :r])
     s = Subspace._trusted(f.left_vectors[:, r:])
-    return OuterInverseProblem(a, t, s)
+    return OuterInverseProblem._trusted(a, t, s)
 
 
 def moore_penrose(a, tol: ToleranceProfile = DEFAULT_TOL) -> OuterInverseResult:

@@ -8,9 +8,10 @@ or the operator A itself moves a little:
   inverse under an operator perturbation that does not tilt the range
   into its old orthogonal complement (the "stable perturbation" regime),
   including the resolvent representation of the perturbed inverse and the
-  classical norm/difference bounds with the golden-ratio constant.  A
-  report reads ``||pinv(A)||`` from one place: :func:`stable_bounds` from
-  the prepared problem, :func:`is_stable` from its own SVD of A.
+  classical norm/difference bounds with the golden-ratio constant.
+  :func:`stable_bounds` runs on A's Moore-Penrose problem, whose prepared
+  G and ``||G||`` are ``pinv(A)`` and ``||pinv(A)||``; :func:`is_stable`
+  on bare matrices reads them from its own SVD of A.
 * :func:`gap_propagation` bounds the gap between A·T and A·T' in terms of
   the gap between T and T'.
 * :func:`perturb_T`, :func:`perturb_S`, :func:`perturb_TS`,
@@ -241,21 +242,21 @@ class Theorem:
     problem; :meth:`hypotheses` compares them with a scenario's measured
     sizes.  Sizes not in ``limits`` are left unperturbed by the instance
     generator, and a formula evaluator's oracle gets the base T, S or A
-    for them.  ``rank_preserving_E`` asks the generator for ``E = B A``,
-    which cannot change the rank of A.
+    for them.  ``moore_penrose`` marks a statement about pinv(A): the
+    generator prepares A's Moore-Penrose problem (T = N(A)_perp, S =
+    R(A)_perp, so G = pinv(A)) and draws ``E = B A``, which cannot change
+    the rank of A.
 
     ``diff_bound`` bounds ||G' - G|| and ``norm_bound`` (None for Lemma
     3.1) ||G'||, as functions of the scenario and the oracle's ||G'||; NaN
-    where a denominator is not positive.  ``floor_scale`` scales the
-    absolute slack of the check (:func:`_satisfied`).
+    where a denominator is not positive.
     """
 
     id: str
     limits: Mapping[str, Callable[[PreparedProblem], float]]
     diff_bound: Callable[[PerturbationScenario, float], float]
     norm_bound: Callable[[PerturbationScenario, float], float] | None = None
-    floor_scale: Callable[[PreparedProblem], float] = lambda p: 1.0 + p.norm_G
-    rank_preserving_E: bool = False
+    moore_penrose: bool = False
 
     def hypotheses(self, scenario: PerturbationScenario) -> tuple[HypothesisStatus, ...]:
         """``size < limit`` for each constrained size, at the scenario's measured sizes."""
@@ -300,18 +301,23 @@ def _thm32_denom(s: PerturbationScenario) -> float:
     return 1.0 - s.prepared.norm_G * (s.norm_E + s.prepared.norm_A * _gap_sum(s))
 
 
+def _operator_limit(p: PreparedProblem) -> float:
+    return _reciprocal(p.norm_G)
+
+
+def _operator_norm_bound(s: PerturbationScenario, gp: float) -> float:
+    return _over(s.prepared.norm_G, 1.0 - s.prepared.norm_G * s.norm_E)
+
+
 # The bounds read GOLDEN_RATIO when they are evaluated, and ``gp`` is ||G'||.
 
-# Lemma 2.1: stable perturbation of pinv(A), ||pinv(A)|| ||E|| < 1.
+# Lemma 2.1: stable perturbation of G = pinv(A), ||G|| ||E|| < 1.
 _LEMMA21 = Theorem(
     "lemma21",
-    {"norm_E": lambda p: _reciprocal(p.norm_pinv_A)},
-    norm_bound=lambda s, gp: _over(
-        s.prepared.norm_pinv_A, 1.0 - s.prepared.norm_pinv_A * s.norm_E
-    ),
-    diff_bound=lambda s, gp: GOLDEN_RATIO * gp * s.prepared.norm_pinv_A * s.norm_E,
-    floor_scale=lambda p: 1.0 + p.norm_pinv_A,
-    rank_preserving_E=True,
+    {"norm_E": _operator_limit},
+    norm_bound=_operator_norm_bound,
+    diff_bound=lambda s, gp: GOLDEN_RATIO * gp * s.prepared.norm_G * s.norm_E,
+    moore_penrose=True,
 )
 # Lemma 3.1: gap propagation from T to A T, bounding gap_hat(A T, A T'); no norm bound.
 _LEMMA31 = Theorem(
@@ -353,8 +359,8 @@ _THM31 = Theorem(
 # Lemma 3.2: operator perturbed, ||G|| ||E|| < 1.
 _LEMMA32 = Theorem(
     "lemma32",
-    {"norm_E": lambda p: _reciprocal(p.norm_G)},
-    norm_bound=lambda s, gp: _over(s.prepared.norm_G, 1.0 - s.prepared.norm_G * s.norm_E),
+    {"norm_E": _operator_limit},
+    norm_bound=_operator_norm_bound,
     diff_bound=lambda s, gp: _over(
         s.prepared.norm_G**2 * s.norm_E, 1.0 - s.prepared.norm_G * s.norm_E
     ),
@@ -391,8 +397,9 @@ def theorem(theorem_id: str) -> Theorem:
 def _satisfied(hyps: tuple[HypothesisStatus, ...], scale: float, *checks) -> bool:
     """Every hypothesis holds and every ``(actual, bound)`` pair meets its bound.
 
-    The absolute floor ``BOUND_SLACK * scale`` lets a zero bound (zero
-    perturbation) tolerate cross-route rounding noise; NaN fails.
+    The absolute floor ``BOUND_SLACK * scale``, with ``scale = 1 + ||G||``,
+    lets a zero bound (zero perturbation) tolerate cross-route rounding
+    noise; NaN fails.
     """
     return all(h.satisfied for h in hyps) and all(
         actual <= bound * (1.0 + BOUND_SLACK) + BOUND_SLACK * scale for actual, bound in checks
@@ -439,7 +446,7 @@ def _report(
         diff_bound=diff_bound,
         diff_actual=diff_actual,
         hypotheses=hyps,
-        all_satisfied=_satisfied(hyps, spec.floor_scale(scenario.prepared), *checks),
+        all_satisfied=_satisfied(hyps, 1.0 + scenario.prepared.norm_G, *checks),
         oracle_refusal=refusal,
     )
 
@@ -466,7 +473,8 @@ def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     if dam.shape != am.shape:
         raise ValueError(f"dA has shape {dam.shape}, expected {am.shape}")
     factors = svd(am)
-    cond1, c, bar = _stability(am, factors, factors.pinv(tol), dam, tol)
+    range_perp = Subspace._trusted(factors.left_vectors[:, factors.rank(tol) :])
+    cond1, c, bar = _stability(am, range_perp, factors.pinv(tol), dam, tol)
     row_space_bar = Subspace._trusted(bar.right_vectors[:, : bar.rank(tol)])
     cond2 = ss.intersection_trivial(row_space_bar, kernel_from_svd(factors, tol), tol)
     norm_product = factors.pinv_norm(tol) * op_norm(dam)
@@ -474,11 +482,11 @@ def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
 
 
 def _stability(
-    a, factors: SvdFactors, ap, da, tol: ToleranceProfile
+    a, range_perp: Subspace, ap, da, tol: ToleranceProfile
 ) -> tuple[bool, np.ndarray | None, SvdFactors]:
     """cond1, the resolvent {1,2}-inverse (None unless cond3 holds) and SVD(A + dA).
 
-    For checked same-shape A and dA, given SVD(A) and pinv(A).
+    For checked same-shape A and dA, given R(A)_perp and pinv(A).
     """
     abar = a + da
     c = _resolvent_gi(ap, da, tol)
@@ -486,9 +494,7 @@ def _stability(
     # The range of A + dA against the complement of the range of A.
     bar = svd(abar)
     cond1 = ss.intersection_trivial(
-        Subspace._trusted(bar.left_vectors[:, : bar.rank(tol)]),
-        Subspace._trusted(factors.left_vectors[:, factors.rank(tol) :]),
-        tol,
+        Subspace._trusted(bar.left_vectors[:, : bar.rank(tol)]), range_perp, tol
     )
 
     cond3 = c is not None and (
@@ -498,26 +504,52 @@ def _stability(
     return cond1, c if cond3 else None, bar
 
 
+def _require_moore_penrose(prepared: PreparedProblem, tol: ToleranceProfile) -> None:
+    """ValueError unless ``prepared`` is A's Moore-Penrose problem, so that G = pinv(A).
+
+    ``A - P_S_perp A = P_S A`` vanishes iff S lies in R(A)_perp, and ``A -
+    A P_T`` iff N(A)_perp lies in T.  The outer inverse exists, so N(A)
+    meets T trivially and dim S = m - dim T; the two inclusions are then
+    equalities.  Each residual may be ``verify_atol (1 + ||A||)`` of
+    rounding plus the singular values that the rank rule truncates, at
+    most ``rank_rtol ||A||``; so at a coarse ``rank_rtol`` G is the
+    truncated pinv(A) that :meth:`~outerinv.numlin.SvdFactors.pinv` gives.
+    The Frobenius certificate of :func:`op_norm_at_most` decides both
+    residuals of a Moore-Penrose problem without an SVD.
+    """
+    a = prepared.problem.A
+    limit = tol.verify_atol * (1.0 + prepared.norm_A)
+    limit += tol.effective_rank_rtol(a.shape) * prepared.norm_A
+    if not (
+        op_norm_at_most(a - prepared.P_S_perp @ a, limit)
+        and op_norm_at_most(a - a @ prepared.P_T, limit)
+    ):
+        raise ValueError(
+            "stable_bounds needs the Moore-Penrose problem of A (T = N(A)_perp, "
+            "S = R(A)_perp): build it with moore_penrose_problem"
+        )
+
+
 def stable_bounds(
     scenario: PerturbationScenario, tol: ToleranceProfile = DEFAULT_TOL
 ) -> BoundReport:
     """Lemma 2.1: pinv(A) under a stable perturbation dA = E, against its record's bounds.
 
-    Only A matters here, with ``||pinv(A)||`` taken from
-    ``scenario.prepared`` for the hypothesis and both bounds.  For a bare
-    matrix build the scenario on ``prepare(moore_penrose_problem(A))``.
-    This is the one check that reads the singular vectors of A, so it
-    factors A itself.  It reads cond1 (an extra hypothesis) and cond3's
+    The scenario is built on A's Moore-Penrose problem,
+    ``prepare(moore_penrose_problem(A))``, so ``prepared.G`` is pinv(A),
+    ``prepared.norm_G`` is ``||pinv(A)||`` and the problem's S is
+    R(A)_perp; :func:`_require_moore_penrose` checks that, and this check
+    takes no SVD of A.  It reads cond1 (an extra hypothesis) and cond3's
     resolvent {1,2}-inverse, and builds no :class:`StableReport`.  The
     formula route projects that {1,2}-inverse onto pinv(A + dA)
     (:meth:`~outerinv.numlin.SvdFactors.pinv_from_12_inverse`); the oracle
     route is the SVD pseudoinverse of A + dA.  Both use the SVD of A + dA
     that the stability check took.
     """
-    am = scenario.prepared.problem.A
-    factors = svd(am)
-    ap = factors.pinv(tol)
-    cond1, c, bar = _stability(am, factors, ap, scenario.E, tol)
+    prepared = scenario.prepared
+    am, ap = prepared.problem.A, prepared.G
+    _require_moore_penrose(prepared, tol)
+    cond1, c, bar = _stability(am, prepared.problem.S, ap, scenario.E, tol)
 
     formula = None if c is None else bar.pinv_from_12_inverse(c, tol)
     oracle = bar.pinv(tol)

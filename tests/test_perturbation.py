@@ -18,7 +18,14 @@ from outerinv.instance_gen import (
     random_subspace,
 )
 from outerinv.numlin import op_norm, pinv, svd
-from outerinv.outer_inverse import OuterInverseProblem, compute, moore_penrose_problem, prepare
+from outerinv.outer_inverse import (
+    OuterInverseProblem,
+    column_space,
+    compute,
+    moore_penrose_problem,
+    prepare,
+    row_space,
+)
 from outerinv.perturbation import (
     GOLDEN_RATIO,
     HypothesisStatus,
@@ -81,7 +88,7 @@ class TestHypothesisStatus:
             theorem("thm99")
 
     def test_zero_operator_leaves_E_unconstrained(self):
-        # ||pinv(A)|| = ||G|| = 0: the limits 1/||pinv(A)|| and 1/||G|| are infinite.
+        # ||pinv(A)|| = ||G|| = 0: the limit 1/||G|| of both lemmas is infinite.
         sc = scenario(moore_penrose_problem(np.zeros((2, 2), dtype=complex)), E=0.1 * np.eye(2))
         assert stable_bounds(sc).hypotheses[0] == HypothesisStatus("norm_E", math.inf, 0.1)
         assert perturb_A(sc).all_satisfied
@@ -144,9 +151,13 @@ class TestStableEquivalence:
 
 class TestStableBounds:
     def test_zero_perturbation(self, rng):
+        # The oracle's pinv(A + 0) is the SVD pseudoinverse of A, and the
+        # base is the pinv route's G = pinv(A): the actual difference is the
+        # rounding between those two routes, to the bit.
         a = complex_gaussian(rng, (3, 4))
-        report = stable_bounds(scenario(moore_penrose_problem(a)))
-        assert report.diff_actual == 0.0
+        sc = scenario(moore_penrose_problem(a))
+        report = stable_bounds(sc)
+        assert report.diff_actual == op_norm(svd(a).pinv() - sc.prepared.G)
         assert report.diff_bound == 0.0
         assert report.all_satisfied
 
@@ -175,6 +186,14 @@ class TestStableBounds:
         da = np.diag([0.0, 1e-3]).astype(complex)
         report = stable_bounds(scenario(moore_penrose_problem(a), E=da))
         assert not report.all_satisfied
+
+    def test_needs_the_moore_penrose_problem(self, rng):
+        # On any other (A, T, S) the prepared G is not pinv(A), so the
+        # report would be silently wrong; it is refused instead.
+        for _ in range(20):
+            prob = random_feasible_problem(rng, m=6, n=5, rank_a=4, dim_t=3)
+            with pytest.raises(ValueError, match="Moore-Penrose"):
+                stable_bounds(scenario(prob, E=1e-3 * prob.A))
 
 
 def stored_flags(a, da):
@@ -212,19 +231,22 @@ class TestOneNormPinvPerReport:
 
     @staticmethod
     def default_campaign_lemma21():
-        # Trial 0 of lemma21 in the default campaign: the values-only SVD of
-        # ``prepare`` and the full SVD of A give ||pinv(A)|| different last bits.
+        # Trial 0 of lemma21 in the default campaign: the pinv route's
+        # ||G|| = ||pinv(A)|| and the SVD of A give different last bits.
         gen = CampaignConfig.default().gen
         sc = generate(replace(gen, seed=derive_trial_seed(gen.seed, "lemma21", 0)), "lemma21")
-        assert svd(sc.prepared.problem.A).pinv_norm() != sc.prepared.norm_pinv_A
+        assert svd(sc.prepared.problem.A).pinv_norm() != sc.prepared.norm_G
         return sc
 
     def test_stable_bounds_reads_the_prepared_norm(self):
+        # norm_G is the one source of ||pinv(A)|| for the threshold and both bounds.
         sc = self.default_campaign_lemma21()
-        norm_ap = sc.prepared.norm_pinv_A
+        norm_ap = sc.prepared.norm_G
         report = stable_bounds(sc)
         assert report.hypotheses[0].threshold == 1.0 / norm_ap
         assert report.norm_bound == norm_ap / (1.0 - norm_ap * sc.norm_E)
+        gp = report.norm_actual
+        assert report.diff_bound == GOLDEN_RATIO * gp * norm_ap * sc.norm_E
 
     def test_is_stable_reads_its_own_svd(self):
         sc = self.default_campaign_lemma21()
@@ -238,6 +260,19 @@ class TestOneNormPinvPerReport:
             report = is_stable(a, da)
             assert (report.cond3_formula_valid, report.hypothesis_met) == stored_flags(a, da)
             assert report.hypothesis_met == (case != "beyond_hypothesis")
+
+
+class TestLemma21UsesTheMoorePenrosePair:
+    """A generated lemma21 scenario is A's Moore-Penrose problem, with G = pinv(A)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generated_problem_is_the_moore_penrose_pair(self, seed):
+        sc = generate(GenConfig(seed=seed), "lemma21")
+        prob, g = sc.prepared.problem, sc.prepared.G
+        assert ss.gap_hat(prob.T, row_space(prob.A)) <= 1e-12
+        assert ss.gap_hat(prob.S, ss.orthogonal_complement(column_space(prob.A))) <= 1e-12
+        assert op_norm(g - pinv(prob.A)) <= 1e-12 * (1.0 + op_norm(g))
+
 
 class TestGapPropagation:
     def test_identical_subspace(self, rng):

@@ -14,7 +14,7 @@ from outerinv import subspace as ss
 from outerinv import harness_cli
 from outerinv.harness_cli import RELERR_GATE, CampaignConfig, run_trial
 from outerinv.instance_gen import THEOREMS, GenConfig, generate
-from outerinv.numlin import op_norm, pinv
+from outerinv.numlin import op_norm
 from outerinv.outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
@@ -27,6 +27,7 @@ from outerinv.outer_inverse import (
     result_to_obj,
 )
 from outerinv.perturbation import (
+    Theorem,
     gap_propagation,
     is_stable,
     perturb_A,
@@ -67,7 +68,6 @@ class TestPrepare:
             assert np.array_equal(g, compute(prob).G)
             assert prepared.norm_A == pytest.approx(op_norm(a), rel=1e-12)
             assert prepared.norm_G == pytest.approx(op_norm(g), rel=1e-10)
-            assert prepared.norm_pinv_A == pytest.approx(op_norm(pinv(a)), rel=1e-10)
             assert np.allclose(prepared.P_T, ss.projector(prob.T), atol=1e-14)
             s_perp = ss.projector(ss.orthogonal_complement(prob.S))
             assert np.allclose(prepared.P_S_perp, s_perp, atol=1e-14)
@@ -140,7 +140,8 @@ def test_svd_budget_per_trial(monkeypatch):
 def test_svd_of_the_full_shape_per_trial(monkeypatch):
     # At 40x30 the only m-by-n matrix a trial factors with singular vectors
     # is the pinv route's P_S_perp A P_T; prepare reads A's singular values
-    # alone.  lemma21 also factors A and A + E, whose vectors it reads.
+    # alone.  lemma21 also factors A, in moore_penrose_problem, whose
+    # vectors give T and S, and A + E in stable_bounds.
     shapes = []
     original = np.linalg.svd
 
@@ -259,9 +260,13 @@ def test_problem_records_hold_values_only():
     # No verdict, image or profile rides on a problem: each is derived by
     # the code that reads it.
     assert [f.name for f in fields(OuterInverseProblem)] == ["A", "T", "S"]
-    prepared = ["problem", "norm_A", "norm_pinv_A", "G", "norm_G", "P_T", "P_S_perp"]
+    prepared = ["problem", "norm_A", "G", "norm_G", "P_T", "P_S_perp"]
     assert [f.name for f in fields(PreparedProblem)] == prepared
     assert not hasattr(PreparedProblem, "AT")
+    # A theorem's record holds its statement; lemma21's base inverse is
+    # pinv(A) by its Moore-Penrose problem, so no record scales its own slack.
+    statement = ["id", "limits", "diff_bound", "norm_bound", "moore_penrose"]
+    assert [f.name for f in fields(Theorem)] == statement
 
 
 def test_lemma31_images_are_the_ones_image_of_builds():
