@@ -31,18 +31,17 @@ inverse is the outer inverse with T = N(A)_perp and S = R(A)_perp, so
 ``pinv(A)`` and ``||pinv(A)||`` are the G and ``||G||`` of
 :func:`moore_penrose_problem`'s problem, one source for every check
 that reads them; that constructor is the one place A's singular
-vectors are computed.  The orthogonal
-complement of S is computed once per :class:`~outerinv.subspace.Subspace`
-and kept there (a loaded S carries it from the SVD that loaded it), so
-the oracle's W on an S the pinv route has seen costs no further SVD.
-The classical
+vectors are computed.  Every subspace read off an SVD (a kernel, column
+or row space, A·T, the T and S of the classical problems, a loaded one)
+keeps the other columns of its factor as its orthogonal complement, and
+any other computes its complement once and keeps it, so the oracle's W
+on an S the pinv route has seen costs no further SVD.  The classical
 special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
 constructors that pick the right (T, S) pair and delegate.
 
-The subspaces read off an SVD (kernel, column space, row space, A·T)
-own copies of their columns, so none of them keeps a full
-singular-vector matrix alive.  Problems and results travel as plain
-dicts (:func:`problem_to_obj`, :func:`problem_from_obj`,
+The subspaces read off an SVD own copies of their columns, so none of
+them keeps a full singular-vector matrix alive.  Problems and results
+travel as plain dicts (:func:`problem_to_obj`, :func:`problem_from_obj`,
 :func:`result_to_obj`) whose matrix entries are ``(re, im)`` tuples,
 which the cycle collector stops tracking (see
 :func:`~outerinv.numlin.matrix_to_obj`); callers do their own JSON
@@ -79,7 +78,6 @@ __all__ = [
     "OuterInverseResult",
     "ExistenceError",
     "kernel",
-    "kernel_from_svd",
     "column_space",
     "row_space",
     "image_of",
@@ -202,28 +200,21 @@ class OuterInverseResult:
 
 
 def kernel(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """Null space of A as a Subspace of the domain."""
-    return kernel_from_svd(svd(a), tol)
-
-
-def kernel_from_svd(factors: SvdFactors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
-    """Null space of the factored matrix: its right singular vectors past the rank."""
-    return Subspace._trusted(factors.right_vectors[:, factors.rank(tol) :])
+    """Null space of A as a Subspace of the domain: its right singular vectors past the rank."""
+    f = svd(a)
+    return ss._from_singular_vectors(f.right_vectors, f.rank(tol), trailing=True)
 
 
 def column_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Range of A as a Subspace of the codomain."""
-    return _column_space_from_svd(svd(a), tol)
-
-
-def _column_space_from_svd(factors: SvdFactors, tol: ToleranceProfile) -> Subspace:
-    return Subspace._trusted(factors.left_vectors[:, : factors.rank(tol)])
+    f = svd(a)
+    return ss._from_singular_vectors(f.left_vectors, f.rank(tol))
 
 
 def row_space(a, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement of the kernel (= range of A*)."""
     f = svd(a)
-    return Subspace._trusted(f.right_vectors[:, : f.rank(tol)])
+    return ss._from_singular_vectors(f.right_vectors, f.rank(tol))
 
 
 def image_of(a, v: Subspace, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
@@ -243,7 +234,7 @@ def _image(a: np.ndarray, v: Subspace, tol: ToleranceProfile) -> Subspace:
     # image_of for an A already checked.
     image = svd(a @ v.basis)
     dim = int(np.count_nonzero(image.singular_values > _rank_threshold(a, tol)))
-    return ss._span_from_svd(image, dim)
+    return ss._from_singular_vectors(image.left_vectors, dim)
 
 
 def _rank_threshold(a: np.ndarray, tol: ToleranceProfile) -> float:
@@ -300,7 +291,10 @@ def _require_exists(cert: ExistenceCertificate) -> None:
     if not cert.exists:
         reasons = []
         if not cert.kernel_meets_T_trivially:
-            reasons.append("kernel intersection nontrivial (N(A) meets T)")
+            reasons.append(
+                "kernel intersection nontrivial (N(A) meets T: sigma_d(A B_T) <= rank_rtol "
+                "||A||_F, d = dim T, a scale kernel() does not use: it ranks by sigma_max(A))"
+            )
         if not cert.direct_sum_holds:
             reasons.append("direct sum fails (A·T and S do not split the codomain)")
         raise ExistenceError("outer inverse does not exist: " + "; ".join(reasons), cert)
@@ -361,11 +355,14 @@ def compute(
     """
     _, _, g, _ = _pinv_route(problem, tol)
     f = svd(g)
+    r = f.rank(tol)
+    range_g = ss._from_singular_vectors(f.left_vectors, r)
+    kernel_g = ss._from_singular_vectors(f.right_vectors, r, trailing=True)
     return OuterInverseResult(
         G=g,
         residual_gag=op_norm(g @ problem.A @ g - g),
-        range_gap=ss.gap_hat(_column_space_from_svd(f, tol), problem.T),
-        null_gap=ss.gap_hat(kernel_from_svd(f, tol), problem.S),
+        range_gap=ss.gap_hat(range_g, problem.T),
+        null_gap=ss.gap_hat(kernel_g, problem.S),
     )
 
 
@@ -416,8 +413,8 @@ def _moore_penrose_problem(a: np.ndarray, tol: ToleranceProfile) -> OuterInverse
     read off one full SVD of A, and A is not copied."""
     f = svd(a)
     r = f.rank(tol)
-    t = Subspace._trusted(f.right_vectors[:, :r])
-    s = Subspace._trusted(f.left_vectors[:, r:])
+    t = ss._from_singular_vectors(f.right_vectors, r)
+    s = ss._from_singular_vectors(f.left_vectors, r, trailing=True)
     return OuterInverseProblem._trusted(a, t, s)
 
 
@@ -453,8 +450,9 @@ def _drazin_problem(a, what: str, tol: ToleranceProfile) -> tuple[int, OuterInve
             norm_a = nxt_factors.norm
         r_next = int(np.count_nonzero(nxt_factors.singular_values > rtol * norm_a ** (k + 1)))
         if r_next == r:
-            t = Subspace._trusted(factors.left_vectors[:, :r])
-            return k, OuterInverseProblem(am, t, Subspace._trusted(factors.right_vectors[:, r:]))
+            t = ss._from_singular_vectors(factors.left_vectors, r)
+            s = ss._from_singular_vectors(factors.right_vectors, r, trailing=True)
+            return k, OuterInverseProblem(am, t, s)
         if r_next > r:
             break
         power, factors, r = nxt, nxt_factors, r_next

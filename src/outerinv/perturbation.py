@@ -74,7 +74,6 @@ from .outer_inverse import (
     OuterInverseProblem,
     PreparedProblem,
     _image,
-    kernel_from_svd,
     oracle_compute,
 )
 from .subspace import Subspace
@@ -456,14 +455,10 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_gi(ap: np.ndarray, da: np.ndarray, tol: ToleranceProfile):
-    """``pinv(A) (I + dA pinv(A))^{-1}`` or None if the factor is singular."""
-    factor = np.eye(da.shape[0], dtype=np.complex128) + da @ ap
-    try:
-        # C = A^+ factor^{-1}, solved from the right.
-        return solve_square(factor.T, ap.T, tol).T
-    except IllConditionedError:
-        return None
+def _right_resolvent(g: np.ndarray, e: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """``G (I + E G)^{-1}``, solved from the right; IllConditionedError if the factor is."""
+    factor = np.eye(e.shape[0], dtype=np.complex128) + e @ g
+    return solve_square(factor.T, g.T, tol).T
 
 
 def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
@@ -473,10 +468,12 @@ def is_stable(a, da, tol: ToleranceProfile = DEFAULT_TOL) -> StableReport:
     if dam.shape != am.shape:
         raise ValueError(f"dA has shape {dam.shape}, expected {am.shape}")
     factors = svd(am)
-    range_perp = Subspace._trusted(factors.left_vectors[:, factors.rank(tol) :])
+    r = factors.rank(tol)
+    range_perp = ss._from_singular_vectors(factors.left_vectors, r, trailing=True)
     cond1, c, bar = _stability(am, range_perp, factors.pinv(tol), dam, tol)
-    row_space_bar = Subspace._trusted(bar.right_vectors[:, : bar.rank(tol)])
-    cond2 = ss.intersection_trivial(row_space_bar, kernel_from_svd(factors, tol), tol)
+    row_space_bar = ss._from_singular_vectors(bar.right_vectors, bar.rank(tol))
+    kernel_a = ss._from_singular_vectors(factors.right_vectors, r, trailing=True)
+    cond2 = ss.intersection_trivial(row_space_bar, kernel_a, tol)
     norm_product = factors.pinv_norm(tol) * op_norm(dam)
     return StableReport(cond1=cond1, cond2=cond2, gi_matrix=c, norm_product=norm_product)
 
@@ -489,13 +486,16 @@ def _stability(
     For checked same-shape A and dA, given R(A)_perp and pinv(A).
     """
     abar = a + da
-    c = _resolvent_gi(ap, da, tol)
+    try:
+        # pinv(A) (I + dA pinv(A))^{-1}; None when the factor is singular.
+        c = _right_resolvent(ap, da, tol)
+    except IllConditionedError:
+        c = None
 
     # The range of A + dA against the complement of the range of A.
     bar = svd(abar)
-    cond1 = ss.intersection_trivial(
-        Subspace._trusted(bar.left_vectors[:, : bar.rank(tol)]), range_perp, tol
-    )
+    range_bar = ss._from_singular_vectors(bar.left_vectors, bar.rank(tol))
+    cond1 = ss.intersection_trivial(range_bar, range_perp, tol)
 
     cond3 = c is not None and (
         op_norm_at_most(abar @ c @ abar - abar, tol.verify_atol * (1.0 + bar.norm))
@@ -684,10 +684,9 @@ def perturb_A(
     perturbed inverse whenever ``||G|| ||E|| < 1`` (Lemma 3.2).
     """
     g, em = scenario.prepared.G, scenario.E
-    m, n = em.shape
 
-    left = solve_square(np.eye(n, dtype=np.complex128) + g @ em, g, tol)
-    right = solve_square((np.eye(m, dtype=np.complex128) + em @ g).T, g.T, tol).T
+    left = solve_square(np.eye(em.shape[1], dtype=np.complex128) + g @ em, g, tol)
+    right = _right_resolvent(g, em, tol)
     if not residual_within(left - right, left, tol.verify_atol):
         raise NumericalError(
             f"left and right resolvent forms disagree by {op_norm(left - right):.3e}"

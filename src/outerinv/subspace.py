@@ -25,11 +25,14 @@ IV §2; Stewart and Sun, *Matrix Perturbation Theory*, I §5).
 A basis is validated where it enters: ``Subspace(basis)`` checks that it
 is finite and orthonormal, and :func:`subspace_from_obj` that it is
 finite and of full column rank (the stored basis is re-orthonormalized).
-Bases the package makes orthonormal by construction -- QR factors, SVD
-columns, the cached orthogonal complement and the plane rotation of
-:func:`~outerinv.instance_gen.perturb_subspace_exact_gap` -- are wrapped
-by the private ``Subspace._trusted`` and not checked again.  Either way
-the subspace owns its basis and the basis is read-only.
+Bases the package makes orthonormal by construction -- QR factors, the
+plane rotation of :func:`~outerinv.instance_gen.perturb_subspace_exact_gap`
+and singular-vector columns -- are wrapped by the private
+``Subspace._trusted`` and not checked again.  Either way the subspace
+owns its basis and the basis is read-only.  One unitary factor of an SVD
+holds orthonormal bases of a subspace and of its orthogonal complement
+(Stewart and Sun, I §4), so :func:`_from_singular_vectors`, the one
+reader of singular-vector columns, keeps both.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import numpy as np
 from .numlin import (
     CERT_MARGIN,
     DEFAULT_TOL,
-    SvdFactors,
     ToleranceProfile,
     _wire_size,
     as_matrix,
@@ -80,10 +82,11 @@ class Subspace:
     read-only.  The public constructor checks the basis (2-d, at least
     one row, finite entries, orthonormal columns) and stores a read-only
     copy, leaving the caller's array as it was; the package's own
-    producers, whose bases are orthonormal by construction (QR, SVD
-    columns), build through :meth:`_trusted` without the check.
-    Equality and hashing are by identity.  The orthogonal complement is
-    computed at most once per instance (see :func:`orthogonal_complement`).
+    orthonormal producers (QR factors; SVD columns, through
+    :func:`_from_singular_vectors`) skip the check by way of
+    :meth:`_trusted`.  Equality and hashing are by identity.  The
+    orthogonal complement is computed at most once, and never for a
+    subspace read off an SVD (see :func:`orthogonal_complement`).
     """
 
     basis: np.ndarray
@@ -129,34 +132,34 @@ class Subspace:
 
     @cached_property
     def _complement(self) -> "Subspace":
-        # Computed on the first orthogonal_complement() call and kept;
-        # from_spanning_set stores its own instead.
-        d = self.dim
-        if d == 0:
-            return Subspace._trusted(np.eye(self.ambient_dim, dtype=np.complex128))
-        return Subspace._trusted(svd(self.basis).left_vectors[:, d:])
+        # Computed on the first orthogonal_complement() call and kept; a
+        # subspace read off an SVD has it stored from the start.
+        d, n = self.dim, self.ambient_dim
+        vectors = svd(self.basis).left_vectors if d else np.eye(n, dtype=np.complex128)
+        return _from_singular_vectors(vectors, d, trailing=True)
+
+
+def _from_singular_vectors(vectors: np.ndarray, r: int, trailing: bool = False) -> Subspace:
+    """The span of the first ``r`` columns of the unitary ``vectors``, or with
+    ``trailing`` of the rest; the other columns are stored as its orthogonal
+    complement, which keeps no reference back (so no reference cycle)."""
+    head, tail = Subspace._trusted(vectors[:, :r]), Subspace._trusted(vectors[:, r:])
+    span, rest = (tail, head) if trailing else (head, tail)
+    # Where the cached property _complement would store its value.
+    span.__dict__["_complement"] = rest
+    return span
 
 
 def from_spanning_set(vectors, tol: ToleranceProfile = DEFAULT_TOL) -> Subspace:
     """Column span of ``vectors`` as a Subspace.
 
-    The basis comes from the SVD of the input, truncated at the shared
-    rank threshold, so dependent or zero columns are dropped.  The
-    trailing left singular vectors of the same SVD, an orthonormal basis
-    of what the kept ones leave out, are stored as the subspace's
-    orthogonal complement, so :func:`orthogonal_complement` of a span
-    factors nothing more.
+    The basis is the leading left singular vectors of the input, truncated
+    at the shared rank threshold, so dependent or zero columns are
+    dropped; the trailing ones are its orthogonal complement (see
+    :func:`_from_singular_vectors`).
     """
     f = svd(vectors)
-    return _span_from_svd(f, f.rank(tol))
-
-
-def _span_from_svd(f: SvdFactors, r: int) -> Subspace:
-    """The span of the first ``r`` left singular vectors; the rest are its complement."""
-    span = Subspace._trusted(f.left_vectors[:, :r])
-    # Where the cached property _complement would store its value.
-    span.__dict__["_complement"] = Subspace._trusted(f.left_vectors[:, r:])
-    return span
+    return _from_singular_vectors(f.left_vectors, f.rank(tol))
 
 
 def projector(v: Subspace) -> np.ndarray:
@@ -207,11 +210,11 @@ def gap_hat(m: Subspace, n: Subspace) -> float:
 def orthogonal_complement(v: Subspace) -> Subspace:
     """Orthogonal complement; dims add up to the ambient dimension.
 
-    Its basis is trailing left singular vectors.  A subspace from
-    :func:`from_spanning_set` (a loaded one too) carries those of the SVD
-    that built it.  Any other subspace takes those of ``v.basis``, whose
-    SVD runs on the first call for ``v``.  Every later call returns the
-    same subspace, whose basis is read-only.
+    A subspace read off an SVD by :func:`_from_singular_vectors` (a span, a
+    loaded one, a kernel, row or column space, image or complement) carries
+    the other columns of that factor, so this takes no SVD.  Any other takes
+    the trailing left singular vectors of ``v.basis``, whose SVD runs on the
+    first call for ``v``.  Every later call returns the same subspace.
     """
     return v._complement
 

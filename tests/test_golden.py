@@ -56,8 +56,23 @@ match the copy from commit 6a073c3.  The CSV matched within ``RTOL`` and
 ``hyp_ok``.  Only lemma21 cells moved: 126 cells, the non-``relerr``
 ones by at most 3.4e-15 relative.  The summary moved only lemma21's
 ``max_relerr``, from 1.18e-15 to 1.45e-15, with identical skip, refusal
-and violation counts and exit code.  Do not regenerate the fixtures to
-make a change pass.
+and violation counts and exit code.
+
+Both were re-written again when every subspace read off an SVD began to
+keep the other columns of its factor as its orthogonal complement, so
+lemma21's pinv route takes P_S_perp from A's own SVD (its leading left
+singular vectors) instead of from a second SVD of the basis of
+S = R(A)_perp.  Before that, each output was written both from a
+checkout of commit c77cd7c and from the new tree, and the two compared
+by the rules of ``_assert_matches``.  The CSV matched within ``RTOL``
+and ``ATOL``, with identical metadata, header, trial ids, theorems and
+``hyp_ok``.  Only lemma21 cells moved: 130 cells, the non-``relerr``
+ones by at most 4.25e-15 relative, the ``relerr`` ones within ``ATOL``.
+The summary moved only lemma21's ``max_relerr``, from 1.45e-15 to
+1.91e-15, with identical skip, refusal and violation counts and exit
+code 3.  Every row of the other six theorems stayed byte-identical, and
+so did ``compute_40x30.json``, whose loaded S already kept its
+complement.  Do not regenerate the fixtures to make a change pass.
 """
 
 import contextlib

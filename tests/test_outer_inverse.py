@@ -5,6 +5,7 @@ import json
 import math
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from outerinv.outer_inverse import (
     ExistenceError,
     OuterInverseProblem,
     bott_duffin,
+    column_space,
     compute,
     drazin,
     drazin_index,
@@ -35,10 +37,12 @@ from outerinv.outer_inverse import (
     image_of,
     kernel,
     moore_penrose,
+    moore_penrose_problem,
     oracle_compute,
     problem_from_obj,
     problem_to_obj,
     result_to_obj,
+    row_space,
 )
 
 from helpers import complex_gaussian, line, random_feasible_problem
@@ -680,3 +684,90 @@ def test_moore_penrose_equals_pinv_batch(rng):
         a = random_matrix_with_rank(m, n, r, rng)
         res = moore_penrose(a)
         assert op_norm(res.G - pinv(a)) <= 1e-8 * (1.0 + op_norm(pinv(a)))
+
+
+def test_kernel_meets_T_names_the_existence_rule():
+    # At rank_rtol 0.15, 0.2 > 0.15 sigma_max(A) = 0.15, so kernel() keeps
+    # every direction, but 0.2 < 0.15 ||A||_F (about 0.30), so the
+    # existence test reads A's Moore-Penrose problem as N(A) meeting T.
+    a = np.diag([1.0, 1.0, 1.0, 1.0, 0.2]).astype(complex)
+    tol = ToleranceProfile(rank_rtol=0.15)
+    assert kernel(a, tol).dim == 0
+    with pytest.raises(ExistenceError) as raised:
+        moore_penrose(a, tol)
+    message = str(raised.value)
+    assert "kernel intersection nontrivial" in message
+    assert "sigma_d(A B_T) <= rank_rtol ||A||_F" in message
+    assert "kernel() does not use" in message
+
+
+def svd_calls():
+    """Count numpy.linalg.svd calls made inside the ``with`` block."""
+    return mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_every_subspace_read_off_an_svd_carries_its_complement(data):
+    # Each producer reads its subspace off one unitary factor of an SVD and
+    # keeps the factor's other columns as the complement: no SVD is taken
+    # for it, the dimensions fill the ambient space, and the two bases
+    # together are orthonormal.
+    m = data.draw(st.integers(1, 9), label="m")
+    n = data.draw(st.integers(1, 8), label="n")
+    r = data.draw(st.integers(0, min(m, n)), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = random_matrix_with_rank(m, n, r, rng)
+    v = random_subspace(n, int(rng.integers(0, n + 1)), rng)
+    mp = moore_penrose_problem(a)
+    produced = {
+        "kernel": kernel(a),
+        "row_space": row_space(a),
+        "column_space": column_space(a),
+        "image_of": image_of(a, v),
+        "from_spanning_set": ss.from_spanning_set(a),
+        "moore_penrose T": mp.T,
+        "moore_penrose S": mp.S,
+    }
+    for name, sub in produced.items():
+        with svd_calls() as calls:
+            comp = ss.orthogonal_complement(sub)
+        assert calls.call_count == 0, name
+        assert sub.dim + comp.dim == sub.ambient_dim == comp.ambient_dim, name
+        cross = sub.basis.conj().T @ comp.basis
+        assert cross.size == 0 or op_norm(cross) <= 1e-13, name
+        gram = comp.basis.conj().T @ comp.basis - np.eye(comp.dim)
+        assert gram.size == 0 or op_norm(gram) <= 1e-13, name
+
+
+def _similar_to(core, rng):
+    x = complex_gaussian(rng, core.shape)
+    return x @ core @ np.linalg.inv(x)
+
+
+def test_svd_counts_of_the_classical_inverses():
+    # Every T and S here is read off an SVD, or is the complement the
+    # constraint's SVD gives together with its own, so the pinv route's
+    # P_S_perp costs no SVD.  Each count is the SVDs of the problem's
+    # subspaces plus compute's 5 (the product P_S_perp A P_T, G, ||GAG - G||
+    # and the two gaps).  Before the complement was kept, each was one more.
+    # The group inverse factors A and A^2 and Drazin A, A^2 and A^3 (index 2).
+    rng = np.random.default_rng(3)
+    core = np.diag([1.0, 2.0, 3.0, 0.5, 1.5, 0.0, 0.0, 0.0]).astype(complex)
+    index_two = core.copy()
+    index_two[6, 7] = 1.0
+    a_mp = random_matrix_with_rank(40, 30, 24, rng)
+    a_group, a_drazin = _similar_to(core, rng), _similar_to(index_two, rng)
+    a_bd, constraint = complex_gaussian(rng, (8, 8)), random_subspace(8, 3, rng)
+    cases = {
+        "moore_penrose": lambda: moore_penrose(a_mp),
+        "group_inverse": lambda: group_inverse(a_group),
+        "drazin": lambda: drazin(a_drazin),
+        "bott_duffin": lambda: bott_duffin(a_bd, constraint),
+    }
+    counts = {}
+    for name, call in cases.items():
+        with svd_calls() as calls:
+            call()
+        counts[name] = calls.call_count
+    assert counts == {"moore_penrose": 6, "group_inverse": 7, "drazin": 8, "bott_duffin": 6}

@@ -50,3 +50,24 @@ def test_every_import_is_used(source):
             # the harness's evaluator table look names up by string.
             used.add(node.value)
     assert not sorted(set(_imported_names(tree)) - used)
+
+
+def _calls_trusted_subspace(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_trusted"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "Subspace"
+        for node in ast.walk(tree)
+    )
+
+
+def test_singular_vectors_become_subspaces_in_one_place():
+    # A subspace made of singular-vector columns is built only by
+    # subspace._from_singular_vectors, which also keeps its complement.
+    # instance_gen wraps its QR factors and plane rotations, which are not
+    # SVD columns, with Subspace._trusted directly; no other module does.
+    callers = {p.name for p in SOURCES if _calls_trusted_subspace(p)}
+    assert callers == {"subspace.py", "instance_gen.py"}
