@@ -2,8 +2,8 @@
 
 Three subcommands on the ``oil`` entry point:
 
-* ``oil compute <problem.json> [--tol X] [--out F]`` computes one outer
-  inverse from a problem file.
+* ``oil compute <problem.json> [--out F]`` computes one outer inverse
+  from a problem file on the default tolerance profile.
 * ``oil verify <campaign.json> [--jobs N]`` runs a campaign: for each
   configured theorem and trial it generates a fresh instance, evaluates
   the corresponding perturbation operation, and appends one table row.
@@ -587,12 +587,7 @@ def _load_campaign(path: str) -> CampaignConfig:
 
 
 def cmd_compute(args) -> int:
-    obj = _load_json_file(args.problem)
-    try:
-        tol = ToleranceProfile() if args.tol is None else ToleranceProfile(verify_atol=args.tol)
-    except ValueError as exc:
-        raise ValueError(f"--tol {args.tol}: {exc}") from None
-    result = compute(problem_from_obj(obj, tol), tol)
+    result = compute(problem_from_obj(_load_json_file(args.problem)))
     text = json.dumps(result_to_obj(result), indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -644,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="compute one outer inverse from a problem file")
     p_compute.add_argument("problem", help="problem JSON file: {A, T, S}")
-    p_compute.add_argument("--tol", type=float, default=None, help="verification tolerance")
     p_compute.add_argument("--out", default=None, help="result file (default: stdout)")
     p_compute.set_defaults(func=cmd_compute)
 

@@ -7,6 +7,7 @@ directory has a ``conftest.py`` too, and both are collected in one run.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from outerinv import instance_gen as ig
 from outerinv import subspace as ss
@@ -51,3 +52,24 @@ def scenario(problem, *, T_prime=None, S_prime=None, E=None) -> PerturbationScen
         np.zeros_like(problem.A) if E is None else E,
     )
 
+
+def draw_gen_config(data, **ratios) -> ig.GenConfig:
+    """A GenConfig drawn from a Hypothesis ``st.data()``, with ``ratios`` as given.
+
+    Shapes up to 9x8 with any rank and dim T the generator accepts, and
+    the edges the default campaign (6x5, rank 4, dim T 3) never reaches:
+    m = n, dim T = rank A and dim T = n - 1.
+    """
+    edge = data.draw(st.sampled_from(["any", "m = n", "dim T = rank A", "dim T = n - 1"]))
+    n = data.draw(st.integers(2, 8), label="n")
+    m = n if edge == "m = n" else data.draw(st.integers(n if edge == "dim T = n - 1" else 2, 9))
+    low = n - 1 if edge == "dim T = n - 1" else 1
+    rank_a = data.draw(st.integers(low, min(m, n) - (edge == "dim T = rank A")), label="rank_A")
+    if edge == "dim T = rank A":
+        dim_t = rank_a
+    elif edge == "dim T = n - 1":
+        dim_t = n - 1
+    else:
+        dim_t = data.draw(st.integers(1, min(rank_a, n - 1, m - 1)), label="dim_T")
+    seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+    return ig.GenConfig(seed=seed, m=m, n=n, rank_A=rank_a, dim_T=dim_t, **ratios)

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerinv import perturbation
 from outerinv.harness_cli import CampaignConfig
@@ -41,7 +43,7 @@ from outerinv.perturbation import (
     theorem,
 )
 
-from helpers import complex_gaussian, line, random_feasible_problem, scenario
+from helpers import complex_gaussian, draw_gen_config, line, random_feasible_problem, scenario
 
 
 def diag_problem():
@@ -474,6 +476,71 @@ class TestPerturbAll:
             assert report.hypotheses_met
             assert report.formula_vs_oracle_relerr <= 1e-8
             assert report.all_satisfied
+
+
+class TestOperatorBoundsAreAttained:
+    """Lemma 3.2 and Theorem 3.2 hold with equality at E = -eps v1 u1*.
+
+    With G = sum sigma_i u_i v_i*, E G = -eps sigma_1 v1 v1*, so G' = G (I +
+    E G)^{-1} = G + eps sigma_1^2 / (1 - eps sigma_1) u1 v1*: ||G'|| =
+    ||G|| / (1 - ||G|| ||E||) and ||G' - G|| = ||G||^2 ||E|| / (1 - ||G||
+    ||E||), which are both bounds.  A ratio of actual to bound may be off 1
+    by 1e-9, well above the rounding measured over 40 seeds (2.5e-12 for
+    Lemma 3.2, 8.1e-11 for Theorem 3.2), so a constant wrong by 1e-6 fails.
+    """
+
+    FRACTIONS = (1e-3, 0.5, 0.9)
+
+    @staticmethod
+    def at_equality(prepared, norm_e):
+        u, _, vh = np.linalg.svd(prepared.G)
+        e = -norm_e * np.outer(vh[0].conj(), u[:, 0].conj())
+        base = prepared.problem
+        return PerturbationScenario(prepared, base.T, base.S, e)
+
+    @staticmethod
+    def assert_attained(report):
+        assert report.hypotheses_met and report.all_satisfied
+        assert abs(report.norm_actual / report.norm_bound - 1.0) <= 1e-9
+        assert abs(report.diff_actual / report.diff_bound - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lemma32(self, seed):
+        prepared = generate(GenConfig(seed), "lemma32").prepared
+        limit = 1.0 / op_norm(prepared.G)
+        for fraction in self.FRACTIONS:
+            self.assert_attained(perturb_A(self.at_equality(prepared, fraction * limit)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_thm32(self, seed):
+        # T' = T and S' = S.  Lemma 3.2's limit would break this
+        # statement's hypothesis at 0.5 and 0.9.
+        prepared = generate(GenConfig(seed), "thm32").prepared
+        norm_g = op_norm(prepared.G)
+        limit = 1.0 / (norm_g * (1.0 + op_norm(prepared.problem.A) * norm_g))
+        for fraction in self.FRACTIONS:
+            self.assert_attained(perturb_all(self.at_equality(prepared, fraction * limit)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_prop31_prop32_exact_identities(data):
+    # G' - G = -(I - G'A) G when only T moves (Proposition 3.1) and
+    # G' - G = -G (I - A G') when only S moves (Proposition 3.2), with G'
+    # the oracle's A_{T',S}^(2) or A_{T,S'}^(2).
+    gen = draw_gen_config(data, target_gap_T=0.9, target_gap_S=0.9)
+    for theorem_id, evaluate in (("prop31", perturb_T), ("prop32", perturb_S)):
+        sc = generate(gen, theorem_id)
+        g, a = sc.prepared.G, sc.prepared.problem.A
+        gp = evaluate(sc).oracle_result
+        if theorem_id == "prop31":
+            rhs = -(np.eye(a.shape[1]) - gp @ a) @ g
+        else:
+            rhs = -g @ (np.eye(a.shape[0]) - a @ gp)
+        # G' moved (by at least 8.6e-5 ||G|| over 300 examples of this
+        # draw), so the identity is not 0 = 0.
+        assert op_norm(gp - g) > 1e-6 * op_norm(g), theorem_id
+        assert op_norm(gp - g - rhs) <= 1e-8 * op_norm(gp - g), theorem_id
 
 
 # Each formula evaluator and the theorem record it checks.
