@@ -233,8 +233,7 @@ def _draw_feasible_problem(
     try:
         return prepare(problem, tol)
     except ExistenceError as exc:
-        kernel_ok = exc.certificate.kernel_meets_T_trivially
-        failures["direct_sum" if kernel_ok else "kernel_meets_T"] += 1
+        failures[exc.certificate.failure] += 1
         return None
 
 

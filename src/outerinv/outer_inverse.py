@@ -175,18 +175,17 @@ class PreparedProblem:
 class ExistenceCertificate:
     """Outcome of the existence test (see :func:`_decide`).
 
-    ``exists`` holds iff the kernel of A meets T trivially and the image
-    A·T, of dimension dim T, together with S splits the codomain as a
-    direct sum.  On a "no" ``direct_sum_holds`` is False, and
-    ``kernel_meets_T_trivially`` names whether N(A) meets T as well.
+    ``failure`` is None when the outer inverse exists, else the failed
+    condition: ``"kernel_meets_T"`` (N(A) meets T, so A·T falls short of
+    dim T and the direct sum fails too) or ``"direct_sum"`` (A·T, of
+    dimension dim T, and S do not split the codomain as a direct sum).
     """
 
-    kernel_meets_T_trivially: bool
-    direct_sum_holds: bool
+    failure: str | None
 
     @property
     def exists(self) -> bool:
-        return self.kernel_meets_T_trivially and self.direct_sum_holds
+        return self.failure is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,23 +280,22 @@ def _decide(problem: OuterInverseProblem, sigma: float, tol: ToleranceProfile) -
     a, d = problem.A, problem.T.dim
     threshold = _rank_threshold(a, tol)
     if d + problem.S.dim == a.shape[0] and (d == 0 or sigma > threshold):
-        return ExistenceCertificate(kernel_meets_T_trivially=True, direct_sum_holds=True)
+        return ExistenceCertificate(None)
     image = _singular_values(a @ problem.T.basis) if d else None
     kernel_ok = d == 0 or (image.size >= d and float(image[d - 1]) > threshold)
-    return ExistenceCertificate(kernel_meets_T_trivially=kernel_ok, direct_sum_holds=False)
+    return ExistenceCertificate("direct_sum" if kernel_ok else "kernel_meets_T")
 
 
 def _require_exists(cert: ExistenceCertificate) -> None:
     if not cert.exists:
-        reasons = []
-        if not cert.kernel_meets_T_trivially:
-            reasons.append(
+        reason = "direct sum fails (A·T and S do not split the codomain)"
+        if cert.failure == "kernel_meets_T":
+            reason = (
                 "kernel intersection nontrivial (N(A) meets T: sigma_d(A B_T) <= rank_rtol "
-                "||A||_F, d = dim T, a scale kernel() does not use: it ranks by sigma_max(A))"
+                "||A||_F, d = dim T, a scale kernel() does not use: it ranks by sigma_max(A)); "
+                + reason
             )
-        if not cert.direct_sum_holds:
-            reasons.append("direct sum fails (A·T and S do not split the codomain)")
-        raise ExistenceError("outer inverse does not exist: " + "; ".join(reasons), cert)
+        raise ExistenceError("outer inverse does not exist: " + reason, cert)
 
 
 def _pinv_route(problem: OuterInverseProblem, tol: ToleranceProfile):

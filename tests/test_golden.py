@@ -235,7 +235,7 @@ def run_fault_campaign(workdir: Path, monkeypatch) -> tuple[int, str]:
 
     refusals = [
         IllConditionedError("refused", 4.5e13),
-        ExistenceError("outer inverse does not exist", ExistenceCertificate(False, False)),
+        ExistenceError("outer inverse does not exist", ExistenceCertificate("kernel_meets_T")),
         IllConditionedError("refused", 2.5e14),
     ]
 

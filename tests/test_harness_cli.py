@@ -860,7 +860,7 @@ class TestCampaignInternals:
         def refuse(problem, tol):
             calls["oracle"] += 1
             if calls["oracle"] % 3 == 0:
-                cert = ExistenceCertificate(False, False)
+                cert = ExistenceCertificate("kernel_meets_T")
                 raise ExistenceError("outer inverse does not exist", cert)
             raise IllConditionedError("refused", 1e13 * calls["oracle"])
 

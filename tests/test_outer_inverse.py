@@ -88,15 +88,15 @@ class TestExistence:
         # T sits inside N(A).
         prob = OuterInverseProblem(np.diag([1.0, 0.0]).astype(complex), line(0, 1), line(0, 1))
         cert = existence(prob)
-        assert not cert.kernel_meets_T_trivially
+        assert cert.failure == "kernel_meets_T"
         assert not cert.exists
 
     def test_direct_sum_failure_detected(self):
         # A T = span{e1} = S, so the sum cannot fill the plane.
         prob = OuterInverseProblem(np.eye(2, dtype=complex), line(1, 0), line(1, 0))
         cert = existence(prob)
-        assert cert.kernel_meets_T_trivially
-        assert not cert.direct_sum_holds
+        assert cert.failure == "direct_sum"
+        assert not cert.exists
 
     def test_equal_profiles_give_equal_certificates(self, rng):
         # Each call decides afresh from its own SVD, so equal profiles
@@ -111,17 +111,39 @@ class TestExistence:
         assert not existence(prob, coarse).exists
         assert existence(prob) == cert
 
-    def test_compute_raises_with_named_condition(self):
-        prob = OuterInverseProblem(np.diag([1.0, 0.0]).astype(complex), line(0, 1), line(0, 1))
-        with pytest.raises(ExistenceError, match="kernel intersection"):
+    # N(A) meeting T leaves A·T too small for the direct sum, so its message names both.
+    @pytest.mark.parametrize(
+        "a, t, failure, message",
+        [
+            (
+                np.diag([1.0, 0.0]),
+                (0, 1),
+                "kernel_meets_T",
+                "outer inverse does not exist: kernel intersection nontrivial (N(A) meets T: "
+                "sigma_d(A B_T) <= rank_rtol ||A||_F, d = dim T, a scale kernel() does not use: "
+                "it ranks by sigma_max(A)); direct sum fails (A·T and S do not split the codomain)",
+            ),
+            (
+                np.eye(2),
+                (1, 0),
+                "direct_sum",
+                "outer inverse does not exist: direct sum fails (A·T and S do not split the codomain)",
+            ),
+        ],
+    )
+    def test_compute_raises_with_named_condition(self, a, t, failure, message):
+        prob = OuterInverseProblem(a.astype(complex), line(*t), line(*t))
+        with pytest.raises(ExistenceError) as raised:
             compute(prob)
+        assert raised.value.certificate.failure == failure
+        assert str(raised.value) == message
 
 
 def exact_existence(problem, tol):
-    """Both conditions from the null space of A (a full SVD) and rank tests alone.
+    """The failed condition, or None, from the null space of A (a full SVD) and rank tests alone.
 
-    The direct sum counts only where A maps T one to one, as in the one
-    test: when N(A) meets T, A·T is smaller than T.
+    N(A) meeting T is named first: then A·T is smaller than T, and the
+    direct sum fails with it.
     """
 
     def independent(x, y):
@@ -132,30 +154,27 @@ def exact_existence(problem, tol):
         return rank(np.hstack([x.basis, y.basis]), tol) == x.dim + y.dim
 
     at = image_of(problem.A, problem.T, tol) if problem.T.dim else problem.T
-    kernel_ok = independent(kernel(problem.A, tol), problem.T)
-    return (
-        kernel_ok,
-        kernel_ok and at.dim + problem.S.dim == problem.A.shape[0] and independent(at, problem.S),
-    )
+    if not independent(kernel(problem.A, tol), problem.T):
+        return "kernel_meets_T"
+    if at.dim + problem.S.dim == problem.A.shape[0] and independent(at, problem.S):
+        return None
+    return "direct_sum"
 
 
 def middle_existence(problem, tol):
-    """Both conditions from the oracle's square middle matrix W* A U and from A B_T."""
+    """The failed condition, or None, from the oracle's square middle matrix W* A U and from A B_T."""
     a, d = problem.A, problem.T.dim
     threshold = tol.effective_rank_rtol(a.shape) * np.linalg.norm(a)
     if d == 0:
-        return True, problem.S.dim == a.shape[0]
+        return None if problem.S.dim == a.shape[0] else "direct_sum"
     image = np.linalg.svd(a @ problem.T.basis, compute_uv=False)
-    kernel_ok = image.size >= d and image[d - 1] > threshold
+    if not (image.size >= d and image[d - 1] > threshold):
+        return "kernel_meets_T"
     if d + problem.S.dim != a.shape[0]:
-        return kernel_ok, False
+        return "direct_sum"
     w = ss.orthogonal_complement(problem.S).basis
     sigma = np.linalg.svd(w.conj().T @ a @ problem.T.basis, compute_uv=False)[-1]
-    return kernel_ok, bool(sigma > threshold)
-
-
-def decided(cert):
-    return (cert.kernel_meets_T_trivially, cert.direct_sum_holds)
+    return None if sigma > threshold else "direct_sum"
 
 
 class TestExistenceCertificate:
@@ -176,7 +195,7 @@ class TestExistenceCertificate:
         cert = existence(prob)
         monkeypatch.undo()
         assert cert.exists
-        assert decided(cert) == exact_existence(prob, ToleranceProfile())
+        assert cert.failure == exact_existence(prob, ToleranceProfile())
         assert with_vectors == [False]
 
     def test_kernel_inside_T_defers(self, rng):
@@ -184,16 +203,16 @@ class TestExistenceCertificate:
         t = ss.from_spanning_set(np.column_stack([[0, 0, 1, 0], complex_gaussian(rng, (4,))]))
         s = random_subspace(4, 2, rng)
         prob = OuterInverseProblem(a, t, s)
-        assert not existence(prob).kernel_meets_T_trivially
-        assert decided(existence(prob)) == exact_existence(prob, ToleranceProfile())
+        assert existence(prob).failure == "kernel_meets_T"
+        assert existence(prob).failure == exact_existence(prob, ToleranceProfile())
 
-    @pytest.mark.parametrize("direction, expected", [((1, 0), True), ((0, 1), False)])
+    @pytest.mark.parametrize("direction, expected", [((1, 0), None), ((0, 1), "kernel_meets_T")])
     def test_loose_rank_threshold_defers(self, direction, expected):
         # With rank_rtol = 0.5 the singular value 0.4 counts as zero: N(A) = span{e2}.
         tol = ToleranceProfile(rank_rtol=0.5)
         prob = OuterInverseProblem(np.diag([1.0, 0.4]).astype(complex), line(*direction), line(0, 1))
-        assert existence(prob, tol).kernel_meets_T_trivially is expected
-        assert decided(existence(prob, tol)) == exact_existence(prob, tol)
+        assert existence(prob, tol).failure == expected
+        assert existence(prob, tol).failure == exact_existence(prob, tol)
 
     @pytest.mark.parametrize("rank_rtol", [None, 0.5])
     def test_random_decisions_match_the_kernel_test(self, rng, rank_rtol):
@@ -216,9 +235,9 @@ class TestExistenceCertificate:
             s = random_subspace(m, int(rng.integers(0, m + 1)), rng)
             prob = OuterInverseProblem(a, t, s)
             cert = existence(prob, tol)
-            assert decided(cert) == middle_existence(prob, tol)
+            assert cert.failure == middle_existence(prob, tol)
             if rank_rtol is None:
-                assert decided(cert) == exact_existence(prob, tol)
+                assert cert.failure == exact_existence(prob, tol)
 
 
 def middle_sigmas(problem):
@@ -293,9 +312,9 @@ class TestMiddleCertificate:
             cert = existence(prob)
             for decision in route_decisions(prob):
                 assert decision == cert
-            seen[decided(cert)] += 1
+            seen[cert.failure] += 1
         # Every verdict occurs: yes, a failed direct sum, and N(A) meeting T.
-        assert set(seen) == {(True, True), (True, False), (False, False)}, seen
+        assert set(seen) == {None, "direct_sum", "kernel_meets_T"}, seen
 
     @pytest.mark.parametrize("shape", [(6, 5), (40, 30), (120, 100)])
     def test_sweep_of_the_middle_ratio(self, rng, shape):
@@ -318,9 +337,9 @@ class TestMiddleCertificate:
         tol = ToleranceProfile()
         assert outer_inverse._decide(prob, middle_sigmas(prob)[0], tol).exists
         other_s = OuterInverseProblem(prob.A, prob.T, random_subspace(6, 2, rng))
-        assert decided(outer_inverse._decide(other_s, 1.0, tol)) == (True, False)
+        assert outer_inverse._decide(other_s, 1.0, tol).failure == "direct_sum"
         trivial_t = OuterInverseProblem(prob.A, random_subspace(5, 0, rng), random_subspace(6, 4, rng))
-        assert decided(outer_inverse._decide(trivial_t, 1.0, tol)) == (True, False)
+        assert outer_inverse._decide(trivial_t, 1.0, tol).failure == "direct_sum"
         whole_s = OuterInverseProblem(prob.A, random_subspace(5, 0, rng), random_subspace(6, 6, rng))
         assert outer_inverse._decide(whole_s, 0.0, tol).exists
 
@@ -377,8 +396,8 @@ def test_existence_matches_the_rank_tests_and_every_route(data):
 
     tol = ToleranceProfile()
     cert = existence(OuterInverseProblem(a, t, s))
-    event(f"planted {plant}: {decided(cert)}")
-    assert decided(cert) == exact_existence(OuterInverseProblem(a, t, s), tol)
+    event(f"planted {plant}: {cert.failure}")
+    assert cert.failure == exact_existence(OuterInverseProblem(a, t, s), tol)
     for route in (compute, outer_inverse.prepare, oracle_compute):
         if cert.exists:
             route(OuterInverseProblem(a, t, s))

@@ -257,7 +257,7 @@ def test_oracle_after_compute_decides_existence_itself(monkeypatch):
     monkeypatch.setattr(outer_inverse, "_singular_values", singular_middle)
     with pytest.raises(ExistenceError) as raised:
         oracle_compute(problem)
-    assert not raised.value.certificate.direct_sum_holds
+    assert raised.value.certificate.failure == "direct_sum"
 
 
 def test_problem_records_hold_values_only():
