@@ -17,17 +17,19 @@ so on.  A slow phase of a shared host then lands on both sides instead
 of on one block of runs.
 
 ``--out`` gets every run's end-to-end metrics and, per metric, each
-side's median and quartiles and the wins per pair (the better value by
-the metric's ``better`` in BENCHMARK.json; ties count for neither).  A
-pair in which either run produced no metrics is kept in the record and
-left out of the summary.  The exit code is 1 when any run was
-incorrect, had failed items or produced no result.
+side's median and quartiles, the wins per pair (the better value by
+the metric's ``better`` in BENCHMARK.json; ties count for neither) and
+a verdict (:func:`verdict`) against the metric's ``bound``.  A pair in
+which either run produced no metrics is kept in the record and left out
+of the summary.  The exit code is 1 when any run was incorrect, had
+failed items or produced no result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -105,8 +107,40 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: each side's quartiles and the wins per pair, over pairs where both runs have it."""
+def _relative_spread(q: dict[str, float]) -> float:
+    """The quartile spread over the median (0 for no spread, inf about a zero median)."""
+    width = q["q3"] - q["q1"]
+    if width == 0.0:
+        return 0.0
+    return width / abs(q["median"]) if q["median"] else math.inf
+
+
+def verdict(parent: list[float], change: list[float], wins: int, better: str, bound: float) -> str:
+    """The review rule for one metric, given each side's runs over the same pairs.
+
+    ``gain``: the change wins at least 9 of every 10 pairs and its median
+    beats the parent's by more than the parent's quartile spread.
+    ``regression``: the change's median is worse than the parent's by more
+    than ``bound``, relative to the parent's median.  ``unresolved``:
+    either side's quartile spread, relative to its median, is wider than
+    ``bound``, unless every change run beats every parent run.  Otherwise
+    ``no_regression``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    ahead = sign * (c["median"] - p["median"])
+    if wins >= 0.9 * len(parent) and ahead > p["q3"] - p["q1"]:
+        return "gain"
+    if -ahead > bound * abs(p["median"]):
+        return "regression"
+    separated = min(sign * v for v in change) > max(sign * v for v in parent)
+    if max(_relative_spread(p), _relative_spread(c)) > bound and not separated:
+        return "unresolved"
+    return "no_regression"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict[str, dict]:
+    """Per metric: each side's quartiles, the wins per pair and the verdict, over pairs where both runs have it."""
     summary = {}
     for name, direction in better.items():
         complete = [
@@ -120,11 +154,13 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             if change != parent:
                 change_better = change > parent if direction == "higher" else change < parent
                 wins["change" if change_better else "parent"] += 1
+        values = {side: [p[side]["metrics"][name] for p in complete] for side in SIDES}
         summary[name] = {
             "better": direction,
             "pairs": len(complete),
             "wins": wins,
-            **{side: quartiles([p[side]["metrics"][name] for p in complete]) for side in SIDES},
+            **{side: quartiles(values[side]) for side in SIDES},
+            "verdict": verdict(values["parent"], values["change"], wins["change"], direction, bounds[name]),
         }
     return summary
 
@@ -139,6 +175,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     commits = {side: commit(path) for side, path in trees.items()}
 
@@ -156,12 +193,13 @@ def main(argv=None) -> int:
                 print(f"# seed {seed} {side:<6} ok={pair[side]['ok']} items_per_s={value}", flush=True)
             pairs.append(pair)
 
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     for name, s in summary.items():
         print(
             f"{name:<14} parent {s['parent']['median']:.6g} [{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]"
             f"  change {s['change']['median']:.6g} [{s['change']['q1']:.6g}, {s['change']['q3']:.6g}]"
             f"  wins change {s['wins']['change']}/{s['pairs']}, parent {s['wins']['parent']}/{s['pairs']}"
+            f"  {s['verdict']}"
         )
     doc = {
         "workload": args.workload,

@@ -152,7 +152,13 @@ class GenConfig:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    # (x + 1j y) / sqrt(2), x drawn first, to the byte: numpy divides by
+    # sqrt(2) + 0j as a multiply by 1 / sqrt(2).
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= 1.0 / math.sqrt(2.0)
+    return z
 
 
 def random_matrix_with_rank(
@@ -220,15 +226,17 @@ def _draw_feasible_problem(
     """
     a = random_matrix_with_rank(config.m, config.n, config.rank_A, rng)
     a.flags.writeable = False  # finite complex128 by construction; the problem owns it
-    # The Moore-Penrose pair discards T and S.  They are still drawn so
-    # that every theorem keeps the random stream its reference reports
-    # were written from; the generator's planned re-capture (ROADMAP.md,
-    # item 10) removes this draw.
-    t = random_subspace(config.n, config.dim_T, rng)
-    s = random_subspace(config.m, config.m - config.dim_T, rng)
     if moore_penrose:
+        # A's Moore-Penrose pair replaces T and S, whose Gaussian blocks are
+        # still drawn (not factored) so that every theorem keeps the random
+        # stream its reference reports were written from; the planned
+        # re-capture (ROADMAP.md, item 10) removes this draw.
+        _complex_gaussian(rng, (config.n, config.dim_T))
+        _complex_gaussian(rng, (config.m, config.m - config.dim_T))
         problem = _moore_penrose_problem(a, tol)
     else:
+        t = random_subspace(config.n, config.dim_T, rng)
+        s = random_subspace(config.m, config.m - config.dim_T, rng)
         problem = OuterInverseProblem._trusted(a, t, s)
     try:
         return prepare(problem, tol)

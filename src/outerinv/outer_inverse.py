@@ -28,14 +28,15 @@ keeps what the harness derives from (A, T, S) -- ``||A||``, G and
 ``||G||`` and the projectors -- so each trial computes G once.  Of A it
 takes only ``||A||``, from a values-only SVD.  The Moore-Penrose
 inverse is the outer inverse with T = N(A)_perp and S = R(A)_perp, so
-``pinv(A)`` and ``||pinv(A)||`` are the G and ``||G||`` of
-:func:`moore_penrose_problem`'s problem, one source for every check
-that reads them; that constructor is the one place A's singular
-vectors are computed.  Every subspace read off an SVD (a kernel, column
-or row space, A·T, the T and S of the classical problems, a loaded one)
-keeps the other columns of its factor as its orthogonal complement, and
-any other computes its complement once and keeps it, so the oracle's W
-on an S the pinv route has seen costs no further SVD.  The classical
+:func:`~outerinv.perturbation.stable_bounds` reads ``pinv(A)`` and
+``||pinv(A)||`` as the G and ``||G||`` of :func:`moore_penrose_problem`'s
+problem, whose SVD of A is the only one that check needs
+(:func:`~outerinv.perturbation.is_stable`, on bare matrices, takes its
+own).  Every subspace read off an SVD (a kernel, column or row space,
+A·T, the T and S of the classical problems, a loaded one) keeps the
+other columns of its factor as its orthogonal complement, and any other
+computes its complement once and keeps it, so the oracle's W on an S
+the pinv route has seen costs no further SVD.  The classical
 special cases (Moore-Penrose, group, Drazin, Bott-Duffin) are thin
 constructors that pick the right (T, S) pair and delegate.
 

@@ -225,6 +225,23 @@ class TestCmdVerify:
         assert main(["verify", f2, "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    # solve_square's residual refusal and perturb_A's disagreeing resolvent
+    # forms each end the first lemma32 trial as an error; the second runs.
+    @pytest.mark.parametrize("owner, name", [(np.linalg, "solve"), (perturbation, "_right_resolvent")])
+    def test_a_refused_formula_is_an_error_and_exits_1(self, tmp_path, capsys, monkeypatch, owner, name):
+        calls = Counter()
+        original = getattr(owner, name)
+
+        def wrong_once(*args):
+            calls[name] += 1
+            return 2.0 * original(*args) if calls[name] == 1 else original(*args)
+
+        monkeypatch.setattr(owner, name, wrong_once)
+        obj = small_campaign_obj(theorems=["lemma32"], output_path=str(tmp_path / "r.csv"))
+        assert main(["verify", write_json(tmp_path / "c.json", obj)]) == 1
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("lemma32"))
+        assert row.split()[:4] == ["lemma32", "1", "0", "1"]  # run, skips, errors
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_1_exits_1(self, tmp_path, capsys, jobs):
         out = tmp_path / "r.csv"

@@ -54,6 +54,16 @@ class TestRandomMatrixWithRank:
             random_matrix_with_rank(3, 3, 4, rng)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 20260801])
+@pytest.mark.parametrize("shape", [(3,), (6, 3), (40, 24), (120, 100)])
+def test_complex_gaussian_is_the_scaled_formula_to_the_byte(seed, shape):
+    # Every generated instance, and so every report, is built from this draw.
+    draw = np.random.default_rng(seed)
+    formula = (draw.standard_normal(shape) + 1j * draw.standard_normal(shape)) / math.sqrt(2.0)
+    z = instance_gen._complex_gaussian(np.random.default_rng(seed), shape)
+    assert z.dtype == np.complex128 and z.tobytes() == formula.tobytes()
+
+
 class TestRandomSubspace:
     def test_trivial(self, rng):
         assert random_subspace(4, 0, rng).dim == 0
@@ -178,6 +188,17 @@ class TestGenerate:
             generate(GenConfig(seed=3, max_retries=4), "prop31")
         expected = dict.fromkeys(("kernel_meets_T", "direct_sum", "hypothesis_band"), 0)
         assert info.value.failure_counts == {**expected, key: 4}
+
+    # A target this close to its limit lands inside the guard band below the
+    # threshold, so every draw is rejected there.
+    @pytest.mark.parametrize(
+        "theorem_id, target", [("prop31", "target_gap_T"), ("lemma32", "target_norm_E_ratio")]
+    )
+    def test_targets_inside_the_guard_band_are_rejected(self, theorem_id, target):
+        config = GenConfig(seed=5, max_retries=3, **{target: 1.0 - 1e-12})
+        with pytest.raises(GenerationError) as info:
+            generate(config, theorem_id)
+        assert info.value.failure_counts == {"kernel_meets_T": 0, "direct_sum": 0, "hypothesis_band": 3}
 
 
 # Draws at a loose rank threshold, where many are infeasible: per

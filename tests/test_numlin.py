@@ -160,6 +160,15 @@ class TestSolveSquare:
         with pytest.raises(ValueError, match="square"):
             solve_square(np.ones((2, 3)), np.ones((2, 1)))
 
+    def test_refuses_a_solve_whose_residual_fails(self, monkeypatch):
+        # A well-conditioned system whose solve comes back twice too large:
+        # the residual M X - I = diag(3, 7) refuses it, naming cond(M) = 2.
+        monkeypatch.setattr(np.linalg, "solve", lambda m, b: 2.0 * b)
+        with pytest.raises(IllConditionedError) as err:
+            solve_square(np.diag([2.0, 4.0]), np.eye(2))
+        assert str(err.value) == "solve residual 7.000e+00 exceeds tolerance (condition number 2.000e+00)"
+        assert err.value.condition == 2.0
+
 
 def count_calls(monkeypatch, module, name):
     """Count the calls that ``module``'s own code makes to its function ``name``."""

@@ -19,7 +19,7 @@ from outerinv.instance_gen import (
     random_matrix_with_rank,
     random_subspace,
 )
-from outerinv.numlin import op_norm, pinv, svd
+from outerinv.numlin import NumericalError, op_norm, pinv, svd
 from outerinv.outer_inverse import (
     OuterInverseProblem,
     column_space,
@@ -419,6 +419,15 @@ class TestPerturbA:
         report = perturb_A(scenario(prob, E=e))
         assert op_norm(report.formula_result - np.diag([1.0 / 2.1, 0.0])) < 1e-12
         assert report.all_satisfied
+
+    def test_refuses_left_and_right_forms_that_disagree(self, monkeypatch):
+        # The left form is diag(1/2.1, 0); a right form twice that is off by 1/2.1.
+        right = perturbation._right_resolvent
+        monkeypatch.setattr(perturbation, "_right_resolvent", lambda g, e, tol: 2.0 * right(g, e, tol))
+        with pytest.raises(NumericalError) as err:
+            perturb_A(scenario(diag_problem(), E=np.diag([0.1, 0.0]).astype(complex)))
+        assert type(err.value) is NumericalError
+        assert str(err.value) == "left and right resolvent forms disagree by 4.762e-01"
 
     def test_random_trials_left_right_and_bounds(self, rng):
         for _ in range(100):

@@ -100,15 +100,16 @@ def test_each_trial_prepares_once_and_never_calls_compute(monkeypatch):
         assert counts["existence"] == 0, theorem
 
 
-def count_svds(monkeypatch) -> list:
+def count_linalg(monkeypatch, name: str) -> list:
+    """Record each call of ``numpy.linalg.<name>``."""
     calls = []
-    original = np.linalg.svd
+    original = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -128,15 +129,31 @@ SVD_BUDGET = {
 }
 
 
-def test_svd_budget_per_trial(monkeypatch):
-    calls = count_svds(monkeypatch)
+def calls_per_trial(monkeypatch, name: str) -> dict:
+    """``numpy.linalg.<name>`` calls of one run_trial per theorem (default campaign, trial 0)."""
+    calls = count_linalg(monkeypatch, name)
     config = replace(CampaignConfig.default(), trials=1)
     counts = {}
     for theorem in THEOREMS:
         calls.clear()
         assert run_trial(config, theorem, 0)[0] is not None
         counts[theorem] = len(calls)
-    assert counts == SVD_BUDGET
+    return counts
+
+
+def test_svd_budget_per_trial(monkeypatch):
+    assert calls_per_trial(monkeypatch, "svd") == SVD_BUDGET
+
+
+# numpy.linalg.qr calls in the same trials, all in the generator: two for
+# A's singular vectors and two for the bases of T and S.  lemma21 runs on
+# A's Moore-Penrose problem, so it draws T's and S's Gaussian blocks (the
+# random stream stays as it was) but factors neither.
+QR_BUDGET = {theorem: 2 if theorem == "lemma21" else 4 for theorem in THEOREMS}
+
+
+def test_qr_budget_per_trial(monkeypatch):
+    assert calls_per_trial(monkeypatch, "qr") == QR_BUDGET
 
 
 def test_svd_of_the_full_shape_per_trial(monkeypatch):
@@ -206,7 +223,7 @@ def test_svd_budget_of_the_library_path(monkeypatch):
     # existence, and the four residual checks, whose range and kernel of G
     # share one SVD; none of A) and 1 in the oracle, its middle matrix,
     # which decides existence again.  existence() does not run.
-    calls = count_svds(monkeypatch)
+    calls = count_linalg(monkeypatch, "svd")
     existence = count_calls(monkeypatch, ["existence"])
     problem = load_golden_problem()
     assert len(calls) == 2
@@ -226,7 +243,7 @@ def test_oracle_after_compute_takes_one_svd_its_cond(monkeypatch):
     compute(problem)
     middle = ss.orthogonal_complement(problem.S).basis.conj().T @ problem.A @ problem.T.basis
     own_sigma = float(np.linalg.svd(middle, compute_uv=False)[-1])
-    calls = count_svds(monkeypatch)
+    calls = count_linalg(monkeypatch, "svd")
     counts = count_calls(monkeypatch, ["existence"])
     sigmas = []
     decide = outer_inverse._decide
