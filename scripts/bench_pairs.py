@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import shutil
 import statistics
 import subprocess
@@ -107,14 +106,6 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _relative_spread(q: dict[str, float]) -> float:
-    """The quartile spread over the median (0 for no spread, inf about a zero median)."""
-    width = q["q3"] - q["q1"]
-    if width == 0.0:
-        return 0.0
-    return width / abs(q["median"]) if q["median"] else math.inf
-
-
 def verdict(parent: list[float], change: list[float], wins: int, better: str, bound: float) -> str:
     """The review rule for one metric, given each side's runs over the same pairs.
 
@@ -134,7 +125,7 @@ def verdict(parent: list[float], change: list[float], wins: int, better: str, bo
     if -ahead > bound * abs(p["median"]):
         return "regression"
     separated = min(sign * v for v in change) > max(sign * v for v in parent)
-    if max(_relative_spread(p), _relative_spread(c)) > bound and not separated:
+    if any(q["q3"] - q["q1"] > bound * abs(q["median"]) for q in (p, c)) and not separated:
         return "unresolved"
     return "no_regression"
 
